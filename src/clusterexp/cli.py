@@ -27,7 +27,7 @@ import numpy as np
 from .catalog import CODE_VERSION, CatalogKey, CoefficientTable, potential_hash
 from .catalog import gc as catalog_gc
 from .canonical import canonical_free_energy, direct_logZ_oracle
-from .coefficients import _auto_method, irreducible_beta_n, mayer_b_n
+from .coefficients import irreducible_beta_n, mayer_b_n
 from .convergence import activity_radius, canonical_radius
 from .correlations import h_n_density, oz_residual_order
 from .graphs import EnumerationTooLarge, GraphClass, enumerate_graphs
@@ -36,6 +36,7 @@ from .ozpy import (NonConvergence, RadialGrid, oz_selfconsistency, solve_py,
 from .potentials import (hard_rods, hard_spheres, lennard_jones, square_well,
                          zero_potential)
 from .series import eos_and_free_energy, log_activity_of_density
+from .weights import resolve_method
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -184,15 +185,18 @@ def _load_config(path: str | None) -> dict:
 
 def _mc_section(cfg: dict, seed_flag: int | None) -> dict:
     mc = cfg.get("mc", {})
-    _check_keys(mc, {"samples", "seed", "shards"}, "mc")
-    out = {"samples": int(mc.get("samples", 100_000)),
-           "seed": seed_flag if seed_flag is not None else mc.get("seed")}
-    return out
+    _check_keys(mc, {"samples", "seed"}, "mc")
+    return {"samples": int(mc.get("samples", 100_000)),
+            "seed": seed_flag if seed_flag is not None else mc.get("seed")}
 
 
 def _require_seed(mc: dict, p, method: str) -> int:
     # seed is mandatory whenever the Monte Carlo path is active
-    if _auto_method(p, method) == "mc" and mc["seed"] is None:
+    try:
+        method = resolve_method(p, method)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    if method == "mc" and mc["seed"] is None:
         raise SchemaError("Monte Carlo evaluation requires --seed "
                           "(or mc.seed in the config)")
     return int(mc["seed"] or 0)
@@ -215,7 +219,10 @@ class _CountingCatalog:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, csv_columns or None)
+# subcommand handlers: each returns (payload, csv_columns or None,
+# catalog or None)
+
+_Result = tuple[dict, dict | None, _CountingCatalog | None]
 
 _GRAPH_CLASSES = {
     "all": GraphClass.ALL,
@@ -225,7 +232,7 @@ _GRAPH_CLASSES = {
 }
 
 
-def _cmd_graphs(cfg: dict, args) -> tuple[dict, dict | None]:
+def _cmd_graphs(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"n", "class", "count"}, "graphs config")
     n = args.n if args.n is not None else cfg.get("n")
     cls_name = args.graph_class or cfg.get("class", "connected")
@@ -234,16 +241,15 @@ def _cmd_graphs(cfg: dict, args) -> tuple[dict, dict | None]:
         raise SchemaError("graphs needs --n or config key 'n'")
     if cls_name not in _GRAPH_CLASSES:
         raise SchemaError(f"unknown graph class {cls_name!r}")
-    gs = list(enumerate_graphs(int(n), _GRAPH_CLASSES[cls_name]))
-    payload: dict = {"n": int(n), "class": cls_name, "count": len(gs)}
+    count, lines = 0, []
+    for g in enumerate_graphs(int(n), _GRAPH_CLASSES[cls_name]):
+        count += 1
+        if not count_only:
+            lines.append(g.dump_line())
+    payload: dict = {"n": int(n), "class": cls_name, "count": count}
     if not count_only:
-        lines = []
-        for g in gs:
-            edges = " ".join(f"{i}-{j}" for i, j in sorted(g.edges))
-            lines.append(f"{g.n_vertices} {len(g.edges)} {edges} "
-                         f"whites={g.white_count}".replace("  ", " "))
         payload["graphs"] = lines
-    return payload, None
+    return payload, None, None
 
 
 def _coefficient_tables(p, K: int, mc: dict, method: str,
@@ -264,7 +270,7 @@ def _coefficient_tables(p, K: int, mc: dict, method: str,
     return bs, betas
 
 
-def _cmd_virial(cfg: dict, args) -> tuple[dict, dict | None]:
+def _cmd_virial(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"potential", "order", "method", "mc", "catalog"},
                 "virial config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
@@ -287,7 +293,7 @@ def _cmd_virial(cfg: dict, args) -> tuple[dict, dict | None]:
     return payload, None, cat
 
 
-def _cmd_eos(cfg: dict, args) -> tuple[dict, dict | None]:
+def _cmd_eos(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"potential", "order", "method", "mc", "catalog"},
                 "eos config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
@@ -311,7 +317,7 @@ def _cmd_eos(cfg: dict, args) -> tuple[dict, dict | None]:
     return payload, None, cat
 
 
-def _cmd_radius(cfg: dict, args) -> tuple[dict, dict | None]:
+def _cmd_radius(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"potential"}, "radius config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
     act = activity_radius(p)
@@ -323,10 +329,10 @@ def _cmd_radius(cfg: dict, args) -> tuple[dict, dict | None]:
         "z_max": act.bound_value,
         "rho_C_max": can.bound_value,
     }
-    return payload, None
+    return payload, None, None
 
 
-def _cmd_canonical(cfg: dict, args) -> tuple[dict, dict | None]:
+def _cmd_canonical(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"potential", "N", "L", "K", "truncation", "oracle", "mc"},
                 "canonical config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
@@ -357,10 +363,10 @@ def _cmd_canonical(cfg: dict, args) -> tuple[dict, dict | None]:
                                     seed=int(mc["seed"] or 0))
         payload["oracle"] = asdict(oracle)
         payload["expansion_minus_oracle"] = exp.log_z - oracle.value
-    return payload, None
+    return payload, None, None
 
 
-def _cmd_correlations(cfg: dict, args) -> tuple[dict, dict | None]:
+def _cmd_correlations(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"potential", "n", "K", "r_min", "r_max", "n_r",
                       "r_values", "method", "mc"}, "correlations config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
@@ -397,10 +403,10 @@ def _cmd_correlations(cfg: dict, args) -> tuple[dict, dict | None]:
         "orders": orders,
         "std_errors": errs,
     }
-    return payload, columns
+    return payload, columns, None
 
 
-def _cmd_ozpy(cfg: dict, args) -> tuple[dict, dict | None]:
+def _cmd_ozpy(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"potential", "rho", "grid", "tol", "alpha", "max_iter"},
                 "ozpy config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_spheres"}))
@@ -436,19 +442,19 @@ def _cmd_ozpy(cfg: dict, args) -> tuple[dict, dict | None]:
                         "dimension": grid.dimension},
                "tol": tol,
                "runs": runs}
-    return payload, columns
+    return payload, columns, None
 
 
-def _cmd_catalog_gc(cfg: dict, args) -> tuple[dict, dict | None]:
+def _cmd_catalog_gc(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"path", "catalog"}, "catalog-gc config")
     path = cfg.get("path") or cfg.get("catalog", {}).get("path")
     if path is None:
         raise SchemaError("catalog-gc needs a catalog 'path'")
     if not os.path.exists(path):
         return {"path": path, "kept": 0, "stale": 0, "corrupt": 0,
-                "inconsistent": 0, "note": "no catalog file; no-op"}, None
+                "inconsistent": 0, "note": "no catalog file; no-op"}, None, None
     stats = catalog_gc(path)
-    return {"path": path, **stats}, None
+    return {"path": path, **stats}, None, None
 
 
 _HANDLERS = {
@@ -490,12 +496,7 @@ def run(args) -> tuple[str, int]:
     if args.seed is not None and args.seed < 0:
         raise SchemaError("--seed must be a nonnegative integer")
     t0 = time.perf_counter()
-    result = _HANDLERS[args.subcommand](cfg, args)
-    if len(result) == 3:
-        payload, columns, cat = result
-    else:
-        payload, columns = result
-        cat = None
+    payload, columns, cat = _HANDLERS[args.subcommand](cfg, args)
     wall = time.perf_counter() - t0
     if args.format == "csv":
         if columns is None:

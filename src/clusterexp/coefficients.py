@@ -10,22 +10,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 from .graphs import Graph, GraphClass, enumerate_graphs
 from .potentials import Kind, Potential
-from .weights import CoefficientEstimate, graph_weight_exact_1d, graph_weight_mc
-
-
-def _auto_method(p: Potential, method: str) -> str:
-    if method != "auto":
-        return method
-    return "exact1d" if (p.piecewise_constant_f and p.dimension == 1) else "mc"
+from .weights import (CoefficientEstimate, graph_weight_exact_1d, graph_weight_mc,
+                      resolve_method)
 
 
 def _sum_graph_weights(graphs, p: Potential, method: str,
                        n_samples: int, seed: int) -> CoefficientEstimate:
     """Sum w(g; vertex 0 at the origin) over a graph family."""
-    method = _auto_method(p, method)
+    method = resolve_method(p, method)
     total = 0.0
     var = 0.0
     samples = 0
@@ -33,10 +29,8 @@ def _sum_graph_weights(graphs, p: Potential, method: str,
         for g in graphs:
             total += graph_weight_exact_1d(g, p, root_positions=(0.0,))
         return CoefficientEstimate(total, 0.0, "exact1d")
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
     for i, g in enumerate(graphs):
-        g = Graph(g.n_vertices, g.edges, white_count=max(g.white_count, 1))
+        g = replace(g, white_count=max(g.white_count, 1))
         est = graph_weight_mc(g, p, p.dimension, n_samples, seed=seed + i)
         total += est.value
         var += est.std_error ** 2
@@ -56,9 +50,9 @@ def mayer_b_n(p: Potential, n: int, method: str = "auto",
     if n < 1:
         raise ValueError("order must be >= 1")
     if n == 1:
-        return CoefficientEstimate(1.0, 0.0, "exact1d" if _auto_method(p, method) == "exact1d" else "mc")
+        return CoefficientEstimate(1.0, 0.0, resolve_method(p, method))
     if p.kind is Kind.ZERO:
-        return CoefficientEstimate(0.0, 0.0, _auto_method(p, method))
+        return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
     graphs = enumerate_graphs(n, GraphClass.CONNECTED)
     est = _sum_graph_weights(graphs, p, method, n_samples, seed)
     return _scaled(est, 1.0 / math.factorial(n))
@@ -71,7 +65,7 @@ def irreducible_beta_n(p: Potential, n: int, method: str = "auto",
     if n < 1:
         raise ValueError("order must be >= 1")
     if p.kind is Kind.ZERO:
-        return CoefficientEstimate(0.0, 0.0, _auto_method(p, method))
+        return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
     graphs = enumerate_graphs(n + 1, GraphClass.BICONNECTED)
     est = _sum_graph_weights(graphs, p, method, n_samples, seed)
     return _scaled(est, 1.0 / math.factorial(n))
@@ -82,10 +76,10 @@ def _kernel_graphs(n: int):
     vertex 0 has at least one edge."""
     zero_edges = [(0, v) for v in range(1, n + 1)]
     for core in enumerate_graphs(n, GraphClass.CONNECTED):
-        shifted = frozenset((i + 1, j + 1) for i, j in core.edges)
+        shifted = [(i + 1, j + 1) for i, j in core.edges]
         for r in range(1, n + 1):
             for attach in itertools.combinations(zero_edges, r):
-                yield Graph(n + 1, shifted | frozenset(attach), white_count=1)
+                yield Graph.from_edges(n + 1, shifted + list(attach), white_count=1)
 
 
 def a_kernel(p: Potential, n: int, method: str = "auto",
@@ -99,7 +93,7 @@ def a_kernel(p: Potential, n: int, method: str = "auto",
     if n < 1:
         raise ValueError("order must be >= 1")
     if p.kind is Kind.ZERO:
-        return CoefficientEstimate(0.0, 0.0, _auto_method(p, method))
+        return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
     est = _sum_graph_weights(_kernel_graphs(n), p, method, n_samples, seed)
     return _scaled(est, -1.0)
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .graphs import GraphClass, enumerate_bicolored
 from .potentials import Kind, Potential
-from .weights import CoefficientEstimate, graph_weight_exact_1d, graph_weight_mc
+from .weights import (CoefficientEstimate, graph_weight_exact_1d, graph_weight_mc,
+                      resolve_method)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -70,17 +71,18 @@ def _bicolored_order_sum(p: Potential, n_white: int, n_black: int,
                          cls: GraphClass, positions, method: str,
                          n_samples: int, seed: int) -> tuple[float, float]:
     """(1/k!) sum over the bicolored class of w(g; positions)."""
-    if method == "auto":
-        method = "exact1d" if (p.piecewise_constant_f and p.dimension == 1) else "mc"
+    method = resolve_method(p, method)
+    if method == "exact1d":
+        roots = tuple(float(x) for x in np.ravel(positions))
+    else:
+        roots = _as_positions(positions, p.dimension)
     total, var = 0.0, 0.0
     for i, g in enumerate(enumerate_bicolored(n_white, n_black, cls)):
         if method == "exact1d":
-            total += graph_weight_exact_1d(g, p, root_positions=tuple(
-                float(x) for x in np.ravel(positions)))
+            total += graph_weight_exact_1d(g, p, root_positions=roots)
         else:
-            pts = _as_positions(positions, p.dimension)
             est = graph_weight_mc(g, p, p.dimension, n_samples, seed=seed + 7919 * i,
-                                  root_positions=pts)
+                                  root_positions=roots)
             total += est.value
             var += est.std_error ** 2
     k_fact = math.factorial(n_black)
@@ -143,24 +145,23 @@ def h_n_density(p: Potential, n: int, positions, K: int, method: str = "auto",
                    method, n_samples, seed)
 
 
+def _pair_positions(p: Potential, r: float):
+    """Two points at separation r, along the first axis."""
+    if p.dimension == 1:
+        return (0.0, r)
+    return np.array([[0.0] * p.dimension, [r] + [0.0] * (p.dimension - 1)])
+
+
 def c2_density(p: Potential, r: float, K: int, method: str = "auto",
                n_samples: int = 100_000, seed: int = 0) -> CorrelationSeries:
     """Direct correlation function series: 2-connected graphs on 2 whites
     pinned at separation r."""
-    if p.dimension == 1 or method in ("auto", "exact1d"):
-        positions = (0.0, r) if p.dimension == 1 else np.array(
-            [[0.0] * p.dimension, [r] + [0.0] * (p.dimension - 1)])
-    else:
-        positions = (0.0, r)
-    return _series(p, 2, positions, K, GraphClass.BICONNECTED, "rho",
+    return _series(p, 2, _pair_positions(p, r), K, GraphClass.BICONNECTED, "rho",
                    method, n_samples, seed)
 
 
 def h2_density_at(p: Potential, r: float, K: int, **kw) -> CorrelationSeries:
-    if p.dimension == 1:
-        return h_n_density(p, 2, (0.0, r), K, **kw)
-    positions = np.array([[0.0] * p.dimension, [r] + [0.0] * (p.dimension - 1)])
-    return h_n_density(p, 2, positions, K, **kw)
+    return h_n_density(p, 2, _pair_positions(p, r), K, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +231,7 @@ def oz_residual_order(p: Potential, k: int, r_grid, method: str = "auto",
     """Residual of h_k = c_k + sum_{j<k} c_j * h_{k-1-j} on a grid of
     separations.  Returns per-point residuals, their max and the combined
     statistical error (zero on the exact path)."""
-    if method == "auto":
-        method = "exact1d" if (p.piecewise_constant_f and p.dimension == 1) else "mc"
+    method = resolve_method(p, method)
     r_grid = np.asarray(r_grid, dtype=float)
 
     cache: dict = {}

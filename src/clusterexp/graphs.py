@@ -1,10 +1,17 @@
 """Labeled simple graphs, bicolored classes and enriched trees.
 
-Graphs live on vertex set {0..n-1} and are stored as an edge bitmask over
-the n(n-1)/2 unordered pairs, which makes edge tests O(1) and gives every
-enumeration a reproducible lexicographic order.  The first ``white_count``
+A graph on vertex set {0..n-1} is stored as a tuple of n neighbor
+bitmasks: bit j of ``adj[i]`` is set when i and j are adjacent.  Only this
+module builds or reads those masks; the other layers see ``Graph.edges``,
+the sorted tuple of (i, j) pairs with i < j.  The first ``white_count``
 vertices are "white" (root / fixed) vertices, the rest are "black"
 (integrated) vertices.
+
+Enumeration walks the edge masks over the n(n-1)/2 unordered pairs (bit k
+is the k-th pair in lexicographic order) in increasing order, which gives
+every enumeration a reproducible order, and builds the neighbor masks of
+each edge mask.  Every class predicate is a reachability question, and
+``_reach`` is the one routine that answers it.
 
 Exhaustive class filtering is capped at n = 7 (2^21 edge subsets); trees
 are generated by Prufer sequences up to n = 12; enriched trees are capped
@@ -17,7 +24,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_EXHAUSTIVE_N = 7
 MAX_TREE_N = 12
@@ -45,44 +52,50 @@ class GraphClass(Enum):
     ARTICULATION_FREE = "articulation_free"
 
 
-def pair_list(n: int) -> list[tuple[int, int]]:
-    """Unordered vertex pairs of {0..n-1} in lexicographic order."""
-    return list(itertools.combinations(range(n), 2))
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Labeled simple graph as an edge set with an optional white prefix."""
+    """Labeled simple graph as neighbor bitmasks with an optional white prefix."""
 
     n_vertices: int
-    edges: frozenset[tuple[int, int]]
+    adj: tuple[int, ...]
     white_count: int = 0
 
     def __post_init__(self):
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n_vertices):
-                raise ValueError(f"bad edge ({i},{j}) for n={self.n_vertices}")
+        if len(self.adj) != self.n_vertices:
+            raise ValueError("Graph takes one neighbor mask per vertex; "
+                             "use Graph.from_edges for an edge list")
         if not (0 <= self.white_count <= self.n_vertices):
             raise ValueError("white_count out of range")
 
     @classmethod
-    def from_mask(cls, n: int, mask: int, white_count: int = 0) -> "Graph":
-        pairs = pair_list(n)
-        edges = frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
-        return cls(n, edges, white_count)
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
+                   white_count: int = 0) -> "Graph":
+        """Graph on {0..n-1} from (i, j) pairs with i < j."""
+        adj = [0] * n
+        for i, j in edges:
+            if not (0 <= i < j < n):
+                raise ValueError(f"bad edge ({i},{j}) for n={n}")
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return cls(n, tuple(adj), white_count)
 
     @property
-    def edge_mask(self) -> int:
-        pairs = pair_list(self.n_vertices)
-        index = {p: k for k, p in enumerate(pairs)}
-        m = 0
-        for e in self.edges:
-            m |= 1 << index[e]
-        return m
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Edges as (i, j) pairs with i < j, in lexicographic order."""
+        return tuple((i, j) for i, nbrs in enumerate(self.adj)
+                     for j in _bits(nbrs >> (i + 1) << (i + 1)))
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return sum(nbrs.bit_count() for nbrs in self.adj) // 2
 
     @property
     def whites(self) -> range:
@@ -92,83 +105,136 @@ class Graph:
     def blacks(self) -> range:
         return range(self.white_count, self.n_vertices)
 
-    def adjacency(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n_vertices)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-    def has_edge(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return (i, j) in self.edges
-
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """New graph with vertex i renamed perm[i]."""
-        edges = frozenset(tuple(sorted((perm[i], perm[j]))) for i, j in self.edges)
-        return Graph(self.n_vertices, edges, self.white_count)
-
     def dump_line(self) -> str:
         """One-line text form: ``n k <edge list as i-j pairs> whites=<w>``."""
-        es = " ".join(f"{i}-{j}" for i, j in sorted(self.edges))
+        es = " ".join(f"{i}-{j}" for i, j in self.edges)
         body = f"{self.n_vertices} {self.n_edges}"
         if es:
             body += " " + es
         return body + f" whites={self.white_count}"
 
 
-def _components(n: int, adj: list[set[int]], skip: int = -1) -> list[set[int]]:
-    seen = [False] * n
-    if 0 <= skip < n:
-        seen[skip] = True
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], set()
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.add(v)
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(comp)
-    return comps
+def _neighbor_masks(n: int, mask: int) -> tuple[int, ...]:
+    """Neighbor masks of the graph on {0..n-1} with edge mask ``mask``."""
+    adj = [0] * n
+    k = 0
+    for i in range(n - 1):
+        # the pairs (i, j), j > i, are consecutive bits of the edge mask
+        row = mask >> k & ((1 << (n - 1 - i)) - 1)
+        k += n - 1 - i
+        adj[i] |= row << (i + 1)
+        while row:
+            low = row & -row
+            adj[i + low.bit_length()] |= 1 << i
+            row ^= low
+    return tuple(adj)
+
+
+# ---------------------------------------------------------------------------
+# reachability and the class predicates built on it
+# ---------------------------------------------------------------------------
+
+def _reach(adj: Sequence[int], start: int, allowed: int) -> int:
+    """Mask of the vertices that the vertex set ``start`` (a mask inside
+    ``allowed``) reaches along paths that stay inside ``allowed``."""
+    seen = frontier = start
+    while frontier:
+        nbrs = 0
+        while frontier:
+            low = frontier & -frontier
+            nbrs |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nbrs & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
+def _connected(adj: Sequence[int]) -> bool:
+    full = (1 << len(adj)) - 1
+    return not adj or _reach(adj, 1, full) == full
+
+
+def _is_cut(adj: Sequence[int], v: int) -> bool:
+    """Removing v splits its neighbors into more than one component."""
+    nbrs = adj[v]
+    if not nbrs:
+        return False
+    rest = ((1 << len(adj)) - 1) & ~(1 << v)
+    return bool(nbrs & ~_reach(adj, nbrs & -nbrs, rest))
+
+
+def _biconnected(adj: Sequence[int]) -> bool:
+    return (len(adj) >= 2 and _connected(adj)
+            and not any(_is_cut(adj, v) for v in range(len(adj))))
+
+
+def _tree(adj: Sequence[int]) -> bool:
+    n_edges = sum(nbrs.bit_count() for nbrs in adj) // 2
+    return n_edges == len(adj) - 1 and _connected(adj)
+
+
+def _black_to_white_connected(adj: Sequence[int], white_count: int) -> bool:
+    full = (1 << len(adj)) - 1
+    return _reach(adj, (1 << white_count) - 1, full) == full
+
+
+def _articulation_free(adj: Sequence[int], white_count: int) -> bool:
+    # Menger: black b has two paths to distinct whites sharing only b iff
+    # no single other vertex v cuts b off from every white other than v
+    if white_count < 1 or not _connected(adj):
+        return False
+    full = (1 << len(adj)) - 1
+    whites = (1 << white_count) - 1
+    blacks = full & ~whites
+    for v in range(len(adj)):
+        rest = full & ~(1 << v)
+        if blacks & rest & ~_reach(adj, whites & rest, rest):
+            return False
+    return True
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n_vertices == 0:
-        return True
-    return len(_components(g.n_vertices, g.adjacency())) == 1
+    return _connected(g.adj)
 
 
 def cutpoints(g: Graph) -> set[int]:
     """Vertices whose removal increases the number of components."""
-    adj = g.adjacency()
-    base = len(_components(g.n_vertices, adj))
-    cuts = set()
-    for v in range(g.n_vertices):
-        adj_v = [a - {v} for a in adj]
-        # removing v drops one vertex; count components among the rest
-        rest = len(_components(g.n_vertices, adj_v, skip=v))
-        if rest > base:
-            cuts.add(v)
-    return cuts
+    return {v for v in range(g.n_vertices) if _is_cut(g.adj, v)}
 
 
 def is_biconnected(g: Graph) -> bool:
     """Connected with no cutpoint; the single edge on 2 vertices counts."""
-    if g.n_vertices < 2:
-        return False
-    return is_connected(g) and not cutpoints(g)
+    return _biconnected(g.adj)
+
+
+def is_articulation_free(g: Graph) -> bool:
+    """Connected, and every black vertex reaches two distinct white
+    vertices by two paths that share no vertex besides the black one."""
+    return _articulation_free(g.adj, g.white_count)
+
+
+def nodal_vertices(g: Graph) -> set[int]:
+    """Vertices v through which every path between some pair of white
+    vertices (both != v) is forced to pass."""
+    if g.white_count < 2:
+        raise ValueError("need at least 2 white vertices")
+    adj = g.adj
+    full = (1 << g.n_vertices) - 1
+    whites = (1 << g.white_count) - 1
+    comp = [_reach(adj, 1 << w, full) for w in g.whites]
+    nodal = set()
+    for v in range(g.n_vertices):
+        rest = full & ~(1 << v)
+        for w in _bits(whites & rest):
+            if comp[w] & whites & rest & ~_reach(adj, 1 << w, rest):
+                nodal.add(v)
+                break
+    return nodal
 
 
 def blocks(g: Graph) -> list[Graph]:
     """Maximal 2-connected subgraphs (blocks), by the standard DFS stack."""
-    adj = g.adjacency()
+    adj = g.adj
     n = g.n_vertices
     disc = [-1] * n
     low = [0] * n
@@ -180,16 +246,13 @@ def blocks(g: Graph) -> list[Graph]:
         blk = []
         while edge_stack:
             e = edge_stack.pop()
-            blk.append(e)
+            blk.append(tuple(sorted(e)))
             if e == (i, j) or e == (j, i):
                 break
-        verts = sorted({v for e in blk for v in e})
-        edges = frozenset(tuple(sorted(e)) for e in blk)
-        out.append(Graph(g.n_vertices, edges, g.white_count))
-        return verts
+        out.append(Graph.from_edges(n, blk, g.white_count))
 
     def dfs(root):
-        stack = [(root, -1, iter(sorted(adj[root])))]
+        stack = [(root, -1, _bits(adj[root]))]
         disc[root] = low[root] = next(timer)
         while stack:
             v, parent, it = stack[-1]
@@ -200,7 +263,7 @@ def blocks(g: Graph) -> list[Graph]:
                 if disc[u] == -1:
                     disc[u] = low[u] = next(timer)
                     edge_stack.append((v, u))
-                    stack.append((u, v, iter(sorted(adj[u]))))
+                    stack.append((u, v, _bits(adj[u])))
                     advanced = True
                     break
                 elif disc[u] < disc[v]:
@@ -220,32 +283,41 @@ def blocks(g: Graph) -> list[Graph]:
     return out
 
 
-def classify(g: Graph) -> dict:
-    """Connectivity, cutpoints and block decomposition of ``g``."""
-    return {
-        "connected": is_connected(g),
-        "cutpoints": cutpoints(g),
-        "blocks": blocks(g),
-    }
+def bfs_tree(g: Graph, n_roots: int) -> list[tuple[int, int]]:
+    """Edges (parent, child) of the breadth-first tree grown from vertices
+    0..n_roots-1, visiting neighbors in ascending order; raises ValueError
+    unless the tree reaches every vertex."""
+    seen = (1 << n_roots) - 1
+    queue = list(range(n_roots))
+    tree = []
+    for v in queue:
+        new = g.adj[v] & ~seen
+        seen |= new
+        for u in _bits(new):
+            tree.append((v, u))
+            queue.append(u)
+    if seen != (1 << g.n_vertices) - 1:
+        raise ValueError("graph does not connect all free vertices to the roots")
+    return tree
 
+
+# ---------------------------------------------------------------------------
+# enumeration
+# ---------------------------------------------------------------------------
 
 def _check_cap(what: str, n: int, cap: int, count_bound: int):
     if n > cap:
         raise EnumerationTooLarge(what, n, cap, count_bound)
 
 
-def _is_tree(g: Graph) -> bool:
-    return g.n_edges == g.n_vertices - 1 and is_connected(g)
-
-
 def prufer_trees(n: int) -> Iterator[Graph]:
     """All labeled trees on n vertices via Prufer sequences (n <= 12)."""
     _check_cap("trees", n, MAX_TREE_N, n ** max(n - 2, 0))
     if n == 1:
-        yield Graph(1, frozenset())
+        yield Graph.from_edges(1, ())
         return
     if n == 2:
-        yield Graph(2, frozenset({(0, 1)}))
+        yield Graph.from_edges(2, [(0, 1)])
         return
     for seq in itertools.product(range(n), repeat=n - 2):
         degree = [1] * n
@@ -263,76 +335,30 @@ def prufer_trees(n: int) -> Iterator[Graph]:
                 heapq.heappush(avail, v)
         u, w = heapq.heappop(avail), heapq.heappop(avail)
         edges.append(tuple(sorted((u, w))))
-        yield Graph(n, frozenset(edges))
+        yield Graph.from_edges(n, edges)
 
 
-def _simple_paths_to_whites(g: Graph, start: int) -> list[tuple[int, ...]]:
-    """Simple paths from ``start`` whose only white vertex is the endpoint."""
-    adj = g.adjacency()
-    white = set(g.whites)
-    paths = []
-
-    def extend(path, seen):
-        v = path[-1]
-        for u in sorted(adj[v]):
-            if u in seen:
-                continue
-            if u in white:
-                paths.append(path + (u,))
-            else:
-                extend(path + (u,), seen | {u})
-
-    extend((start,), {start})
-    return paths
-
-
-def _black_has_two_independent_paths(g: Graph, b: int) -> bool:
-    paths = _simple_paths_to_whites(g, b)
-    for p1, p2 in itertools.combinations(paths, 2):
-        if p1[-1] == p2[-1]:
-            continue
-        if set(p1[1:]) & set(p2[1:]):
-            continue
-        return True
-    return False
-
-
-def is_articulation_free(g: Graph) -> bool:
-    """Connected, and every black vertex reaches two distinct white
-    vertices by two paths that share no vertex besides the black one."""
-    if g.white_count < 1:
-        return False
-    if not is_connected(g):
-        return False
-    return all(_black_has_two_independent_paths(g, b) for b in g.blacks)
-
-
-def _black_to_white_connected(g: Graph) -> bool:
-    adj = g.adjacency()
-    comps = _components(g.n_vertices, adj)
-    white = set(g.whites)
-    for comp in comps:
-        if comp & white:
-            continue
-        if any(v >= g.white_count for v in comp):
-            return False
-    return True
-
-
-def _class_filter(g: Graph, cls: GraphClass) -> bool:
+def _class_filter(adj: Sequence[int], white_count: int, cls: GraphClass) -> bool:
     if cls is GraphClass.ALL:
         return True
     if cls is GraphClass.CONNECTED:
-        return is_connected(g)
+        return _connected(adj)
     if cls is GraphClass.BICONNECTED:
-        return is_biconnected(g)
+        return _biconnected(adj)
     if cls is GraphClass.TREE or cls is GraphClass.ROOTED_TREE:
-        return _is_tree(g)
+        return _tree(adj)
     if cls is GraphClass.BLACK_TO_WHITE_CONNECTED:
-        return _black_to_white_connected(g)
+        return _black_to_white_connected(adj, white_count)
     if cls is GraphClass.ARTICULATION_FREE:
-        return is_articulation_free(g)
+        return _articulation_free(adj, white_count)
     raise ValueError(f"unknown class {cls}")
+
+
+def _enumerate(n: int, white_count: int, cls: GraphClass) -> Iterator[Graph]:
+    for mask in range(2 ** (n * (n - 1) // 2)):
+        adj = _neighbor_masks(n, mask)
+        if _class_filter(adj, white_count, cls):
+            yield Graph(n, adj, white_count)
 
 
 def enumerate_graphs(n: int, cls: GraphClass) -> Iterator[Graph]:
@@ -343,12 +369,8 @@ def enumerate_graphs(n: int, cls: GraphClass) -> Iterator[Graph]:
     if cls is GraphClass.TREE and n > MAX_EXHAUSTIVE_N:
         yield from prufer_trees(n)
         return
-    m = n * (n - 1) // 2
-    _check_cap("graphs", n, MAX_EXHAUSTIVE_N, 2 ** m)
-    for mask in range(2 ** m):
-        g = Graph.from_mask(n, mask)
-        if _class_filter(g, cls):
-            yield g
+    _check_cap("graphs", n, MAX_EXHAUSTIVE_N, 2 ** (n * (n - 1) // 2))
+    yield from _enumerate(n, 0, cls)
 
 
 def enumerate_bicolored(n_white: int, n_black: int, cls: GraphClass) -> Iterator[Graph]:
@@ -356,42 +378,8 @@ def enumerate_bicolored(n_white: int, n_black: int, cls: GraphClass) -> Iterator
     if n_white < 1:
         raise ValueError("need at least one white vertex")
     n = n_white + n_black
-    m = n * (n - 1) // 2
-    _check_cap("bicolored graphs", n, MAX_EXHAUSTIVE_N, 2 ** m)
-    for mask in range(2 ** m):
-        g = Graph.from_mask(n, mask, white_count=n_white)
-        if _class_filter(g, cls):
-            yield g
-
-
-def nodal_vertices(g: Graph) -> set[int]:
-    """Vertices v through which every path between some pair of white
-    vertices (both != v) is forced to pass."""
-    if g.white_count < 2:
-        raise ValueError("need at least 2 white vertices")
-    adj = g.adjacency()
-    comps = _components(g.n_vertices, adj)
-    comp_of = {}
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    nodal = set()
-    for v in range(g.n_vertices):
-        adj_v = [a - {v} for a in adj]
-        sub = _components(g.n_vertices, adj_v, skip=v)
-        sub_of = {}
-        for k, comp in enumerate(sub):
-            for u in comp:
-                sub_of[u] = k
-        for w1, w2 in itertools.combinations(g.whites, 2):
-            if v in (w1, w2):
-                continue
-            if comp_of[w1] != comp_of[w2]:
-                continue
-            if sub_of[w1] != sub_of[w2]:
-                nodal.add(v)
-                break
-    return nodal
+    _check_cap("bicolored graphs", n, MAX_EXHAUSTIVE_N, 2 ** (n * (n - 1) // 2))
+    yield from _enumerate(n, n_white, cls)
 
 
 def set_partitions(items: Sequence[int]) -> Iterator[tuple[frozenset[int], ...]]:
@@ -417,28 +405,9 @@ class EnrichedTree:
     tree: Graph
     child_partitions: tuple[tuple[frozenset[int], ...], ...]
 
-    @property
-    def n_children_total(self) -> int:
-        return self.tree.n_vertices - 1
-
     def cliques(self) -> Iterator[frozenset[int]]:
         for part in self.child_partitions:
             yield from part
-
-
-def _children_lists(tree: Graph, root: int = 0) -> list[list[int]]:
-    adj = tree.adjacency()
-    children = [[] for _ in range(tree.n_vertices)]
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u in sorted(adj[v]):
-            if u not in seen:
-                seen.add(u)
-                children[v].append(u)
-                stack.append(u)
-    return children
 
 
 def enumerate_enriched_trees(n: int) -> Iterator[EnrichedTree]:
@@ -448,7 +417,9 @@ def enumerate_enriched_trees(n: int) -> Iterator[EnrichedTree]:
         raise ValueError("need n >= 0")
     _check_cap("enriched trees", n, MAX_ENRICHED_N, (n + 1) ** max(n - 1, 0))
     for tree in prufer_trees(n + 1):
-        children = _children_lists(tree, root=0)
+        children = [[] for _ in range(n + 1)]
+        for parent, child in bfs_tree(tree, 1):
+            children[parent].append(child)
         per_vertex = [list(set_partitions(ch)) for ch in children]
         for combo in itertools.product(*per_vertex):
             yield EnrichedTree(tree, tuple(combo))

@@ -107,13 +107,6 @@ class Potential:
     # -- derived data ------------------------------------------------------
 
     @property
-    def hard_core(self) -> float:
-        """Radius below which V = +inf (0 if none)."""
-        if self.kind in (Kind.HARD_ROD, Kind.HARD_SPHERE, Kind.SQUARE_WELL):
-            return self.sigma
-        return 0.0
-
-    @property
     def interaction_range(self) -> float:
         """Radius beyond which f vanishes (inf for untruncated LJ)."""
         if self.kind is Kind.ZERO:

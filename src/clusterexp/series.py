@@ -42,9 +42,6 @@ class TruncatedSeries:
         c += [0] * (K + 1 - len(c))
         return TruncatedSeries(c, self.variable)
 
-    def retag(self, variable: str) -> "TruncatedSeries":
-        return TruncatedSeries(self.coefficients, variable)
-
     def _binary(self, other):
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
@@ -79,19 +76,6 @@ class TruncatedSeries:
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
-
-    def as_floats(self) -> "TruncatedSeries":
-        return TruncatedSeries([float(c) for c in self.coefficients], self.variable)
-
-    def to_jsonable(self) -> list:
-        out = []
-        for n, c in enumerate(self.coefficients):
-            if isinstance(c, Fraction):
-                out.append({"order": n, "numerator": c.numerator,
-                            "denominator": c.denominator, "variable": self.variable})
-            else:
-                out.append({"order": n, "value": float(c), "variable": self.variable})
-        return out
 
 
 def series_from_coefficients(coeffs, variable="z") -> TruncatedSeries:
@@ -303,13 +287,3 @@ def density_from_activity(beta_table: dict[int, object], K: int) -> TruncatedSer
         expo = series_exp(series_compose(Bprime, cand))
         rho[m] = expo[m - 1]
     return TruncatedSeries(rho, "z")
-
-
-def pressure_from_density_series(rho_of_z: TruncatedSeries) -> TruncatedSeries:
-    """C(z) with z C'(z) = rho(z): integrates the rooted series."""
-    K = rho_of_z.order
-    c = [0] * (K + 1)
-    for n in range(1, K + 1):
-        v = rho_of_z[n]
-        c[n] = Fraction(v, n) if isinstance(v, int) else v / n
-    return TruncatedSeries(c, "z")

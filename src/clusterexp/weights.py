@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .graphs import Graph
+from .graphs import Graph, bfs_tree
 from .potentials import SURFACE_AREA, Kind, Potential
 
 
@@ -184,7 +184,7 @@ def _edge_terms(g: Graph, p: Potential, positions, shifts=(0.0,), box=None):
     edge_branches = []
     edge_vars = []
     pieces = p.f_pieces()
-    for i, j in sorted(g.edges):
+    for i, j in g.edges:
         vi, vj = var(i), var(j)
         if vi is None and vj is None:
             r = abs(fixed[i] - fixed[j])
@@ -273,6 +273,20 @@ def graph_weight_periodic_1d(g: Graph, p: Potential, L: float):
     return total / L ** n_free
 
 
+def resolve_method(p: Potential, method: str) -> str:
+    """The weight path that ``method`` selects: "exact1d" or "mc".
+
+    "auto" takes the exact path for a piecewise-constant f in one dimension
+    and Monte Carlo otherwise; a name other than the three raises.
+    """
+    if method == "auto":
+        return "exact1d" if (p.piecewise_constant_f and p.dimension == 1) else "mc"
+    if method not in ("exact1d", "mc"):
+        raise ValueError(f"unknown method {method!r}; "
+                         "expected 'auto', 'exact1d' or 'mc'")
+    return method
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo weights
 # ---------------------------------------------------------------------------
@@ -357,24 +371,6 @@ def _random_directions(rng, size, d):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _spanning_tree_from_whites(g: Graph, n_roots: int):
-    """BFS tree edges (parent, child) covering every free vertex."""
-    adj = g.adjacency()
-    seen = set(range(n_roots))
-    order = []
-    queue = list(range(n_roots))
-    while queue:
-        v = queue.pop(0)
-        for u in sorted(adj[v]):
-            if u not in seen:
-                seen.add(u)
-                order.append((v, u))
-                queue.append(u)
-    if len(seen) != g.n_vertices:
-        raise ValueError("graph does not connect all free vertices to the roots")
-    return order
-
-
 def graph_weight_mc(g: Graph, p: Potential, d: int, n_samples: int, seed: int,
                     root_positions=None) -> CoefficientEstimate:
     """Unbiased Mayer-sampling estimate of the rooted graph weight.
@@ -396,7 +392,7 @@ def graph_weight_mc(g: Graph, p: Potential, d: int, n_samples: int, seed: int,
         value = 1.0 if g.n_edges == 0 and n_free == 0 else 0.0
         return CoefficientEstimate(value, 0.0, "mc", n_samples, seed)
 
-    tree = _spanning_tree_from_whites(g, n_roots)
+    tree = bfs_tree(g, n_roots)
     proposal = RadialProposal(p, d)
     rng = np.random.default_rng(seed)
 
@@ -410,7 +406,7 @@ def graph_weight_mc(g: Graph, p: Potential, d: int, n_samples: int, seed: int,
         disp = _random_directions(rng, n_samples, d) * r[:, None]
         pos[:, child, :] = pos[:, parent, :] + disp
         logless_weight *= p.mayer_f(r) / proposal.pdf(r)
-    for i, j in sorted(g.edges):
+    for i, j in g.edges:
         if (i, j) in tree_set:
             continue
         r = np.linalg.norm(pos[:, i, :] - pos[:, j, :], axis=1)
@@ -435,14 +431,6 @@ def pair_f_matrix(p: Potential, points) -> np.ndarray:
     f = np.asarray(p.mayer_f(r))
     np.fill_diagonal(f, 0.0)
     return f
-
-
-def phi_value(p: Potential, points) -> float:
-    """phi = product over pairs of (1 + f) at the fixed configuration."""
-    f = pair_f_matrix(p, points)
-    n = f.shape[0]
-    iu = np.triu_indices(n, 1)
-    return float(np.prod(1.0 + f[iu]))
 
 
 def phi_t_value(p: Potential, points) -> float:

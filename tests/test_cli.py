@@ -85,6 +85,16 @@ class TestVirialAndEos:
         code, _, err = run_cli(capsys, ["virial", "--config", cfg])
         assert code == EXIT_SCHEMA
         assert "orderr" in err
+        cfg = write_config(tmp_path, "shards.json", {"mc": {"shards": 2}})
+        code, _, err = run_cli(capsys, ["virial", "--config", cfg])
+        assert code == EXIT_SCHEMA
+        assert "shards" in err
+
+    def test_unknown_method_rejected(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "bad.json", {"method": "exact"})
+        code, _, err = run_cli(capsys, ["virial", "--config", cfg])
+        assert code == EXIT_SCHEMA
+        assert "unknown method" in err
 
     def test_unknown_potential_kind_rejected(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "bad.json",

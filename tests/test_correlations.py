@@ -66,6 +66,13 @@ class TestDensitySeries:
         assert outside.values[0] == pytest.approx(0.0, abs=1e-10)
         assert outside.values[1] == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("method", ["exact", "quadrature"])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValueError, match="unknown method"):
+            h_n_density(P, 2, [0.0, 1.5], K=1, method=method)
+        with pytest.raises(ValueError, match="unknown method"):
+            oz_residual_order(P, 0, [0.5], method=method)
+
     def test_h2_density_at_matches_h_n(self):
         a = h2_density_at(P, 1.5, K=1)
         b = h_n_density(P, 2, [0.0, 1.5], K=1)

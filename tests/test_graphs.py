@@ -27,21 +27,31 @@ def brute_force_count(n, predicate):
     count = 0
     for r in range(len(pairs) + 1):
         for sub in itertools.combinations(pairs, r):
-            g = Graph(n, frozenset(sub), n)
+            g = Graph.from_edges(n, sub, n)
             if predicate(g):
                 count += 1
     return count
 
 
+# connected labeled graphs, OEIS A001187
+CONNECTED_COUNTS = [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)]
+# 2-connected labeled graphs, OEIS A013922
+BICONNECTED_COUNTS = [(2, 1), (3, 1), (4, 10), (5, 238), (6, 11368)]
+
+
 class TestCensus:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_connected_counts_match_brute_force(self, n):
+    @pytest.mark.parametrize("n,expected", CONNECTED_COUNTS,
+                             ids=[str(n) for n, _ in CONNECTED_COUNTS])
+    def test_connected_counts_match_brute_force(self, n, expected):
         got = sum(1 for _ in enumerate_graphs(n, GraphClass.CONNECTED))
+        assert got == expected
         assert got == brute_force_count(n, is_connected)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_biconnected_counts_match_brute_force(self, n):
+    @pytest.mark.parametrize("n,expected", BICONNECTED_COUNTS,
+                             ids=[str(n) for n, _ in BICONNECTED_COUNTS])
+    def test_biconnected_counts_match_brute_force(self, n, expected):
         got = sum(1 for _ in enumerate_graphs(n, GraphClass.BICONNECTED))
+        assert got == expected
         assert got == brute_force_count(n, is_biconnected)
 
     @pytest.mark.parametrize("n,total", [(1, 1), (2, 2), (3, 8), (4, 64)])
@@ -76,16 +86,31 @@ class TestBicolored:
         (2, GraphClass.BLACK_TO_WHITE_CONNECTED, 48),
         (2, GraphClass.ARTICULATION_FREE, 16),
         (2, GraphClass.BICONNECTED, 10),
+        # recorded with the earlier path-listing predicates, as an oracle
+        # independent of the bitmask ones
+        (3, GraphClass.BLACK_TO_WHITE_CONNECTED, 828),
+        (3, GraphClass.ARTICULATION_FREE, 328),
+        (4, GraphClass.ARTICULATION_FREE, 14064),
     ])
     def test_two_white_counts(self, k, cls, expected):
         got = sum(1 for _ in enumerate_bicolored(2, k, cls))
         assert got == expected
 
+    # recorded with the earlier path-listing predicates
+    @pytest.mark.parametrize("k,cls,expected", [
+        (2, GraphClass.BLACK_TO_WHITE_CONNECTED, 896),
+        (2, GraphClass.ARTICULATION_FREE, 448),
+        (3, GraphClass.ARTICULATION_FREE, 17032),
+    ])
+    def test_three_white_counts(self, k, cls, expected):
+        got = sum(1 for _ in enumerate_bicolored(3, k, cls))
+        assert got == expected
+
     def test_black_to_white_requires_black_attachment(self):
         for g in enumerate_bicolored(2, 2, GraphClass.BLACK_TO_WHITE_CONNECTED):
-            adj = g.adjacency()
             for b in g.blacks:
-                assert adj[b], "isolated black vertex slipped through"
+                assert any(b in e for e in g.edges), \
+                    "isolated black vertex slipped through"
 
     def test_articulation_free_is_subset_of_connected(self):
         af = {g.edges for g in enumerate_bicolored(2, 2, GraphClass.ARTICULATION_FREE)}
@@ -95,13 +120,13 @@ class TestBicolored:
 
 class TestBlocksAndNodal:
     def test_path_blocks(self):
-        g = Graph(4, frozenset({(0, 1), (1, 2), (2, 3)}), 4)
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], 4)
         bl = blocks(g)
         assert len(bl) == 3
         assert cutpoints(g) == {1, 2}
 
     def test_triangle_with_pendant(self):
-        g = Graph(4, frozenset({(0, 1), (1, 2), (0, 2), (2, 3)}), 4)
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)], 4)
         bl = blocks(g)
         sizes = sorted(len(b.edges) for b in bl)
         assert sizes == [1, 3]
@@ -110,17 +135,23 @@ class TestBlocksAndNodal:
     def test_nodal_vertex_on_white_path(self):
         # white-black-white path: the middle black vertex separates whites
         # but still has two vertex-disjoint routes to distinct whites
-        g = Graph(3, frozenset({(0, 2), (1, 2)}), 2)
+        g = Graph.from_edges(3, [(0, 2), (1, 2)], 2)
         assert 2 in nodal_vertices(g)
         assert is_articulation_free(g)
 
     def test_dangling_black_is_articulated(self):
         # black 3 reaches a white only through black 2
-        g = Graph(4, frozenset({(0, 1), (0, 2), (2, 3)}), 2)
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)], 2)
         assert not is_articulation_free(g)
 
+    def test_nodal_census(self):
+        # recorded with the earlier component-listing nodal_vertices
+        got = sum(1 for g in enumerate_bicolored(2, 3, GraphClass.CONNECTED)
+                  if nodal_vertices(g))
+        assert got == 216
+
     def test_direct_edge_graph_articulation_free(self):
-        g = Graph(2, frozenset({(0, 1)}), 2)
+        g = Graph.from_edges(2, [(0, 1)], 2)
         assert is_articulation_free(g)
 
 
@@ -149,9 +180,25 @@ class TestPartitionsAndEnrichedTrees:
                     seen |= set(clique)
 
 
+class TestConstruction:
+    def test_from_edges_validates(self):
+        with pytest.raises(ValueError, match="bad edge"):
+            Graph.from_edges(3, [(1, 0)])
+        with pytest.raises(ValueError, match="bad edge"):
+            Graph.from_edges(3, [(0, 3)])
+        with pytest.raises(ValueError, match="white_count"):
+            Graph.from_edges(2, [(0, 1)], 3)
+
+    def test_edges_sorted_and_equal_graphs_compare_equal(self):
+        g = Graph.from_edges(4, [(2, 3), (0, 2), (0, 1)], 1)
+        assert g.edges == ((0, 1), (0, 2), (2, 3))
+        assert g.n_edges == 3
+        assert g == Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)], 1)
+
+
 class TestDump:
     def test_dump_line_format(self):
-        g = Graph(3, frozenset({(0, 1), (1, 2)}), 2)
+        g = Graph.from_edges(3, [(0, 1), (1, 2)], 2)
         line = g.dump_line()
         assert line.startswith("3 2 ")
         assert "0-1" in line and "1-2" in line

@@ -19,9 +19,9 @@ from clusterexp.weights import (
     phi_t_value,
 )
 
-EDGE = Graph(2, frozenset({(0, 1)}), 1)
-TRIANGLE = Graph(3, frozenset({(0, 1), (0, 2), (1, 2)}), 1)
-PATH3 = Graph(3, frozenset({(0, 1), (1, 2)}), 1)
+EDGE = Graph.from_edges(2, [(0, 1)], 1)
+TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)], 1)
+PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)], 1)
 
 
 def mc_volume(constraints, box, k, n=200_000, seed=3):
@@ -107,7 +107,7 @@ class TestExact1D:
 
     def test_two_roots(self):
         # pinned white vertices at distance 0.5: single edge weight f(0.5)
-        g = Graph(2, frozenset({(0, 1)}), 2)
+        g = Graph.from_edges(2, [(0, 1)], 2)
         assert graph_weight_exact_1d(g, hard_rods(), root_positions=(0.0, 0.5)) \
             == pytest.approx(-1.0, abs=1e-12)
 
