@@ -13,9 +13,8 @@ from clusterexp.ozpy import b2_effective
 p = hard_spheres()
 
 print("== density sweep ==")
-for rho in (0.05, 0.1, 0.2, 0.3, 0.4):
-    # plain Picard needs gentler mixing as the density grows
-    sol = solve_py(p, rho, alpha=0.1 if rho >= 0.4 else 0.5)
+for rho in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+    sol = solve_py(p, rho)
     th = thermodynamics(p, sol)
     eta = math.pi * rho / 6.0
     # PY virial-route pressure has a closed form for hard spheres

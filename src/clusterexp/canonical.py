@@ -23,7 +23,8 @@ import numpy as np
 
 from .graphs import GraphClass, enumerate_graphs
 from .potentials import Kind, Potential, abs_f_integral, stability_profile
-from .weights import CoefficientEstimate, graph_weight_periodic_1d, phi_t_batch
+from .weights import (CoefficientEstimate, graph_weight_periodic_1d, phi_t_batch,
+                      resolve_method)
 
 
 def _require_periodic_1d(p: Potential, boundary: str):
@@ -278,18 +279,17 @@ def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
     """
     _require_periodic_1d(p, boundary)
     if method == "auto":
-        method = "exact" if N <= 4 else "mc"
+        method = "exact1d" if N <= 4 else "mc"
+    method = resolve_method(p, method)
     if N < 1:
         raise ValueError("N must be >= 1")
-    if method == "exact":
+    if method == "exact1d":
         if N > 4:
             raise ValueError("exact oracle capped at N = 4")
         total = sum(graph_weight_periodic_1d(g, p, L)
                     for g in enumerate_graphs(N, GraphClass.ALL))
         log_z = N * math.log(L) - math.lgamma(N + 1) + math.log(total)
         return CoefficientEstimate(log_z, 0.0, "exact1d")
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
     if N > 8:
         raise ValueError("MC oracle capped at N = 8")
     rng = np.random.default_rng(seed)

@@ -355,7 +355,7 @@ def _cmd_canonical(cfg: dict, args) -> _Result:
     }
     if cfg.get("oracle", True):
         mc = _mc_section(cfg, args.seed)
-        method = "exact" if N <= 4 else "mc"
+        method = "exact1d" if N <= 4 else "mc"
         if method == "mc" and mc["seed"] is None:
             raise SchemaError("oracle for N > 4 is Monte Carlo; --seed required")
         oracle = direct_logZ_oracle(p, N, L, method=method,
@@ -424,12 +424,17 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
     runs = []
     columns = None
     for rho in rhos:
-        sol = solve_py(p, float(rho), grid=grid, alpha=alpha, tol=tol,
-                       max_iter=max_iter)
+        try:
+            sol = solve_py(p, float(rho), grid=grid, alpha=alpha, tol=tol,
+                           max_iter=max_iter)
+        except NonConvergence as exc:
+            exc.add_note(f"rho = {rho}")
+            raise
         runs.append({
             "rho": float(rho),
             "iterations": sol.iterations,
             "residual": sol.residual,
+            "residual_history": sol.residual_history,
             "negative_g": sol.negative_g,
             "oz_selfconsistency": oz_selfconsistency(p, sol),
             "thermodynamics": thermodynamics(p, sol),
@@ -528,7 +533,8 @@ def main(argv=None) -> int:
         print(f"error (cap): {exc}", file=sys.stderr)
         return EXIT_CAP
     except NonConvergence as exc:
-        print(f"error (nonconvergence): {exc}", file=sys.stderr)
+        where = "".join(f"; {note}" for note in getattr(exc, "__notes__", ()))
+        print(f"error (nonconvergence): {exc}{where}", file=sys.stderr)
         return EXIT_NONCONV
     if args.out is not None:
         _write_atomic(args.out, text)

@@ -334,10 +334,11 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
     xs = tuple(float(x) for x in np.ravel(positions))
     if len(xs) != n:
         raise ValueError("need n positions")
-    if z == 0.0:
-        return CoefficientEstimate(0.0 if n >= 1 else 1.0, 0.0, "exact1d")
     if method == "auto":
         method = "exact1d" if p.kind is Kind.HARD_ROD else "mc"
+    method = resolve_method(p, method)
+    if z == 0.0:
+        return CoefficientEstimate(0.0 if n >= 1 else 1.0, 0.0, "exact1d")
     if method == "exact1d":
         if p.kind is not Kind.HARD_ROD:
             raise ValueError("exact oracle path covers hard rods only")

@@ -82,6 +82,13 @@ class TestExpansionAgainstOracles:
         assert est.method != "mc"
         assert est.value == pytest.approx(math.log(40.0), abs=1e-12)
 
+    def test_direct_oracle_method_names(self):
+        est = direct_logZ_oracle(P, 2, 10.0, method="exact1d")
+        assert est.method == "exact1d"
+        for method in ("exact", "quadrature"):
+            with pytest.raises(ValueError, match="unknown method"):
+                direct_logZ_oracle(P, 2, 10.0, method=method)
+
     @pytest.mark.parametrize("N,L", [(3, 15.0), (4, 20.0)])
     def test_direct_oracle_matches_tonks(self, N, L):
         est = direct_logZ_oracle(P, N, L)

@@ -145,6 +145,7 @@ class TestOzpy:
         run = json.loads(out)["results"]["runs"][0]
         assert float(run["thermodynamics"]["pressure_virial"]) == pytest.approx(
             0.25, rel=0.01)
+        assert len(run["residual_history"]) == run["iterations"]
 
     def test_nonconvergence_exit(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "oz.json",
@@ -153,6 +154,14 @@ class TestOzpy:
         code, _, err = run_cli(capsys, ["ozpy", "--config", cfg])
         assert code == EXIT_NONCONV
         assert "nonconvergence" in err
+
+    def test_nonconvergence_names_reason_and_density(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "oz.json",
+                           {"potential": {"kind": "hard_spheres"},
+                            "rho": [0.2, 1e300]})
+        code, _, err = run_cli(capsys, ["ozpy", "--config", cfg])
+        assert code == EXIT_NONCONV
+        assert "(non-finite)" in err and "rho = 1e+300" in err
 
 
 class TestCatalogIntegration:

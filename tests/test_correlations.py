@@ -153,6 +153,12 @@ class TestGrandCanonicalOracle:
         pred = z ** 2 * sum(series.values[k] * z ** k for k in range(3))
         assert oracle.value == pytest.approx(pred, abs=5e-7)
 
+    @pytest.mark.parametrize("method", ["exact", "quadrature"])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValueError, match="unknown method"):
+            gc_correlation_oracle(P, 1, [0.0], z=0.1, L=10.0, N_max=2,
+                                  method=method, n_samples=2000, seed=1)
+
     def test_mc_fallback_agrees(self):
         est = gc_correlation_oracle(P, 1, [0.0], z=0.05, L=20.0,
                                     method="mc", n_samples=150_000, seed=9)

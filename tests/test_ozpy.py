@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,18 @@ from clusterexp.ozpy import (
 from clusterexp.potentials import hard_rods, hard_spheres, square_well, zero_potential
 
 GRID_1D = RadialGrid(dr=0.005, n_points=4096, dimension=1)
+FLUIDS = {"hard_spheres": hard_spheres(), "hard_rods": hard_rods()}
+
+
+def py_closed_forms(p, rho):
+    """(beta P / rho, d(beta P)/d rho) of the PY solution: Wertheim's
+    virial and compressibility routes for hard spheres, Tonks for hard
+    rods (PY is exact in d = 1)."""
+    if p.dimension == 1:
+        return 1.0 / (1.0 - rho), 1.0 / (1.0 - rho) ** 2
+    eta = math.pi * rho / 6.0
+    return ((1.0 + 2.0 * eta + 3.0 * eta ** 2) / (1.0 - eta) ** 2,
+            (1.0 + 2.0 * eta) ** 2 / (1.0 - eta) ** 4)
 
 
 class TestGrid:
@@ -54,6 +68,13 @@ class TestConvolution:
         assert np.max(np.abs(got - exact)) < 1e-4
 
 
+def test_import_leaves_scipy_signal_unloaded():
+    code = "import sys, clusterexp; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestSolver:
     def test_zero_potential_identity(self):
         sol = solve_py(zero_potential(dimension=3), 0.5)
@@ -88,9 +109,34 @@ class TestSolver:
         assert np.max(np.abs(sol.g[core])) == 0.0
         assert not sol.negative_g
 
+    @pytest.mark.parametrize("fluid,rho", [("hard_spheres", 0.4),
+                                           ("hard_spheres", 0.6),
+                                           ("hard_rods", 0.7)])
+    def test_converges_with_defaults(self, fluid, rho):
+        sol = solve_py(FLUIDS[fluid], rho)
+        assert sol.converged and not sol.negative_g
+        assert len(sol.residual_history) == sol.iterations
+        assert sol.residual_history[-1] == sol.residual < 1e-10
+
     def test_nonconvergence_raises(self):
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence) as info:
             solve_py(hard_spheres(), 0.5, tol=1e-14, max_iter=3)
+        assert info.value.reason == "max_iter"
+        assert info.value.iterations == 3
+
+    def test_beyond_close_packing_stalls(self):
+        with pytest.raises(NonConvergence, match="stalled") as info:
+            solve_py(hard_rods(), 1.2)
+        assert info.value.reason == "stalled"
+        assert info.value.iterations < 1000
+        assert math.isfinite(info.value.residual)
+
+    def test_overflow_stops_at_once(self):
+        with pytest.raises(NonConvergence, match="non-finite") as info:
+            solve_py(hard_spheres(), 1e300)
+        assert info.value.reason == "non-finite"
+        assert info.value.iterations <= 5
+        assert not math.isfinite(info.value.residual)
 
     def test_square_well_converges(self):
         p = square_well(sigma=1.0, lam=1.5, epsilon=0.5, beta=1.0, dimension=3)
@@ -103,6 +149,35 @@ class TestSolver:
 
 
 class TestThermodynamics:
+    @pytest.mark.parametrize("fluid,rho", [("hard_spheres", 0.3),
+                                           ("hard_spheres", 0.6),
+                                           ("hard_rods", 0.5),
+                                           ("hard_rods", 0.7)])
+    def test_routes_match_py_closed_forms(self, fluid, rho):
+        p = FLUIDS[fluid]
+        th = thermodynamics(p, solve_py(p, rho))
+        z_ref, dp_ref = py_closed_forms(p, rho)
+        assert th["pressure_virial"] / rho == pytest.approx(z_ref, rel=1e-4)
+        assert th["compressibility_factor"] == pytest.approx(dp_ref, rel=1e-4)
+
+    def test_virial_error_is_second_order_in_dr(self):
+        p, rho = hard_spheres(), 0.6
+        z_ref, _ = py_closed_forms(p, rho)
+        errors = []
+        for dr, n in ((0.02, 1024), (0.01, 2048)):
+            sol = solve_py(p, rho, grid=RadialGrid(dr=dr, n_points=n))
+            errors.append(thermodynamics(p, sol)["pressure_virial"] / rho - z_ref)
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.1)
+
+    def test_hs_contact_value(self):
+        # Wertheim: g(sigma+) = (1 + eta/2) / (1 - eta)^2
+        rho = 0.6
+        sol = solve_py(hard_spheres(), rho)
+        eta = math.pi * rho / 6.0
+        contact = float(np.interp(1.0, sol.grid.r, sol.g))
+        assert contact == pytest.approx((1.0 + eta / 2.0) / (1.0 - eta) ** 2,
+                                        rel=1e-3)
+
     def test_hs_b2_effective(self):
         b2 = b2_effective(hard_spheres())
         assert b2 == pytest.approx(2.0 * math.pi / 3.0, rel=5e-3)
