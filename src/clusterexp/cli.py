@@ -428,7 +428,7 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
             sol = solve_py(p, float(rho), grid=grid, alpha=alpha, tol=tol,
                            max_iter=max_iter)
         except NonConvergence as exc:
-            exc.add_note(f"rho = {rho}")
+            exc.args = (f"{exc}; rho = {rho}",)
             raise
         runs.append({
             "rho": float(rho),
@@ -533,8 +533,7 @@ def main(argv=None) -> int:
         print(f"error (cap): {exc}", file=sys.stderr)
         return EXIT_CAP
     except NonConvergence as exc:
-        where = "".join(f"; {note}" for note in getattr(exc, "__notes__", ()))
-        print(f"error (nonconvergence): {exc}{where}", file=sys.stderr)
+        print(f"error (nonconvergence): {exc}", file=sys.stderr)
         return EXIT_NONCONV
     if args.out is not None:
         _write_atomic(args.out, text)

@@ -108,10 +108,13 @@ class RadialFunctions:
 
 class NonConvergence(RuntimeError):
     """The PY iteration stopped short of tol.  reason is "non-finite",
-    "stalled" or "max_iter"; solve_py says when each applies."""
+    "stalled" or "max_iter"; solve_py says when each applies.  Left out,
+    it is "non-finite" for a non-finite residual and "max_iter" otherwise."""
 
     def __init__(self, residual: float, iterations: int,
-                 reason: str = "max_iter"):
+                 reason: str | None = None):
+        if reason is None:
+            reason = "max_iter" if math.isfinite(residual) else "non-finite"
         super().__init__(f"PY iteration stopped ({reason}) at residual "
                          f"{residual:g} after {iterations} iterations")
         self.residual = residual

@@ -124,6 +124,13 @@ class TestSolver:
         assert info.value.reason == "max_iter"
         assert info.value.iterations == 3
 
+    @pytest.mark.parametrize("residual, reason",
+                             [(math.nan, "non-finite"), (math.inf, "non-finite"),
+                              (0.5, "max_iter")])
+    def test_default_reason_follows_residual(self, residual, reason):
+        exc = NonConvergence(residual, 7)
+        assert exc.reason == reason and f"({reason})" in str(exc)
+
     def test_beyond_close_packing_stalls(self):
         with pytest.raises(NonConvergence, match="stalled") as info:
             solve_py(hard_rods(), 1.2)
