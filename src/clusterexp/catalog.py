@@ -1,5 +1,5 @@
 """Persistent coefficient catalog: append-only JSON-lines records keyed by
-(potential hash, beta, order, kind) plus the code version.
+(potential hash, beta, order, kind, estimator) plus the code version.
 
 Records are immutable once written.  Re-inserting an existing key is only
 allowed when the value agrees with the stored one within the combined
@@ -28,12 +28,21 @@ def potential_hash(p: Potential) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def estimator_name(method: str, samples: int, seed: int) -> str:
+    """The estimator a key asks for: the resolved method and, for Monte
+    Carlo, the requested sample count and seed.  These are the request's,
+    not the estimate's: an estimate's ``samples`` totals its graphs and its
+    ``seed`` is offset per coefficient."""
+    return f"mc samples={samples} seed={seed}" if method == "mc" else method
+
+
 @dataclass(frozen=True)
 class CatalogKey:
     potential_hash: str
     beta: float
     order: int
     kind: str
+    estimator: str
     version: str = CODE_VERSION
 
     def __post_init__(self):
@@ -48,10 +57,13 @@ def _consistent(a: CoefficientEstimate, b: CoefficientEstimate) -> bool:
 
 class CoefficientTable:
     """In-memory keyed map of coefficient estimates with optional
-    JSON-lines persistence.  Duplicate keys must be value-consistent."""
+    JSON-lines persistence.  Duplicate keys must be value-consistent.
+    ``hits`` and ``misses`` count the lookups of ``get_or_compute``."""
 
     def __init__(self, path: str | None = None):
         self.path = path
+        self.hits = 0
+        self.misses = 0
         self._data: dict[CatalogKey, CoefficientEstimate] = {}
         if path is not None and os.path.exists(path):
             for key, est in iter_records(path):
@@ -80,9 +92,12 @@ class CoefficientTable:
 
     def get_or_compute(self, key: CatalogKey, compute) -> CoefficientEstimate:
         est = self._data.get(key)
-        if est is None:
-            est = compute()
-            self.insert(key, est)
+        if est is not None:
+            self.hits += 1
+            return est
+        self.misses += 1
+        est = compute()
+        self.insert(key, est)
         return est
 
 
@@ -100,7 +115,8 @@ def append_record(path: str, key: CatalogKey, est: CoefficientEstimate) -> None:
 def _parse_line(line: str):
     d = json.loads(line)
     key = CatalogKey(d.pop("potential_hash"), float(d.pop("beta")),
-                     int(d.pop("order")), d.pop("kind"), d.pop("version"))
+                     int(d.pop("order")), d.pop("kind"), d.pop("estimator"),
+                     d.pop("version"))
     est = CoefficientEstimate(float(d["value"]), float(d["std_error"]),
                               d["method"], int(d.get("samples", 0)),
                               int(d.get("seed", 0)))

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import CODE_VERSION, CatalogKey, CoefficientTable, potential_hash
+from .catalog import (CODE_VERSION, CatalogKey, CoefficientTable, estimator_name,
+                      potential_hash)
 from .catalog import gc as catalog_gc
 from .canonical import canonical_free_energy, direct_logZ_oracle
 from .coefficients import irreducible_beta_n, mayer_b_n
@@ -202,27 +203,11 @@ def _require_seed(mc: dict, p, method: str) -> int:
     return int(mc["seed"] or 0)
 
 
-class _CountingCatalog:
-    """Catalog wrapper that tracks hit/miss provenance for the run report."""
-
-    def __init__(self, path: str | None):
-        self.table = CoefficientTable(path)
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_compute(self, key: CatalogKey, compute):
-        if self.table.get(key) is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return self.table.get_or_compute(key, compute)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (payload, csv_columns or None,
 # catalog or None)
 
-_Result = tuple[dict, dict | None, _CountingCatalog | None]
+_Result = tuple[dict, dict | None, CoefficientTable | None]
 
 _GRAPH_CLASSES = {
     "all": GraphClass.ALL,
@@ -253,17 +238,18 @@ def _cmd_graphs(cfg: dict, args) -> _Result:
 
 
 def _coefficient_tables(p, K: int, mc: dict, method: str,
-                        cat: _CountingCatalog) -> tuple[dict, dict]:
+                        cat: CoefficientTable) -> tuple[dict, dict]:
     """b_n for n <= K and beta_k for k <= K-1, through the catalog."""
     seed = _require_seed(mc, p, method)
+    estimator = estimator_name(resolve_method(p, method), mc["samples"], seed)
     ph = potential_hash(p)
     bs, betas = {}, {}
     for n in range(1, K + 1):
-        key = CatalogKey(ph, p.beta, n, "b_n")
+        key = CatalogKey(ph, p.beta, n, "b_n", estimator)
         bs[n] = cat.get_or_compute(
             key, lambda n=n: mayer_b_n(p, n, method, mc["samples"], seed + n))
     for k in range(1, K):
-        key = CatalogKey(ph, p.beta, k, "beta_n")
+        key = CatalogKey(ph, p.beta, k, "beta_n", estimator)
         betas[k] = cat.get_or_compute(
             key, lambda k=k: irreducible_beta_n(p, k, method,
                                                 mc["samples"], seed + 500 + k))
@@ -279,7 +265,7 @@ def _cmd_virial(cfg: dict, args) -> _Result:
         raise SchemaError("order must be >= 1")
     method = cfg.get("method", "auto")
     mc = _mc_section(cfg, args.seed)
-    cat = _CountingCatalog(cfg.get("catalog", {}).get("path"))
+    cat = CoefficientTable(cfg.get("catalog", {}).get("path"))
     bs, betas = _coefficient_tables(p, K, mc, method, cat)
     eos = eos_and_free_energy({k: est.value for k, est in betas.items()}, K)
     payload = {
@@ -300,7 +286,7 @@ def _cmd_eos(cfg: dict, args) -> _Result:
     K = args.order if args.order is not None else int(cfg.get("order", 3))
     method = cfg.get("method", "auto")
     mc = _mc_section(cfg, args.seed)
-    cat = _CountingCatalog(cfg.get("catalog", {}).get("path"))
+    cat = CoefficientTable(cfg.get("catalog", {}).get("path"))
     _, betas = _coefficient_tables(p, K, mc, method, cat)
     eos = eos_and_free_energy({k: est.value for k, est in betas.items()}, K)
     logz = log_activity_of_density({k: est.value for k, est in betas.items()}, K)
@@ -514,8 +500,8 @@ def run(args) -> tuple[str, int]:
         "results": payload,
         "provenance": {
             "code_version": CODE_VERSION,
-            "catalog_hits": cat.hits if cat else 0,
-            "catalog_misses": cat.misses if cat else 0,
+            "catalog_hits": cat.hits if cat is not None else 0,
+            "catalog_misses": cat.misses if cat is not None else 0,
             "wall_time_s": wall,
         },
     }

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 
 from .graphs import Graph, GraphClass, enumerate_graphs
 from .potentials import Kind, Potential
@@ -30,7 +29,6 @@ def _sum_graph_weights(graphs, p: Potential, method: str,
             total += graph_weight_exact_1d(g, p, root_positions=(0.0,))
         return CoefficientEstimate(total, 0.0, "exact1d")
     for i, g in enumerate(graphs):
-        g = replace(g, white_count=max(g.white_count, 1))
         est = graph_weight_mc(g, p, p.dimension, n_samples, seed=seed + i)
         total += est.value
         var += est.std_error ** 2

@@ -350,6 +350,11 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
                   for N in range(N_max + 1))
         return CoefficientEstimate(num / den, 0.0, "exact1d")
 
+    b_fixed = 1.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = abs(xs[i] - xs[j]) % L
+            b_fixed *= float(p.boltzmann(min(dx, L - dx)))
     rng = np.random.default_rng(seed)
     num, num_var = 0.0, 0.0
     den, den_var = 0.0, 0.0
@@ -357,11 +362,6 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
         coef_num = z ** (n + N) * L ** N / math.factorial(N)
         coef_den = z ** N * L ** N / math.factorial(N)
         if N == 0:
-            b_fixed = 1.0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    dx = abs(xs[i] - xs[j]) % L
-                    b_fixed *= float(p.boltzmann(min(dx, L - dx)))
             num += coef_num * b_fixed
             den += coef_den
             continue
@@ -376,11 +376,6 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
                     continue
                 dx = np.abs(pts[:, i] - pts[:, j]) % L
                 boltz *= p.boltzmann(np.minimum(dx, L - dx))
-        b_fixed = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                dx = abs(xs[i] - xs[j]) % L
-                b_fixed *= float(p.boltzmann(min(dx, L - dx)))
         mean_num = float(boltz.mean()) * b_fixed
         # denominator samples: same N free particles, no fixed points
         y2 = rng.uniform(0.0, L, size=(n_samples, N))

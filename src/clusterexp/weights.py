@@ -3,9 +3,12 @@
 For piecewise-constant Mayer functions (hard rods, hard spheres in 1D,
 square well in 1D) the integrand of a graph weight is constant on convex
 cells cut out by the difference constraints |x_i - x_j| in each f piece,
-so each weight is an exact sum of (constant) x (polytope volume).  In
-d >= 2 we fall back to importance-sampled Monte Carlo with a spanning-tree
-proposal whose per-edge radial density is proportional to fbar.
+so each weight is an exact sum of (constant) x (polytope volume).  A
+shortest-path (Floyd-Warshall) closure of each polytope's constraints
+decides emptiness and boundedness and gives Qhull its facets and an
+interior point.  In d >= 2 we fall back to importance-sampled Monte Carlo
+with a spanning-tree proposal whose per-edge radial density is
+proportional to fbar.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+# Unused here: bench/tracing.py wraps weights.linprog by name, and its
+# --trace 1 runs fail at install without it.
+from scipy.optimize import linprog  # noqa: F401
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .graphs import Graph, bfs_tree
 from .potentials import SURFACE_AREA, Kind, Potential
@@ -26,41 +31,9 @@ from .potentials import SURFACE_AREA, Kind, Potential
 # polytope volumes
 # ---------------------------------------------------------------------------
 
-def _propagate_intervals(k, constraints, box):
-    """Cheap interval tightening; returns per-var (lo, hi) or None if empty.
-
-    constraints: list of (i, j, lo, hi) meaning lo <= x_i - x_j <= hi,
-    where an index of -1 stands for the constant 0 (already folded in).
-    """
-    lo = np.full(k, -math.inf)
-    hi = np.full(k, math.inf)
-    if box is not None:
-        lo[:] = box[0]
-        hi[:] = box[1]
-    for _ in range(3 * (len(constraints) + 1)):
-        changed = False
-        for i, j, clo, chi in constraints:
-            jlo = lo[j] if j >= 0 else 0.0
-            jhi = hi[j] if j >= 0 else 0.0
-            if i >= 0:
-                nlo, nhi = max(lo[i], jlo + clo), min(hi[i], jhi + chi)
-                if nlo > lo[i] + 1e-15 or nhi < hi[i] - 1e-15:
-                    changed = True
-                lo[i], hi[i] = nlo, nhi
-                if nlo > nhi:
-                    return None
-            ilo = lo[i] if i >= 0 else 0.0
-            ihi = hi[i] if i >= 0 else 0.0
-            if j >= 0:
-                nlo, nhi = max(lo[j], ilo - chi), min(hi[j], ihi - clo)
-                if nlo > lo[j] + 1e-15 or nhi < hi[j] - 1e-15:
-                    changed = True
-                lo[j], hi[j] = nlo, nhi
-                if nlo > nhi:
-                    return None
-        if not changed:
-            break
-    return lo, hi
+# A region is empty or flat when its closure leaves some pair of
+# coordinates no more than this much room; its volume is then 0.
+FLAT_TOL = 1e-12
 
 
 def difference_polytope_volume(k, constraints, box=None):
@@ -70,87 +43,46 @@ def difference_polytope_volume(k, constraints, box=None):
     ``box`` optionally bounds every variable to [box[0], box[1]].
     Returns 0.0 for infeasible or lower-dimensional regions; raises if the
     region is unbounded.
+
+    The constraints form a system of difference constraints on the nodes
+    0..k-1 plus node k, the constant 0.  One Floyd-Warshall closure gives
+    d[a, b], the least upper bound of x_b - x_a, which decides emptiness,
+    flatness and boundedness and yields the facets and an interior point.
     """
-    feasible = [(i, j, lo, hi) for i, j, lo, hi in constraints
-                if not (i == -1 and j == -1)]
     for i, j, lo, hi in constraints:
-        if i == -1 and j == -1:
-            if lo > 0 or hi < 0:
-                return 0.0
+        if i == j and (lo > 0 or hi < 0):
+            return 0.0
     if k == 0:
         return 1.0
-    iv = _propagate_intervals(k, feasible, box)
-    if iv is None:
+    d = np.full((k + 1, k + 1), math.inf)
+    np.fill_diagonal(d, 0.0)
+    for i, j, lo, hi in constraints:
+        # index -1 is node k; x_i - x_j <= hi and x_j - x_i <= -lo
+        d[j, i] = min(d[j, i], hi)
+        d[i, j] = min(d[i, j], -lo)
+    if box is not None:
+        d[k, :k] = np.minimum(d[k, :k], box[1])
+        d[:k, k] = np.minimum(d[:k, k], -box[0])
+    for m in range(k + 1):
+        d = np.minimum(d, d[:, m, None] + d[None, m, :])
+    # a negative cycle, so an empty region, shows as a negative width
+    width = d + d.T
+    np.fill_diagonal(width, math.inf)
+    if width.min() <= FLAT_TOL:
         return 0.0
-    lo, hi = iv
-    if np.any(~np.isfinite(lo)) or np.any(~np.isfinite(hi)):
+    if not np.isfinite(d).all():
         raise ValueError("unbounded integration region")
     if k == 1:
-        a, b = lo[0], hi[0]
-        for i, j, clo, chi in feasible:
-            # with k = 1 every constraint ties x_0 to the constant
-            if i == 0 and j == -1:
-                a, b = max(a, clo), min(b, chi)
-            elif j == 0 and i == -1:
-                a, b = max(a, -chi), min(b, -clo)
-        return max(0.0, b - a)
-
-    # halfspaces A x <= b
-    rows, rhs = [], []
-    for i, j, clo, chi in feasible:
-        row = np.zeros(k)
-        if i >= 0:
-            row[i] = 1.0
-        if j >= 0:
-            row[j] = -1.0
-        rows.append(row.copy())
-        rhs.append(chi)
-        rows.append(-row)
-        rhs.append(-clo)
-    for v in range(k):
-        row = np.zeros(k)
-        row[v] = 1.0
-        rows.append(row.copy())
-        rhs.append(hi[v])
-        rows.append(-row)
-        rhs.append(-lo[v])
-    A = np.array(rows)
-    b = np.array(rhs)
-
-    # Chebyshev center for an interior point
-    norms = np.linalg.norm(A, axis=1)
-    res = linprog(c=np.r_[np.zeros(k), -1.0],
-                  A_ub=np.c_[A, norms], b_ub=b,
-                  bounds=[(None, None)] * k + [(0, None)],
-                  method="highs")
-    if not res.success or res.x[-1] < 1e-10:
-        return 0.0
-    interior = res.x[:k]
-    halfspaces = np.c_[A, -b]
-    try:
-        hs = HalfspaceIntersection(halfspaces, interior)
-        return float(ConvexHull(hs.intersections).volume)
-    except QhullError:
-        return _volume_by_vertex_enumeration(A, b, k)
-
-
-def _volume_by_vertex_enumeration(A, b, k):
-    """Fallback: intersect all k-subsets of bounding planes."""
-    pts = []
-    m = len(b)
-    for idx in itertools.combinations(range(m), k):
-        sub = A[list(idx)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        x = np.linalg.solve(sub, b[list(idx)])
-        if np.all(A @ x <= b + 1e-9):
-            pts.append(x)
-    if len(pts) <= k:
-        return 0.0
-    try:
-        return float(ConvexHull(np.array(pts), qhull_options="QJ").volume)
-    except QhullError:
-        return 0.0
+        return float(width[1, 0])
+    # Each source s gives a feasible point x_v = d[s, v] - d[s, k].  For a
+    # bound x_b - x_a <= w the source-b point has x_b - x_a = -d[b, a],
+    # below d[a, b] <= w since the region is full-dimensional, so the
+    # mean over sources is strictly interior.
+    interior = (d[:, :k] - d[:, k:]).mean(axis=0)
+    a, b = np.nonzero(~np.eye(k + 1, dtype=bool))
+    normals = (np.eye(k + 1)[b] - np.eye(k + 1)[a])[:, :k]
+    hs = HalfspaceIntersection(np.c_[normals, -d[a, b]], interior)
+    return float(ConvexHull(hs.intersections).volume)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from clusterexp.catalog import (
     CatalogKey,
     CoefficientTable,
     append_record,
+    estimator_name,
     gc,
     iter_records,
     potential_hash,
@@ -15,8 +16,9 @@ from clusterexp.potentials import hard_rods, hard_spheres
 from clusterexp.weights import CoefficientEstimate
 
 
-def key(order=2, kind="b_n", version=CODE_VERSION):
-    return CatalogKey(potential_hash(hard_rods()), 1.0, order, kind, version)
+def key(order=2, kind="b_n", version=CODE_VERSION, estimator="exact1d"):
+    return CatalogKey(potential_hash(hard_rods()), 1.0, order, kind, estimator,
+                      version)
 
 
 class TestKeys:
@@ -26,7 +28,13 @@ class TestKeys:
 
     def test_kind_validated(self):
         with pytest.raises(ValueError):
-            CatalogKey("aa", 1.0, 2, "nonsense")
+            CatalogKey("aa", 1.0, 2, "nonsense", "exact1d")
+
+    def test_estimator_names_the_request(self):
+        assert estimator_name("exact1d", 100_000, 4) == "exact1d"
+        names = {estimator_name("mc", n, s) for n, s in
+                 [(2000, 4), (2000, 9), (200_000, 4)]}
+        assert len(names) == 3 and "exact1d" not in names
 
 
 class TestTable:
@@ -63,6 +71,17 @@ class TestTable:
         assert t.get_or_compute(key(), compute).value == 3.0
         assert t.get_or_compute(key(), compute).value == 3.0
         assert len(calls) == 1
+        assert (t.hits, t.misses) == (1, 1)
+
+    def test_records_without_estimator_not_loaded(self, tmp_path):
+        path = str(tmp_path / "cat.jsonl")
+        record = {"potential_hash": potential_hash(hard_rods()), "beta": 1.0,
+                  "order": 3, "kind": "b_n", "version": CODE_VERSION,
+                  "value": 0.99, "std_error": 0.01, "method": "mc",
+                  "samples": 8000, "seed": 7}
+        with open(path, "w") as fh:
+            fh.write(json.dumps(record) + "\n")
+        assert len(CoefficientTable(path)) == 0
 
     def test_stale_versions_not_loaded(self, tmp_path):
         path = str(tmp_path / "cat.jsonl")

@@ -177,6 +177,29 @@ class TestCatalogIntegration:
         assert r2["provenance"]["catalog_misses"] == 0
         assert r2["provenance"]["catalog_hits"] == r1["provenance"]["catalog_misses"]
 
+    def test_estimator_is_part_of_the_key(self, capsys, tmp_path):
+        catalog = str(tmp_path / "cat.jsonl")
+
+        def virial(extra):
+            cfg = write_config(tmp_path, "v.json",
+                               {"potential": {"kind": "hard_rods"}, "order": 3,
+                                "catalog": {"path": catalog}, **extra})
+            code, out, _ = run_cli(capsys, ["virial", "--config", cfg])
+            assert code == EXIT_OK
+            return json.loads(out)
+
+        few = virial({"method": "mc", "mc": {"samples": 2000, "seed": 4}})
+        exact = virial({})
+        assert exact["provenance"]["catalog_hits"] == 0
+        assert {b["method"] for b in exact["results"]["b"].values()} == {"exact1d"}
+        assert float(exact["results"]["B_virial"]["3"]) == pytest.approx(1.0, abs=1e-12)
+        many = virial({"method": "mc", "mc": {"samples": 200_000, "seed": 9}})
+        assert many["provenance"]["catalog_hits"] == 0
+        assert many["results"]["b"]["3"]["samples"] == 100 * few["results"]["b"]["3"]["samples"]
+        again = virial({"method": "mc", "mc": {"samples": 2000, "seed": 4}})
+        assert again["provenance"]["catalog_misses"] == 0
+        assert again["results"] == few["results"]
+
     def test_catalog_gc_noop_when_missing(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "gc.json",
                            {"path": str(tmp_path / "none.jsonl")})

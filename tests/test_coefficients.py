@@ -10,6 +10,7 @@ from clusterexp.coefficients import (
     mayer_b_n,
 )
 from clusterexp.potentials import hard_rods, hard_spheres, square_well
+from clusterexp.series import eos_and_free_energy
 
 
 def tonks_b_n(n):
@@ -50,6 +51,25 @@ class TestIrreducibleBeta:
         table = beta_table(hard_rods(), 3)
         assert sorted(table) == [1, 2, 3]
         assert table[1].value == pytest.approx(-2.0, abs=1e-12)
+
+
+class TestSquareWellVirial:
+    """Square well (sigma = 1, lambda = 1.5, beta epsilon = 1, d = 1) against
+    the exact nearest-neighbour virial coefficients of Takahashi's isobaric
+    transfer method."""
+
+    TAKAHASHI = {2: 0.14085908577047738, 3: 1.1875348496619960,
+                 4: -0.79890114109423246}
+
+    @pytest.fixture(scope="class")
+    def virial(self):
+        p = square_well(sigma=1.0, lam=1.5, epsilon=1.0, beta=1.0, dimension=1)
+        betas = {k: est.value for k, est in beta_table(p, 3).items()}
+        return eos_and_free_energy(betas, 4)["virial_coefficients"]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_takahashi(self, virial, n):
+        assert virial[n] == pytest.approx(self.TAKAHASHI[n], rel=1e-13)
 
 
 class TestInversionKernels:

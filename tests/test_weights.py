@@ -55,23 +55,32 @@ class TestPolytopeVolume:
         exact = 1.0 - 0.75 ** 2  # unit square minus two corner triangles
         assert difference_polytope_volume(2, cons) == pytest.approx(exact, abs=1e-10)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_3d_against_mc(self, seed):
+    @pytest.mark.parametrize("k,seed", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (5, 2)],
+                             ids=["0", "1", "2", "k5-0", "k5-1", "k5-2"])
+    def test_random_3d_against_mc(self, k, seed):
         rng = np.random.default_rng(seed)
-        cons = [(i, -1, -1.0, 1.0) for i in range(3)]
-        for _ in range(3):
-            i, j = rng.choice(3, size=2, replace=False)
+        cons = [(i, -1, -1.0, 1.0) for i in range(k)]
+        for _ in range(k):
+            i, j = rng.choice(k, size=2, replace=False)
             c = rng.uniform(-0.5, 0.5)
             w = rng.uniform(0.4, 1.2)
             cons.append((int(i), int(j), c - w, c + w))
-        v = difference_polytope_volume(3, cons)
-        est = mc_volume(cons, (-1.0, 1.0), 3, n=400_000, seed=seed + 10)
-        sigma = math.sqrt(max(est, 1e-12) * 8.0 / 400_000) * 8.0
-        assert abs(v - est) <= 5 * sigma + 5e-3
+        v = difference_polytope_volume(k, cons)
+        est = mc_volume(cons, (-1.0, 1.0), k, n=400_000, seed=seed + 10)
+        frac = est / 2.0 ** k
+        sigma = 2.0 ** k * math.sqrt(frac * (1.0 - frac) / 400_000)
+        assert abs(v - est) <= 5 * sigma
 
     def test_infeasible_is_zero(self):
         cons = [(0, -1, 0.0, 1.0), (1, -1, 0.0, 1.0), (1, 0, 3.0, 4.0)]
         assert difference_polytope_volume(2, cons) == 0.0
+
+    @pytest.mark.parametrize("k,cons", [
+        (2, [(1, 0, 0.5, 0.5)]),
+        (1, [(0, -1, 0.3, 0.3)]),
+    ], ids=["equality-in-box", "point"])
+    def test_flat_is_zero(self, k, cons):
+        assert difference_polytope_volume(k, cons, box=(0.0, 1.0)) == 0.0
 
     def test_unbounded_raises(self):
         with pytest.raises(ValueError):
