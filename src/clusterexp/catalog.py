@@ -30,10 +30,11 @@ def potential_hash(p: Potential) -> str:
 
 def estimator_name(method: str, samples: int, seed: int) -> str:
     """The estimator a key asks for: the resolved method and, for Monte
-    Carlo, the requested sample count and seed.  These are the request's,
-    not the estimate's: an estimate's ``samples`` totals its graphs and its
-    ``seed`` is offset per coefficient."""
-    return f"mc samples={samples} seed={seed}" if method == "mc" else method
+    Carlo, the requested sample count and seed.  "mc-class" names Mayer
+    sampling of whole class sums: ``samples`` configurations per
+    coefficient, from a stream derived from ``seed``.  Records keyed
+    "mc ..." hold per-graph estimates and never answer it."""
+    return f"mc-class samples={samples} seed={seed}" if method == "mc" else method
 
 
 @dataclass(frozen=True)

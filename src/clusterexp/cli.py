@@ -187,7 +187,10 @@ def _load_config(path: str | None) -> dict:
 def _mc_section(cfg: dict, seed_flag: int | None) -> dict:
     mc = cfg.get("mc", {})
     _check_keys(mc, {"samples", "seed"}, "mc")
-    return {"samples": int(mc.get("samples", 100_000)),
+    samples = int(mc.get("samples", 100_000))
+    if samples < 1:
+        raise SchemaError("mc.samples must be a positive integer")
+    return {"samples": samples,
             "seed": seed_flag if seed_flag is not None else mc.get("seed")}
 
 
@@ -247,12 +250,11 @@ def _coefficient_tables(p, K: int, mc: dict, method: str,
     for n in range(1, K + 1):
         key = CatalogKey(ph, p.beta, n, "b_n", estimator)
         bs[n] = cat.get_or_compute(
-            key, lambda n=n: mayer_b_n(p, n, method, mc["samples"], seed + n))
+            key, lambda n=n: mayer_b_n(p, n, method, mc["samples"], seed))
     for k in range(1, K):
         key = CatalogKey(ph, p.beta, k, "beta_n", estimator)
         betas[k] = cat.get_or_compute(
-            key, lambda k=k: irreducible_beta_n(p, k, method,
-                                                mc["samples"], seed + 500 + k))
+            key, lambda k=k: irreducible_beta_n(p, k, method, mc["samples"], seed))
     return bs, betas
 
 

@@ -4,6 +4,14 @@ inversion kernels a_n, from sums of weighted graph integrals.
 All coefficients use the origin-pinning convention: one vertex is fixed at
 the origin and the remaining coordinates integrate over R^d, which replaces
 the 1/volume normalization of a finite box for tempered potentials.
+
+The exact 1D path sums the weight of every labeled graph of the class.  The
+Monte Carlo path draws one set of configurations per coefficient and scores
+each with the whole class sum (``weights.class_sum_mc``): phi^T for b_n, the
+2-connected subset recursion for beta_n and the kernel product for a_n.
+Each coefficient's random stream comes from
+``np.random.SeedSequence(seed, spawn_key=(family, order))``, so the streams
+of different coefficients are independent for one user seed.
 """
 
 from __future__ import annotations
@@ -11,29 +19,37 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from .graphs import Graph, GraphClass, enumerate_graphs
 from .potentials import Kind, Potential
-from .weights import (CoefficientEstimate, graph_weight_exact_1d, graph_weight_mc,
+# Unused here: bench/tracing.py wraps coefficients.graph_weight_mc by name,
+# and its --trace 1 runs fail at install without it.
+from .weights import graph_weight_mc  # noqa: F401
+from .weights import (CoefficientEstimate, biconnected_sum_batch, class_sum_mc,
+                      graph_weight_exact_1d, kernel_sum_batch, phi_t_batch,
                       resolve_method)
 
+# spawn-key tags of the coefficient families' random streams
+_FAMILY = {"b_n": 0, "beta_n": 1, "a_n": 2}
 
-def _sum_graph_weights(graphs, p: Potential, method: str,
-                       n_samples: int, seed: int) -> CoefficientEstimate:
-    """Sum w(g; vertex 0 at the origin) over a graph family."""
-    method = resolve_method(p, method)
+
+def _exact_sum(graphs, p: Potential) -> CoefficientEstimate:
+    """Sum of the exact rooted weights (vertex 0 at the origin) over a
+    graph family."""
     total = 0.0
-    var = 0.0
-    samples = 0
-    if method == "exact1d":
-        for g in graphs:
-            total += graph_weight_exact_1d(g, p, root_positions=(0.0,))
-        return CoefficientEstimate(total, 0.0, "exact1d")
-    for i, g in enumerate(graphs):
-        est = graph_weight_mc(g, p, p.dimension, n_samples, seed=seed + i)
-        total += est.value
-        var += est.std_error ** 2
-        samples += est.samples
-    return CoefficientEstimate(total, math.sqrt(var), "mc", samples, seed)
+    for g in graphs:
+        total += graph_weight_exact_1d(g, p, root_positions=(0.0,))
+    return CoefficientEstimate(total, 0.0, "exact1d")
+
+
+def _sampled_sum(score, p: Potential, m: int, family: str, order: int,
+                 n_samples: int, seed: int) -> CoefficientEstimate:
+    """Mayer-sampling estimate of the rooted integral of the class sum that
+    ``score`` evaluates on m vertices, from the coefficient's own stream."""
+    stream = np.random.SeedSequence(seed, spawn_key=(_FAMILY[family], order))
+    value, err = class_sum_mc(score, p, m, n_samples, np.random.default_rng(stream))
+    return CoefficientEstimate(value, err, "mc", n_samples, seed)
 
 
 def _scaled(est: CoefficientEstimate, factor: float) -> CoefficientEstimate:
@@ -51,8 +67,10 @@ def mayer_b_n(p: Potential, n: int, method: str = "auto",
         return CoefficientEstimate(1.0, 0.0, resolve_method(p, method))
     if p.kind is Kind.ZERO:
         return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
-    graphs = enumerate_graphs(n, GraphClass.CONNECTED)
-    est = _sum_graph_weights(graphs, p, method, n_samples, seed)
+    if resolve_method(p, method) == "exact1d":
+        est = _exact_sum(enumerate_graphs(n, GraphClass.CONNECTED), p)
+    else:
+        est = _sampled_sum(phi_t_batch, p, n, "b_n", n, n_samples, seed)
     return _scaled(est, 1.0 / math.factorial(n))
 
 
@@ -64,8 +82,11 @@ def irreducible_beta_n(p: Potential, n: int, method: str = "auto",
         raise ValueError("order must be >= 1")
     if p.kind is Kind.ZERO:
         return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
-    graphs = enumerate_graphs(n + 1, GraphClass.BICONNECTED)
-    est = _sum_graph_weights(graphs, p, method, n_samples, seed)
+    if resolve_method(p, method) == "exact1d":
+        est = _exact_sum(enumerate_graphs(n + 1, GraphClass.BICONNECTED), p)
+    else:
+        est = _sampled_sum(biconnected_sum_batch, p, n + 1, "beta_n", n,
+                           n_samples, seed)
     return _scaled(est, 1.0 / math.factorial(n))
 
 
@@ -92,11 +113,14 @@ def a_kernel(p: Potential, n: int, method: str = "auto",
         raise ValueError("order must be >= 1")
     if p.kind is Kind.ZERO:
         return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
-    est = _sum_graph_weights(_kernel_graphs(n), p, method, n_samples, seed)
+    if resolve_method(p, method) == "exact1d":
+        est = _exact_sum(_kernel_graphs(n), p)
+    else:
+        est = _sampled_sum(kernel_sum_batch, p, n + 1, "a_n", n, n_samples, seed)
     return _scaled(est, -1.0)
 
 
 def beta_table(p: Potential, max_order: int, method: str = "auto",
                n_samples: int = 100_000, seed: int = 0) -> dict[int, CoefficientEstimate]:
-    return {k: irreducible_beta_n(p, k, method, n_samples, seed + 1000 * k)
+    return {k: irreducible_beta_n(p, k, method, n_samples, seed)
             for k in range(1, max_order + 1)}

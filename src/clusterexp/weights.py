@@ -6,13 +6,16 @@ cells cut out by the difference constraints |x_i - x_j| in each f piece,
 so each weight is an exact sum of (constant) x (polytope volume).  A
 shortest-path (Floyd-Warshall) closure of each polytope's constraints
 decides emptiness and boundedness and gives Qhull its facets and an
-interior point.  In d >= 2 we fall back to importance-sampled Monte Carlo
-with a spanning-tree proposal whose per-edge radial density is
-proportional to fbar.
+interior point.  Otherwise Monte Carlo: ``graph_weight_mc`` samples one
+graph's weight along its BFS tree, and ``class_sum_mc`` samples a whole
+class sum (connected, 2-connected or kernel, from subset recursions at each
+configuration) under a mixture over all spanning trees.  Both draw tree
+edges from a radial density proportional to fbar.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +26,8 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from .graphs import Graph, bfs_tree
+from .graphs import (MAX_EXHAUSTIVE_N, EnumerationTooLarge, Graph, bfs_tree,
+                     prufer_trees)
 from .potentials import SURFACE_AREA, Kind, Potential
 
 
@@ -350,8 +354,11 @@ def graph_weight_mc(g: Graph, p: Potential, d: int, n_samples: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# phi / phi^T at fixed configurations
+# class sums at fixed configurations
 # ---------------------------------------------------------------------------
+# Internally a batch of subset values is a (2^n, B) array: row S holds the
+# value on vertex subset S (bit v set when vertex v is in S) for every
+# configuration of the batch.
 
 def pair_f_matrix(p: Potential, points) -> np.ndarray:
     """Matrix of f(|x_i - x_j|) for a configuration (n, d) or (n,) array."""
@@ -371,52 +378,133 @@ def phi_t_value(p: Potential, points) -> float:
     return float(phi_t_batch(f[None, :, :])[0])
 
 
+def _subset_phis(f: np.ndarray) -> np.ndarray:
+    """(2^n, B): subset S -> product of (1 + f) over the pairs in S."""
+    B, n, _ = f.shape
+    g = 1.0 + np.moveaxis(f, 0, -1)
+    out = np.ones((1 << n, B))
+    for s in range(1, 1 << n):
+        top = s.bit_length() - 1
+        rest = s & ~(1 << top)
+        acc = out[rest].copy()
+        t = rest
+        while t:
+            j = (t & -t).bit_length() - 1
+            acc *= g[top, j]
+            t &= t - 1
+        out[s] = acc
+    return out
+
+
 def phi_batch(f: np.ndarray) -> np.ndarray:
     """phi for a batch of pair matrices, for every vertex subset.
 
     f: (B, n, n).  Returns (B, 2^n): subset S -> product over pairs in S.
     """
-    B, n, _ = f.shape
-    out = np.ones((B, 1 << n))
-    for s in range(1, 1 << n):
-        top = s.bit_length() - 1
-        rest = s & ~(1 << top)
-        acc = out[:, rest].copy()
-        t = rest
-        while t:
-            j = (t & -t).bit_length() - 1
-            acc *= 1.0 + f[:, top, j]
-            t &= t - 1
-        out[:, s] = acc
-    return out
+    return _subset_phis(f).T
 
 
-def phi_t_batch(f: np.ndarray) -> np.ndarray:
-    """phi^T over all n vertices for a batch of pair matrices (B, n, n).
+def connected_sums(f: np.ndarray) -> np.ndarray:
+    """phi^T(S), the connected-graph sum on S, for every vertex subset S of
+    a batch of pair matrices (B, n, n).  Returns (2^n, B); row 0 is unused.
 
-    Uses the partition identity phi(V) = sum over S containing the least
-    element of phi^T(S) phi(V - S); equivalent to the connected-graph sum
-    and cross-checked against it in the tests.
+    Uses the partition identity phi(S) = sum over U containing the least
+    element of S of phi^T(U) phi(S - U).
     """
-    B, n, _ = f.shape
-    phis = phi_batch(f)
-    phit = np.zeros((B, 1 << n))
-    full = (1 << n) - 1
-    for s in range(1, 1 << n):
+    phis = _subset_phis(f)
+    phit = np.zeros_like(phis)
+    for s in range(1, len(phis)):
         low = s & -s
-        acc = phis[:, s].copy()
+        acc = phis[s].copy()
         rest = s & ~low
         if rest:
             # proper submasks sm = low | t with t a strict submask of rest
             t = (rest - 1) & rest
             while True:
                 sm = t | low
-                acc -= phit[:, sm] * phis[:, s & ~sm]
+                acc -= phit[sm] * phis[s & ~sm]
                 if t == 0:
                     break
                 t = (t - 1) & rest
-        phit[:, s] = acc
-    return phit[:, full]
+        phit[s] = acc
+    return phit
+
+
+def phi_t_batch(f: np.ndarray) -> np.ndarray:
+    """phi^T over all n vertices for a batch of pair matrices (B, n, n);
+    equivalent to the connected-graph sum and cross-checked against it in
+    the tests."""
+    return connected_sums(f)[-1]
+
+
+def biconnected_sum_batch(f: np.ndarray) -> np.ndarray:
+    """Sum over 2-connected graphs on all n >= 2 vertices of the f-bond
+    product (one edge counts as 2-connected), for a batch (B, n, n).
+
+    With C(S) from ``connected_sums`` and r = min S, two subset recursions
+    over the sets S that contain vertex 0 (so r = 0):
+
+    - D(S), the connected sum on S in which r lies in exactly one block:
+      D(S) = C(S) - sum over P with q in P, P a proper subset of S - r, of
+      D(r + P) C(S - P), where q = min(S - r) and P is the component of q
+      once r is removed.
+    - Bic(S) = D(S) - sum over r in B, B a proper subset of S, |B| >= 2, of
+      Bic(B) H(B - r, S - B): B is r's block, and H(U, R) sums
+      prod over u in U of C(u + A_u) over the ways of splitting R into the
+      branches A_u hanging from the other vertices of the block.
+    """
+    C = connected_sums(f)
+    one = np.ones(f.shape[0])
+    memo: dict[tuple[int, int], np.ndarray] = {}
+
+    def H(U: int, R: int) -> np.ndarray:
+        if R == 0:
+            return one
+        if (U, R) not in memo:
+            u = U & -U
+            others = U & ~u
+            if not others:
+                val = C[u | R]
+            else:
+                val = H(others, R).copy()    # the branch of u is empty
+                a = R
+                while a:
+                    val += C[u | a] * H(others, R & ~a)
+                    a = (a - 1) & R
+            memo[U, R] = val
+        return memo[U, R]
+
+    D: dict[int, np.ndarray] = {}
+    bic: dict[int, np.ndarray] = {}
+    for s in range(3, len(C), 2):         # odd masks contain vertex 0
+        rest = s & ~1
+        q = rest & -rest
+        others = rest & ~q
+        acc = C[s].copy()
+        if others:
+            t = (others - 1) & others
+            while True:
+                P = q | t
+                acc -= D[1 | P] * C[s & ~P]
+                if t == 0:
+                    break
+                t = (t - 1) & others
+        D[s] = acc
+        acc = acc.copy()
+        t = (rest - 1) & rest
+        while t:
+            acc -= bic[1 | t] * H(t, rest & ~t)
+            t = (t - 1) & rest
+        bic[s] = acc
+    return bic[len(C) - 1]
+
+
+def kernel_sum_batch(f: np.ndarray) -> np.ndarray:
+    """Sum over graphs on {0..n-1} whose restriction to {1..n-1} is
+    connected and in which vertex 0 has an edge, for a batch (B, n, n):
+    phi^T(1..n-1) (prod over v of (1 + f_0v) - 1)."""
+    attach = np.prod(1.0 + f[:, 0, 1:], axis=1) - 1.0
+    return phi_t_batch(f[:, 1:, 1:]) * attach
 
 
 def fbar_tree_sum_batch(fbar: np.ndarray) -> np.ndarray:
@@ -425,12 +513,81 @@ def fbar_tree_sum_batch(fbar: np.ndarray) -> np.ndarray:
     B, n, _ = fbar.shape
     if n == 1:
         return np.ones(B)
-    w = fbar.copy()
-    for b in range(B):
-        np.fill_diagonal(w[b], 0.0)
-    lap = -w
-    diag = w.sum(axis=2)
     idx = np.arange(n)
-    lap[:, idx, idx] = diag
-    minor = lap[:, 1:, 1:]
-    return np.linalg.det(minor)
+    w = fbar.copy()
+    w[:, idx, idx] = 0.0
+    lap = -w
+    lap[:, idx, idx] = w.sum(axis=2)
+    return np.linalg.det(lap[:, 1:, 1:])
+
+
+# ---------------------------------------------------------------------------
+# Mayer sampling of class sums
+# ---------------------------------------------------------------------------
+
+# Configurations drawn and scored together.  Bounds the per-block arrays,
+# such as the (block, pairs, d) differences and the subset tables.
+MC_BLOCK = 256
+
+
+@functools.cache
+def _spanning_trees(m: int) -> np.ndarray:
+    """All m^(m-2) labeled trees on m vertices as (n_trees, m - 1, 2) rows
+    of (parent, child) edges in breadth-first order from vertex 0."""
+    trees = np.array([bfs_tree(t, 1) for t in prufer_trees(m)], dtype=np.intp)
+    trees.setflags(write=False)
+    return trees
+
+
+def class_sum_mc(score, p: Potential, m: int, n_samples: int,
+                 rng: np.random.Generator) -> tuple[float, float]:
+    """Mean and standard error of a Mayer-sampling estimate of the integral
+    of score(f) over the positions of vertices 1..m-1, vertex 0 pinned at
+    the origin.  ``score`` maps pair matrices (B, m, m) to class sums (B,).
+
+    Each configuration grows along a labeled spanning tree on the m vertices
+    drawn uniformly at random, with ``RadialProposal`` displacements on its
+    edges.  Its density is q(x) = T(x) / m^(m-2), where T is the matrix-tree
+    sum of the proposal pdf over all pairs, and its weight is score(f) / q.
+    For hard cores the pdf is 1/norm on every overlapping pair, so the
+    tree-graph inequality |phi^T| <= sum over trees of prod |f| bounds the
+    connected weights by m^(m-2) norm^(m-1).  Draws ``n_samples``
+    configurations in blocks of ``MC_BLOCK``.
+    """
+    d = p.dimension
+    if d not in SURFACE_AREA or d > 3:
+        raise ValueError("d must be 1, 2 or 3")
+    if m > MAX_EXHAUSTIVE_N:
+        raise EnumerationTooLarge("class sums", m, MAX_EXHAUSTIVE_N,
+                                  2 ** (m * (m - 1) // 2))
+    if m < 2 or n_samples < 1:
+        raise ValueError("need m >= 2 vertices and n_samples >= 1")
+    proposal = RadialProposal(p, d)
+    trees = _spanning_trees(m)
+    i, j = np.triu_indices(m, 1)
+    count, mean, sq = 0, 0.0, 0.0
+    for start in range(0, n_samples, MC_BLOCK):
+        b = min(MC_BLOCK, n_samples - start)
+        edges = trees[rng.integers(len(trees), size=b)]
+        r = proposal.sample_radii(rng, (b, m - 1))
+        disp = _random_directions(rng, b * (m - 1), d).reshape(b, m - 1, d)
+        disp *= r[..., None]
+        pos = np.zeros((b, m, d))
+        rows = np.arange(b)
+        for k in range(m - 1):
+            pos[rows, edges[:, k, 1]] = pos[rows, edges[:, k, 0]] + disp[:, k]
+        dist = np.linalg.norm(pos[:, i] - pos[:, j], axis=-1)
+        f = np.zeros((b, m, m))
+        f[:, i, j] = f[:, j, i] = p.mayer_f(dist)
+        pdf = np.zeros((b, m, m))
+        pdf[:, i, j] = pdf[:, j, i] = proposal.pdf(dist)
+        w = score(f) * len(trees) / fbar_tree_sum_batch(pdf)
+        # merge the block's mean and sum of squared deviations (Chan et al.)
+        w_mean = float(w.mean())
+        delta = w_mean - mean
+        total = count + b
+        mean += delta * b / total
+        sq += float(((w - w_mean) ** 2).sum()) + delta * delta * count * b / total
+        count = total
+    stderr = math.sqrt(sq / (count - 1) / count) if count > 1 else math.inf
+    return mean, stderr

@@ -3,7 +3,11 @@ import math
 
 import pytest
 
+from clusterexp.catalog import CatalogKey, append_record, potential_hash
 from clusterexp.cli import EXIT_CAP, EXIT_NONCONV, EXIT_OK, EXIT_SCHEMA, dumps, main, to_csv
+from clusterexp.coefficients import irreducible_beta_n, mayer_b_n
+from clusterexp.potentials import hard_rods, hard_spheres
+from clusterexp.weights import CoefficientEstimate
 
 
 def run_cli(capsys, args):
@@ -89,6 +93,14 @@ class TestVirialAndEos:
         code, _, err = run_cli(capsys, ["virial", "--config", cfg])
         assert code == EXIT_SCHEMA
         assert "shards" in err
+
+    def test_nonpositive_samples_rejected(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "hs.json",
+                           {"potential": {"kind": "hard_spheres"}, "order": 2,
+                            "mc": {"samples": 0, "seed": 1}})
+        code, _, err = run_cli(capsys, ["virial", "--config", cfg])
+        assert code == EXIT_SCHEMA
+        assert "samples" in err
 
     def test_unknown_method_rejected(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {"method": "exact"})
@@ -200,6 +212,24 @@ class TestCatalogIntegration:
         assert again["provenance"]["catalog_misses"] == 0
         assert again["results"] == few["results"]
 
+    def test_per_graph_mc_records_are_not_served(self, capsys, tmp_path):
+        # a record keyed by the per-graph estimator's name ("mc samples=...
+        # seed=...") must never answer a request for class-sum sampling
+        catalog = str(tmp_path / "cat.jsonl")
+        old = CoefficientEstimate(123.0, 0.5, "mc", 2000, 4)
+        for kind, order in (("b_n", 2), ("b_n", 3), ("beta_n", 1), ("beta_n", 2)):
+            append_record(catalog, CatalogKey(potential_hash(hard_rods()), 1.0, order,
+                                              kind, "mc samples=2000 seed=4"), old)
+        cfg = write_config(tmp_path, "v.json",
+                           {"potential": {"kind": "hard_rods"}, "order": 3,
+                            "method": "mc", "mc": {"samples": 2000, "seed": 4},
+                            "catalog": {"path": catalog}})
+        code, out, _ = run_cli(capsys, ["virial", "--config", cfg])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["provenance"]["catalog_hits"] == 0
+        assert all(b["value"] != 123.0 for b in report["results"]["b"].values())
+
     def test_catalog_gc_noop_when_missing(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "gc.json",
                            {"path": str(tmp_path / "none.jsonl")})
@@ -220,3 +250,22 @@ class TestOutputFile:
     def test_csv_unavailable_for_radius(self, capsys):
         code, _, err = run_cli(capsys, ["radius", "--format", "csv"])
         assert code == EXIT_SCHEMA
+
+
+class TestSeeds:
+    def test_cli_coefficients_equal_direct_calls(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "hs.json",
+                           {"potential": {"kind": "hard_spheres"}, "order": 4,
+                            "mc": {"samples": 1000}})
+        code, out, _ = run_cli(capsys, ["virial", "--config", cfg, "--seed", "6"])
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        p = hard_spheres()
+        for n in range(1, 5):
+            direct = mayer_b_n(p, n, "mc", 1000, 6)
+            assert float(res["b"][str(n)]["value"]) == direct.value
+            assert float(res["b"][str(n)]["std_error"]) == direct.std_error
+        for k in range(1, 4):
+            direct = irreducible_beta_n(p, k, "mc", 1000, 6)
+            assert float(res["beta"][str(k)]["value"]) == direct.value
+            assert float(res["beta"][str(k)]["std_error"]) == direct.std_error

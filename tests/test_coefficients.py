@@ -9,6 +9,7 @@ from clusterexp.coefficients import (
     irreducible_beta_n,
     mayer_b_n,
 )
+from clusterexp.graphs import EnumerationTooLarge
 from clusterexp.potentials import hard_rods, hard_spheres, square_well
 from clusterexp.series import eos_and_free_energy
 
@@ -93,10 +94,67 @@ class TestMethodDispatch:
     def test_mc_for_3d(self):
         est = mayer_b_n(hard_spheres(), 3, n_samples=2_000, seed=1)
         assert est.method == "mc"
-        # samples accumulate across the summed graphs
-        assert est.samples >= 2_000
+        # one set of configurations scores the whole class sum
+        assert est.samples == 2_000
 
     def test_mc_reproducible(self):
         a = mayer_b_n(hard_spheres(), 3, n_samples=2_000, seed=9)
         b = mayer_b_n(hard_spheres(), 3, n_samples=2_000, seed=9)
         assert a.value == b.value
+
+    def test_mc_orders_beyond_cap_raise(self):
+        # 10^12 samples would never finish: the cap comes before any draw
+        with pytest.raises(EnumerationTooLarge):
+            mayer_b_n(hard_spheres(), 8, "mc", n_samples=10 ** 12, seed=0)
+        with pytest.raises(EnumerationTooLarge):
+            irreducible_beta_n(hard_spheres(), 7, "mc", n_samples=10 ** 12, seed=0)
+
+    def test_beta_table_passes_the_seed_unchanged(self):
+        table = beta_table(hard_spheres(), 3, "mc", n_samples=500, seed=4)
+        for k, est in table.items():
+            assert est.seed == 4
+            assert est == irreducible_beta_n(hard_spheres(), k, "mc",
+                                             n_samples=500, seed=4)
+
+
+class TestClassSumMonteCarlo:
+    """Mayer sampling of whole class sums (method="mc") against the exact
+    1D path, and hard spheres against Clisby and McCoy."""
+
+    SAMPLES = 20_000
+    SEED = 1
+    POTENTIALS = {
+        "hard_rods": hard_rods(),
+        "square_well": square_well(sigma=1.0, lam=1.5, epsilon=1.0, beta=1.0,
+                                   dimension=1),
+    }
+    # Exact-path values that take a minute or more each, recorded from it:
+    # square-well beta_4 agrees with Takahashi's B_5 = -(4/5) beta_4
+    # (3.5488565108807616) to 1e-15.
+    RECORDED_EXACT = {
+        ("square_well", "mayer_b_n", 5): 0.05234621010122877,
+        ("square_well", "irreducible_beta_n", 4): -4.436070638600947,
+    }
+
+    @pytest.mark.parametrize("name", ["hard_rods", "square_well"])
+    @pytest.mark.parametrize("coefficient,order", [
+        *[(mayer_b_n, n) for n in (2, 3, 4, 5)],
+        *[(irreducible_beta_n, k) for k in (1, 2, 3, 4)],
+        *[(a_kernel, n) for n in (1, 2, 3)]],
+        ids=lambda x: getattr(x, "__name__", str(x)))
+    def test_agrees_with_exact_1d(self, name, coefficient, order):
+        p = self.POTENTIALS[name]
+        exact = self.RECORDED_EXACT.get((name, coefficient.__name__, order))
+        if exact is None:
+            exact = coefficient(p, order).value
+        est = coefficient(p, order, "mc", self.SAMPLES, self.SEED)
+        assert est.method == "mc" and est.samples == self.SAMPLES
+        assert est.agrees_with(exact, n_sigma=3.0)
+
+    @pytest.mark.parametrize("k,ratio", [(3, 0.28695), (4, 0.11025)])
+    def test_hard_sphere_betas_match_clisby_mccoy(self, k, ratio):
+        # B_{k+1} = -k/(k+1) beta_k and B_2 = 2 pi / 3 for unit spheres
+        b2 = 2.0 * math.pi / 3.0
+        want = -(k + 1) / k * ratio * b2 ** k
+        est = irreducible_beta_n(hard_spheres(), k, "mc", self.SAMPLES, self.SEED)
+        assert est.agrees_with(want, n_sigma=3.0)

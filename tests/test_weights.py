@@ -4,15 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from clusterexp.coefficients import _kernel_graphs
 from clusterexp.graphs import Graph, GraphClass, enumerate_graphs, prufer_trees
-from clusterexp.potentials import hard_rods, hard_spheres, square_well
+from clusterexp.potentials import hard_rods, hard_spheres, lennard_jones, square_well
 from clusterexp.weights import (
     CoefficientEstimate,
+    biconnected_sum_batch,
+    connected_sums,
     difference_polytope_volume,
     fbar_tree_sum_batch,
     graph_weight_exact_1d,
     graph_weight_mc,
     graph_weight_periodic_1d,
+    kernel_sum_batch,
     pair_f_matrix,
     phi_batch,
     phi_t_batch,
@@ -175,6 +179,23 @@ class TestCoefficientEstimate:
         assert not est.agrees_with(1.5)
 
 
+def random_pair_matrices(rng, batch, n):
+    """Random symmetric pair matrices (batch, n, n) with entries in
+    (-1, 1), the range of a Mayer f, and a zero diagonal."""
+    f = rng.uniform(-1.0, 1.0, size=(batch, n, n))
+    return np.triu(f, 1) + np.triu(f, 1).transpose(0, 2, 1)
+
+
+def edge_product_sum(f, graphs):
+    out = np.zeros(len(f))
+    for g in graphs:
+        term = np.ones(len(f))
+        for i, j in g.edges:
+            term = term * f[:, i, j]
+        out += term
+    return out
+
+
 class TestPartitionIdentities:
     def setup_method(self):
         rng = np.random.default_rng(42)
@@ -189,13 +210,7 @@ class TestPartitionIdentities:
             m[:, idx, idx] = 0.0
 
     def graph_sum(self, cls):
-        out = np.zeros(len(self.f))
-        for g in enumerate_graphs(4, cls):
-            term = np.ones(len(self.f))
-            for i, j in g.edges:
-                term = term * self.f[:, i, j]
-            out += term
-        return out
+        return edge_product_sum(self.f, enumerate_graphs(4, cls))
 
     def test_phi_batch_is_all_graph_sum(self):
         got = phi_batch(self.f)[:, -1]
@@ -226,3 +241,42 @@ class TestPartitionIdentities:
         assert m.shape == (4, 4)
         assert np.allclose(np.diag(m), 0.0)
         assert np.allclose(m, m.T)
+
+
+class TestClassSums:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_biconnected_recursion_is_graph_sum(self, m):
+        f = random_pair_matrices(np.random.default_rng(m), 16, m)
+        expect = edge_product_sum(f, enumerate_graphs(m, GraphClass.BICONNECTED))
+        assert np.allclose(biconnected_sum_batch(f), expect, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kernel_product_is_graph_sum(self, n):
+        f = random_pair_matrices(np.random.default_rng(10 + n), 16, n + 1)
+        expect = edge_product_sum(f, _kernel_graphs(n))
+        assert np.allclose(kernel_sum_batch(f), expect, rtol=0.0, atol=1e-12)
+
+    def test_connected_sums_cover_every_subset(self):
+        f = random_pair_matrices(np.random.default_rng(7), 8, 4)
+        sums = connected_sums(f)
+        for s in range(1, 16):
+            verts = [v for v in range(4) if s >> v & 1]
+            sub = f[:, verts][:, :, verts]
+            assert np.allclose(sums[s], phi_t_batch(sub), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [hard_spheres(), lennard_jones(beta=0.5)],
+                             ids=["hard_sphere", "lennard_jones"])
+    def test_tree_sum_unchanged_by_vectorised_diagonal(self, p):
+        # the per-sample fill_diagonal loop this replaced, as the reference
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-1.5, 1.5, size=(200, 5, 3))
+        r = np.linalg.norm(pts[:, :, None, :] - pts[:, None, :, :], axis=-1)
+        fbar = np.asarray(p.mayer_fbar(r))
+        w = fbar.copy()
+        for b in range(len(w)):
+            np.fill_diagonal(w[b], 0.0)
+        lap = -w
+        idx = np.arange(5)
+        lap[:, idx, idx] = w.sum(axis=2)
+        assert np.array_equal(fbar_tree_sum_batch(fbar),
+                              np.linalg.det(lap[:, 1:, 1:]))
