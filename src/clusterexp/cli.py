@@ -227,14 +227,17 @@ def _cmd_graphs(cfg: dict, args) -> _Result:
     count_only = args.count or bool(cfg.get("count", False))
     if n is None:
         raise SchemaError("graphs needs --n or config key 'n'")
+    n = int(n)
+    if n < 1:
+        raise SchemaError(f"graphs needs n >= 1, got {n}")
     if cls_name not in _GRAPH_CLASSES:
         raise SchemaError(f"unknown graph class {cls_name!r}")
     count, lines = 0, []
-    for g in enumerate_graphs(int(n), _GRAPH_CLASSES[cls_name]):
+    for g in enumerate_graphs(n, _GRAPH_CLASSES[cls_name]):
         count += 1
         if not count_only:
             lines.append(g.dump_line())
-    payload: dict = {"n": int(n), "class": cls_name, "count": count}
+    payload: dict = {"n": n, "class": cls_name, "count": count}
     if not count_only:
         payload["graphs"] = lines
     return payload, None, None

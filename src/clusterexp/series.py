@@ -2,6 +2,10 @@
 exp/log, rooting, composition, Lagrange inversion, enriched-tree inversion,
 the dissymmetry identity and the virial equation of state.
 
+Enriched-tree inversion solves the species equation Tbar = exp(A(rho Tbar))
+by fixed-point iteration rather than listing the trees, so it has no
+enumeration cap.
+
 Coefficients may be exact (fractions.Fraction) or floats; the algebra is
 agnostic.  Series carry a variable tag ("z" for activity, "rho" for
 density) and refuse to add or multiply across tags.
@@ -13,7 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import enumerate_enriched_trees
+# Unused here: bench/tracing.py wraps series.enumerate_enriched_trees by name,
+# and its --trace 1 runs fail at install without it.
+from .graphs import enumerate_enriched_trees  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -182,25 +188,25 @@ def enriched_tree_invert(a_kernels: dict[int, object], K: int) -> TruncatedSerie
     """Tbar(rho) = 1 + sum_n (rho^n/n!) sum over enriched trees on {0..n} of
     the product over child-partition cliques J of a_{|J|}.
 
-    z(rho) = rho * Tbar(rho) then inverts rho(z); checked against Lagrange
-    inversion in the tests.  Kernels must be present through order K.
+    The enriched trees are the species solution of Tbar = exp(A(rho Tbar)),
+    A(x) = sum_n a_n x^n / n!: the root's children split into cliques J,
+    each weighted a_{|J|} and carrying one subtree (rho Tbar) per member.
+    Iterating that equation K times from Tbar = 1 fixes one coefficient per
+    step, exactly in Fractions when the kernels are rational; no tree is
+    listed, so there is no enumeration cap.  z(rho) = rho * Tbar(rho) then
+    inverts rho(z); checked against Lagrange inversion and against the
+    enriched-tree sums in the tests.  Kernels must be present through
+    order K.
     """
     missing = [n for n in range(1, K + 1) if n not in a_kernels]
     if missing:
         raise ValueError(f"truncation error: missing kernel orders {missing}")
-    coeffs = [1] + [0] * K
-    for n in range(1, K + 1):
-        total = 0
-        for et in enumerate_enriched_trees(n):
-            w = 1
-            for clique in et.cliques():
-                w = w * a_kernels[len(clique)]
-            total += w
-        if isinstance(total, (int, Fraction)):
-            coeffs[n] = Fraction(total, math.factorial(n))
-        else:
-            coeffs[n] = total / math.factorial(n)
-    return TruncatedSeries(coeffs, "rho")
+    A = kernel_series(a_kernels, K, "rho")
+    rho = identity_series(K, "rho")
+    tbar = TruncatedSeries([1] + [0] * K, "rho")
+    for _ in range(K):
+        tbar = series_exp(series_compose(A, rho * tbar))
+    return tbar
 
 
 def two_connected_from_composition(a_kernels: dict[int, object],

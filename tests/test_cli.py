@@ -60,6 +60,12 @@ class TestGraphsCommand:
         assert code == EXIT_CAP
         assert "cap" in err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_is_schema_error(self, capsys, n):
+        code, _, err = run_cli(capsys, ["graphs", "--n", n, "--count"])
+        assert code == EXIT_SCHEMA
+        assert "n >= 1" in err
+
 
 class TestVirialAndEos:
     def test_tonks_virial(self, capsys):

@@ -7,6 +7,7 @@ from clusterexp.graphs import (
     EnumerationTooLarge,
     Graph,
     GraphClass,
+    _enumerate,
     blocks,
     cutpoints,
     enumerate_bicolored,
@@ -153,6 +154,18 @@ class TestBlocksAndNodal:
     def test_direct_edge_graph_articulation_free(self):
         g = Graph.from_edges(2, [(0, 1)], 2)
         assert is_articulation_free(g)
+
+
+class TestEdgeMaskWalk:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_neighbor_masks_match_edge_bits(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        for whites in range(min(n, 3) + 1):
+            got = list(_enumerate(n, whites, GraphClass.ALL))
+            assert len(got) == 2 ** len(pairs)
+            for mask, g in enumerate(got):
+                edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+                assert g == Graph.from_edges(n, edges, whites)
 
 
 class TestPartitionsAndEnrichedTrees:

@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from clusterexp import series
 from clusterexp.coefficients import a_kernel, beta_table, mayer_b_n
+from clusterexp.graphs import enumerate_enriched_trees
 from clusterexp.potentials import hard_rods
 from clusterexp.series import (
     TruncatedSeries,
@@ -137,6 +140,55 @@ class TestEnrichedTreeInversion:
         # -A(rho Tbar) = -ln(1 - rho/(1+rho)) = ln(1+rho)
         expected = [Fraction(0)] + [Fraction((-1) ** (n - 1), n) for n in range(1, 7)]
         assert list(bprime.coefficients) == expected
+
+    @staticmethod
+    def random_kernels(rng, K):
+        return {n: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                for n in range(1, K + 1)}
+
+    def test_species_solution_matches_enriched_tree_sums(self):
+        K = 5
+        clique_sizes = {n: [[len(c) for c in et.cliques()]
+                            for et in enumerate_enriched_trees(n)]
+                        for n in range(1, K + 1)}
+        rng = random.Random(8)
+        for _ in range(4):
+            kernels = self.random_kernels(rng, K)
+            tbar = enriched_tree_invert(kernels, K)
+            floats = enriched_tree_invert(
+                {n: float(a) for n, a in kernels.items()}, K)
+            for n in range(1, K + 1):
+                total = sum(math.prod(kernels[s] for s in sizes)
+                            for sizes in clique_sizes[n])
+                assert tbar[n] * math.factorial(n) == total
+                assert floats[n] == pytest.approx(float(tbar[n]), rel=1e-12,
+                                                  abs=1e-12)
+
+    def test_lists_no_enriched_trees(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("enriched trees listed")
+        monkeypatch.setattr(series, "enumerate_enriched_trees", refuse)
+        tbar = enriched_tree_invert(self.TOY, 6)
+        assert list(tbar.coefficients) == [Fraction((-1) ** n) for n in range(7)]
+
+    def test_toy_kernels_past_the_enumeration_cap(self):
+        K = 12
+        toy = {n: -Fraction(math.factorial(n - 1)) for n in range(1, K + 1)}
+        tbar = enriched_tree_invert(toy, K)
+        assert all(isinstance(c, Fraction) for c in tbar.coefficients)
+        assert list(tbar.coefficients) == [Fraction((-1) ** n) for n in range(K + 1)]
+
+    def test_lagrange_formula_to_order_ten(self):
+        # z = rho Tbar solves z = rho exp(A(z)), so Lagrange gives
+        # n [rho^n] z = [u^(n-1)] exp(n A(u))
+        K = 10
+        rng = random.Random(10)
+        for _ in range(3):
+            kernels = self.random_kernels(rng, K)
+            z_of_rho = identity_series(K, "rho") * enriched_tree_invert(kernels, K)
+            A = kernel_series(kernels, K)
+            for n in range(1, K + 1):
+                assert n * z_of_rho[n] == series_exp(A * n)[n - 1]
 
     def test_kernel_series_layout(self):
         A = kernel_series({1: Fraction(2), 2: Fraction(-5)}, 3)
