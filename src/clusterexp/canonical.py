@@ -11,6 +11,12 @@ with P_{N,L}(k) = (N-1)...(N-k)/L^k and B(k) a volume-independent-scale sum
 over polymer collections covering [k+1].  Periodic boundaries are required:
 the reduction of the leading part B*(k) to 2-connected graphs only holds on
 the torus.
+
+Polymer activities, the 2-connected graph sum of B*(k) and the exact direct
+oracle each integrate one class sum (phi^T, the 2-connected recursion, the
+product of (1 + f)) over the lattice cells of the torus
+(``weights.lattice_class_sum``), falling back to per-graph periodic
+polytopes when no lattice fits.
 """
 
 from __future__ import annotations
@@ -21,10 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphClass, enumerate_graphs
-from .potentials import Kind, Potential, abs_f_integral, stability_profile
-from .weights import (CoefficientEstimate, graph_weight_periodic_1d, phi_t_batch,
-                      resolve_method)
+from .potentials import Potential, abs_f_integral, stability_profile
+# Unused here: bench/tracing.py wraps these names in this module, and its
+# --trace 1 runs fail at install without them.
+from .graphs import enumerate_graphs  # noqa: F401
+from .weights import graph_weight_periodic_1d  # noqa: F401
+from .weights import (CoefficientEstimate, biconnected_sum_batch,
+                      lattice_class_sum, phi_t_batch, resolve_method)
 
 
 def _require_periodic_1d(p: Potential, boundary: str):
@@ -57,8 +66,7 @@ def zeta(p: Potential, v_size: int, L: float, boundary: str = "periodic") -> Pol
         return PolymerActivity(1, 1.0, L, boundary)
     if v_size > 5:
         raise ValueError("polymer activities capped at size 5")
-    total = sum(graph_weight_periodic_1d(g, p, L)
-                for g in enumerate_graphs(v_size, GraphClass.CONNECTED))
+    total = lattice_class_sum(phi_t_batch, p, v_size, L)
     return PolymerActivity(v_size, total, L, boundary)
 
 
@@ -199,8 +207,7 @@ def canonical_B_k(p: Potential, k: int, L: float, truncation: int | None = None,
     B = scale * total
     B_star_polymer = scale * star_polymer
 
-    star_graph = sum(graph_weight_periodic_1d(g, p, L)
-                     for g in enumerate_graphs(k + 1, GraphClass.BICONNECTED))
+    star_graph = lattice_class_sum(biconnected_sum_batch, p, k + 1, L)
     B_star_graph = scale * star_graph
     return {
         "B": B,
@@ -268,13 +275,20 @@ def canonical_free_energy(p: Potential, N: int, L: float, K: int,
 # direct oracles
 # ---------------------------------------------------------------------------
 
+def _boltzmann_product(f: np.ndarray) -> np.ndarray:
+    """Product of (1 + f) over all pairs, the sum over all graphs of the
+    f-bond product, for a batch of pair matrices (B, n, n)."""
+    i, j = np.triu_indices(f.shape[1], 1)
+    return np.prod(1.0 + f[:, i, j], axis=1)
+
+
 def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
                        n_samples: int = 200_000, seed: int = 0,
                        boundary: str = "periodic") -> CoefficientEstimate:
     """log Z by direct evaluation of (1/N!) int_{[0,L]^N} e^{-beta H}.
 
-    The exact route expands e^{-beta H} = sum over all graphs of the f-bond
-    product and evaluates each normalized periodic weight exactly (N <= 4);
+    The exact route integrates e^{-beta H}, the product of (1 + f) over all
+    pairs, over the lattice cells of the torus (N <= 4);
     the MC route samples uniform configurations (N <= 8).
     """
     _require_periodic_1d(p, boundary)
@@ -286,8 +300,7 @@ def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
     if method == "exact1d":
         if N > 4:
             raise ValueError("exact oracle capped at N = 4")
-        total = sum(graph_weight_periodic_1d(g, p, L)
-                    for g in enumerate_graphs(N, GraphClass.ALL))
+        total = lattice_class_sum(_boltzmann_product, p, N, L)
         log_z = N * math.log(L) - math.lgamma(N + 1) + math.log(total)
         return CoefficientEstimate(log_z, 0.0, "exact1d")
     if N > 8:

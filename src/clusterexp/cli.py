@@ -132,6 +132,18 @@ def _write_atomic(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 # config validation
 
+def _int_field(value, name: str, minimum: int | None = None) -> int:
+    """A config integer: a JSON integer, or a number with no fractional
+    part.  A string, a bool, 2.7 or a value below ``minimum`` is a
+    SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            (isinstance(value, float) and not value.is_integer()):
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"need {name} >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
@@ -187,11 +199,10 @@ def _load_config(path: str | None) -> dict:
 def _mc_section(cfg: dict, seed_flag: int | None) -> dict:
     mc = cfg.get("mc", {})
     _check_keys(mc, {"samples", "seed"}, "mc")
-    samples = int(mc.get("samples", 100_000))
-    if samples < 1:
-        raise SchemaError("mc.samples must be a positive integer")
+    samples = _int_field(mc.get("samples", 100_000), "mc.samples", 1)
+    seed = seed_flag if seed_flag is not None else mc.get("seed")
     return {"samples": samples,
-            "seed": seed_flag if seed_flag is not None else mc.get("seed")}
+            "seed": None if seed is None else _int_field(seed, "mc.seed", 0)}
 
 
 def _require_seed(mc: dict, p, method: str) -> int:
@@ -203,7 +214,7 @@ def _require_seed(mc: dict, p, method: str) -> int:
     if method == "mc" and mc["seed"] is None:
         raise SchemaError("Monte Carlo evaluation requires --seed "
                           "(or mc.seed in the config)")
-    return int(mc["seed"] or 0)
+    return mc["seed"] or 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +238,7 @@ def _cmd_graphs(cfg: dict, args) -> _Result:
     count_only = args.count or bool(cfg.get("count", False))
     if n is None:
         raise SchemaError("graphs needs --n or config key 'n'")
-    n = int(n)
-    if n < 1:
-        raise SchemaError(f"graphs needs n >= 1, got {n}")
+    n = _int_field(n, "n", 1)
     if cls_name not in _GRAPH_CLASSES:
         raise SchemaError(f"unknown graph class {cls_name!r}")
     count, lines = 0, []
@@ -265,9 +274,8 @@ def _cmd_virial(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"potential", "order", "method", "mc", "catalog"},
                 "virial config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
-    K = args.order if args.order is not None else int(cfg.get("order", 3))
-    if K < 1:
-        raise SchemaError("order must be >= 1")
+    K = _int_field(args.order if args.order is not None else cfg.get("order", 3),
+                   "order", 1)
     method = cfg.get("method", "auto")
     mc = _mc_section(cfg, args.seed)
     cat = CoefficientTable(cfg.get("catalog", {}).get("path"))
@@ -288,7 +296,8 @@ def _cmd_eos(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"potential", "order", "method", "mc", "catalog"},
                 "eos config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
-    K = args.order if args.order is not None else int(cfg.get("order", 3))
+    K = _int_field(args.order if args.order is not None else cfg.get("order", 3),
+                   "order", 1)
     method = cfg.get("method", "auto")
     mc = _mc_section(cfg, args.seed)
     cat = CoefficientTable(cfg.get("catalog", {}).get("path"))
@@ -328,12 +337,14 @@ def _cmd_canonical(cfg: dict, args) -> _Result:
                 "canonical config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
     try:
-        N, L, K = int(cfg["N"]), float(cfg["L"]), int(cfg["K"])
+        N, L = _int_field(cfg["N"], "N"), float(cfg["L"])
+        K = _int_field(cfg["K"], "K")
     except KeyError as exc:
         raise SchemaError(f"canonical config needs key {exc}") from exc
     trunc = cfg.get("truncation")
-    exp = canonical_free_energy(p, N, L, K,
-                                truncation=None if trunc is None else int(trunc))
+    if trunc is not None:
+        trunc = _int_field(trunc, "truncation")
+    exp = canonical_free_energy(p, N, L, K, truncation=trunc)
     payload = {
         "potential": p.label(),
         "N": N, "L": L, "K": K,
@@ -351,7 +362,7 @@ def _cmd_canonical(cfg: dict, args) -> _Result:
             raise SchemaError("oracle for N > 4 is Monte Carlo; --seed required")
         oracle = direct_logZ_oracle(p, N, L, method=method,
                                     n_samples=mc["samples"],
-                                    seed=int(mc["seed"] or 0))
+                                    seed=mc["seed"] or 0)
         payload["oracle"] = asdict(oracle)
         payload["expansion_minus_oracle"] = exp.log_z - oracle.value
     return payload, None, None
@@ -361,8 +372,8 @@ def _cmd_correlations(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"potential", "n", "K", "r_min", "r_max", "n_r",
                       "r_values", "method", "mc"}, "correlations config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
-    n = int(cfg.get("n", 2))
-    K = int(cfg.get("K", 1))
+    n = _int_field(cfg.get("n", 2), "n")
+    K = _int_field(cfg.get("K", 1), "K")
     method = cfg.get("method", "auto")
     mc = _mc_section(cfg, args.seed)
     seed = _require_seed(mc, p, method)
@@ -371,7 +382,7 @@ def _cmd_correlations(cfg: dict, args) -> _Result:
     else:
         r_min = float(cfg.get("r_min", 0.1))
         r_max = float(cfg.get("r_max", 3.0))
-        n_r = int(cfg.get("n_r", 30))
+        n_r = _int_field(cfg.get("n_r", 30), "n_r", 1)
         rs = list(np.linspace(r_min, r_max, n_r))
     if n != 2:
         raise SchemaError("r-grid output is defined for the pair function "
@@ -407,11 +418,12 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
     gcfg = cfg.get("grid", {})
     _check_keys(gcfg, {"dr", "n_points", "dimension"}, "ozpy grid")
     grid = RadialGrid(dr=float(gcfg.get("dr", 0.005)),
-                      n_points=int(gcfg.get("n_points", 4096)),
-                      dimension=int(gcfg.get("dimension", p.dimension)))
+                      n_points=_int_field(gcfg.get("n_points", 4096), "grid.n_points"),
+                      dimension=_int_field(gcfg.get("dimension", p.dimension),
+                                           "grid.dimension"))
     tol = float(cfg.get("tol", 1e-10))
     alpha = float(cfg.get("alpha", 0.5))
-    max_iter = int(cfg.get("max_iter", 20_000))
+    max_iter = _int_field(cfg.get("max_iter", 20_000), "max_iter", 1)
     runs = []
     columns = None
     for rho in rhos:

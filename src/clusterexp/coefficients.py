@@ -1,52 +1,47 @@
 """Cluster coefficients b_n, irreducible coefficients beta_n and the
-inversion kernels a_n, from sums of weighted graph integrals.
+inversion kernels a_n, from class sums of weighted graph integrals.
 
 All coefficients use the origin-pinning convention: one vertex is fixed at
 the origin and the remaining coordinates integrate over R^d, which replaces
 the 1/volume normalization of a finite box for tempered potentials.
 
-The exact 1D path sums the weight of every labeled graph of the class.  The
-Monte Carlo path draws one set of configurations per coefficient and scores
-each with the whole class sum (``weights.class_sum_mc``): phi^T for b_n, the
-2-connected subset recursion for beta_n and the kernel product for a_n.
-Each coefficient's random stream comes from
+Each coefficient integrates one class sum over the configurations of its
+vertices: phi^T for b_n, the 2-connected subset recursion for beta_n and
+the kernel product for a_n.  The exact 1D path sums it over the cells of a
+lattice arrangement (``weights.lattice_class_sum``, which falls back to
+per-graph polytopes when no lattice fits).  The Monte Carlo path draws one
+set of configurations per coefficient and scores each
+(``weights.class_sum_mc``); its random stream comes from
 ``np.random.SeedSequence(seed, spawn_key=(family, order))``, so the streams
 of different coefficients are independent for one user seed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .graphs import Graph, GraphClass, enumerate_graphs
 from .potentials import Kind, Potential
-# Unused here: bench/tracing.py wraps coefficients.graph_weight_mc by name,
-# and its --trace 1 runs fail at install without it.
-from .weights import graph_weight_mc  # noqa: F401
+# Unused here: bench/tracing.py wraps these names in this module, and its
+# --trace 1 runs fail at install without them.
+from .graphs import enumerate_graphs  # noqa: F401
+from .weights import graph_weight_exact_1d, graph_weight_mc  # noqa: F401
 from .weights import (CoefficientEstimate, biconnected_sum_batch, class_sum_mc,
-                      graph_weight_exact_1d, kernel_sum_batch, phi_t_batch,
+                      kernel_sum_batch, lattice_class_sum, phi_t_batch,
                       resolve_method)
 
 # spawn-key tags of the coefficient families' random streams
 _FAMILY = {"b_n": 0, "beta_n": 1, "a_n": 2}
 
 
-def _exact_sum(graphs, p: Potential) -> CoefficientEstimate:
-    """Sum of the exact rooted weights (vertex 0 at the origin) over a
-    graph family."""
-    total = 0.0
-    for g in graphs:
-        total += graph_weight_exact_1d(g, p, root_positions=(0.0,))
-    return CoefficientEstimate(total, 0.0, "exact1d")
-
-
-def _sampled_sum(score, p: Potential, m: int, family: str, order: int,
-                 n_samples: int, seed: int) -> CoefficientEstimate:
-    """Mayer-sampling estimate of the rooted integral of the class sum that
-    ``score`` evaluates on m vertices, from the coefficient's own stream."""
+def _class_sum(score, p: Potential, m: int, family: str, order: int,
+               method: str, n_samples: int, seed: int) -> CoefficientEstimate:
+    """The rooted integral of the class sum that ``score`` evaluates on m
+    vertices: exact over lattice cells, or Mayer-sampled from the
+    coefficient's own stream."""
+    if resolve_method(p, method) == "exact1d":
+        return CoefficientEstimate(lattice_class_sum(score, p, m), 0.0, "exact1d")
     stream = np.random.SeedSequence(seed, spawn_key=(_FAMILY[family], order))
     value, err = class_sum_mc(score, p, m, n_samples, np.random.default_rng(stream))
     return CoefficientEstimate(value, err, "mc", n_samples, seed)
@@ -67,10 +62,7 @@ def mayer_b_n(p: Potential, n: int, method: str = "auto",
         return CoefficientEstimate(1.0, 0.0, resolve_method(p, method))
     if p.kind is Kind.ZERO:
         return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
-    if resolve_method(p, method) == "exact1d":
-        est = _exact_sum(enumerate_graphs(n, GraphClass.CONNECTED), p)
-    else:
-        est = _sampled_sum(phi_t_batch, p, n, "b_n", n, n_samples, seed)
+    est = _class_sum(phi_t_batch, p, n, "b_n", n, method, n_samples, seed)
     return _scaled(est, 1.0 / math.factorial(n))
 
 
@@ -82,23 +74,9 @@ def irreducible_beta_n(p: Potential, n: int, method: str = "auto",
         raise ValueError("order must be >= 1")
     if p.kind is Kind.ZERO:
         return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
-    if resolve_method(p, method) == "exact1d":
-        est = _exact_sum(enumerate_graphs(n + 1, GraphClass.BICONNECTED), p)
-    else:
-        est = _sampled_sum(biconnected_sum_batch, p, n + 1, "beta_n", n,
-                           n_samples, seed)
+    est = _class_sum(biconnected_sum_batch, p, n + 1, "beta_n", n, method,
+                     n_samples, seed)
     return _scaled(est, 1.0 / math.factorial(n))
-
-
-def _kernel_graphs(n: int):
-    """Graphs on {0..n} whose restriction to {1..n} is connected and whose
-    vertex 0 has at least one edge."""
-    zero_edges = [(0, v) for v in range(1, n + 1)]
-    for core in enumerate_graphs(n, GraphClass.CONNECTED):
-        shifted = [(i + 1, j + 1) for i, j in core.edges]
-        for r in range(1, n + 1):
-            for attach in itertools.combinations(zero_edges, r):
-                yield Graph.from_edges(n + 1, shifted + list(attach), white_count=1)
 
 
 def a_kernel(p: Potential, n: int, method: str = "auto",
@@ -113,10 +91,7 @@ def a_kernel(p: Potential, n: int, method: str = "auto",
         raise ValueError("order must be >= 1")
     if p.kind is Kind.ZERO:
         return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
-    if resolve_method(p, method) == "exact1d":
-        est = _exact_sum(_kernel_graphs(n), p)
-    else:
-        est = _sampled_sum(kernel_sum_batch, p, n + 1, "a_n", n, n_samples, seed)
+    est = _class_sum(kernel_sum_batch, p, n + 1, "a_n", n, method, n_samples, seed)
     return _scaled(est, -1.0)
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 SURFACE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -179,36 +178,30 @@ def stability_profile(p: Potential) -> StabilityProfile:
 
 
 def _radial_integral(fn, p: Potential, d: int) -> float:
-    """S_d * int_0^inf fn(r) r^(d-1) dr with breakpoints at the potential's
-    discontinuities."""
+    """S_d * int_0^inf fn(r) r^(d-1) dr, for fn a function of f such as
+    fbar or |f|.
+
+    For piecewise-constant f, fn is constant on each piece and the integral
+    is a sum of shell volumes.  Lennard-Jones is integrated by ``quad``,
+    imported here so that importing clusterexp does not load
+    scipy.integrate.
+    """
     if d not in SURFACE_AREA:
         raise ValueError("d must be 1, 2 or 3")
-    if p.kind is Kind.ZERO:
-        return 0.0
-    pts = sorted({p.sigma, p.lam * p.sigma if p.kind is Kind.SQUARE_WELL else p.sigma})
-    if p.kind is Kind.LENNARD_JONES:
-        upper = p.cutoff if p.cutoff is not None else math.inf
-    else:
-        upper = p.interaction_range
     sd = SURFACE_AREA[d]
+    if p.piecewise_constant_f:
+        return sd * sum(fn(0.5 * (lo + hi)) * (hi ** d - lo ** d) / d
+                        for lo, hi, _ in p.f_pieces())
+    from scipy.integrate import quad
 
     def integrand(r):
         return fn(r) * r ** (d - 1)
 
-    total, err = 0.0, 0.0
-    lo = 0.0
-    for pt in [q for q in pts if 0 < q < upper]:
-        val, e = quad(integrand, lo, pt, limit=200)
-        total += val
-        err += e
-        lo = pt
-    if math.isinf(upper):
-        val, e = quad(integrand, lo, math.inf, limit=200)
-    else:
-        val, e = quad(integrand, lo, upper, limit=200)
-    total += val
-    err += e
-    result = sd * total
+    upper = p.cutoff if p.cutoff is not None else math.inf
+    # split at sigma, where the repulsive core meets the well
+    breaks = [0.0, p.sigma, upper] if p.sigma < upper else [0.0, upper]
+    result = sd * sum(quad(integrand, lo, hi, limit=200)[0]
+                      for lo, hi in zip(breaks, breaks[1:]))
     if not math.isfinite(result):
         raise ValueError("not tempered: radial integral diverges")
     return result

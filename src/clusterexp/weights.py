@@ -1,16 +1,21 @@
 """Weighted graph integrals: exact 1D, periodic 1D, and Monte Carlo.
 
-For piecewise-constant Mayer functions (hard rods, hard spheres in 1D,
-square well in 1D) the integrand of a graph weight is constant on convex
-cells cut out by the difference constraints |x_i - x_j| in each f piece,
-so each weight is an exact sum of (constant) x (polytope volume).  A
+For piecewise-constant Mayer functions in 1D (hard rods, square well) the
+integrand is constant on the cells of the arrangement x_i - x_j in h Z,
+where every breakpoint of f (and the box length on the torus) is an
+integer multiple of h.  ``lattice_class_sum`` integrates a whole class sum
+(connected, 2-connected, kernel, or the product of (1 + f)) exactly by one
+pass over these cells, one point per cell.  When no lattice fits under
+``MAX_LATTICE_CELLS`` it sums graph by graph instead:
+``graph_weight_exact_1d`` and ``graph_weight_periodic_1d`` split each
+graph's integrand into convex polytopes of constant value, and a
 shortest-path (Floyd-Warshall) closure of each polytope's constraints
 decides emptiness and boundedness and gives Qhull its facets and an
 interior point.  Otherwise Monte Carlo: ``graph_weight_mc`` samples one
 graph's weight along its BFS tree, and ``class_sum_mc`` samples a whole
 class sum (connected, 2-connected or kernel, from subset recursions at each
 configuration) under a mixture over all spanning trees.  Both draw tree
-edges from a radial density proportional to fbar.
+edges from a radial density proportional to |f|.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 # Unused here: bench/tracing.py wraps weights.linprog by name, and its
@@ -209,6 +215,159 @@ def graph_weight_periodic_1d(g: Graph, p: Potential, L: float):
     return total / L ** n_free
 
 
+# ---------------------------------------------------------------------------
+# exact class sums over lattice cells
+# ---------------------------------------------------------------------------
+
+# Most candidate cells a lattice sum may enumerate.  Past it (when no lattice
+# fits, as for lambda = sqrt(2)) the class sum is summed graph by graph over
+# polytopes instead.
+MAX_LATTICE_CELLS = 10 ** 8
+
+
+def _rational(x: float) -> Fraction:
+    """The simplest fraction within a few units in the last place of the
+    float x, so that 1.1 becomes 11/10 and 1.3 * 1.5 becomes 39/20.
+    Without one of denominator <= 10^6, x's exact value."""
+    q = Fraction(x).limit_denominator(10 ** 6)
+    return q if abs(q - Fraction(x)) <= 4 * math.ulp(x) else Fraction(x)
+
+
+def _lattice(p: Potential, L: float | None):
+    """(h, R, Lam): the largest length h of which every breakpoint of f (and
+    L on the torus) is an integer multiple, with R = range / h and
+    Lam = L / h (None on the line)."""
+    breaks = {_rational(r) for piece in p.f_pieces() for r in piece[:2] if r > 0}
+    lengths = breaks | ({_rational(L)} if L is not None else set())
+    if not lengths:
+        return Fraction(1), 0, None
+    den = math.lcm(*(q.denominator for q in lengths))
+    h = Fraction(math.gcd(*(q.numerator * (den // q.denominator)
+                            for q in lengths)), den)
+    R = int(max(breaks) / h) if breaks else 0
+    return h, R, None if L is None else int(_rational(L) / h)
+
+
+def _blocks(shape: tuple[int, ...]):
+    """Every multi-index of an array of ``shape``, in C order, as (b, k)
+    integer arrays of at most MC_BLOCK rows."""
+    total = math.prod(shape)
+    for start in range(0, total, MC_BLOCK):
+        idx = np.arange(start, min(start + MC_BLOCK, total))
+        yield np.stack(np.unravel_index(idx, shape), axis=1)
+
+
+def _line_cells(k: int, R: int):
+    """Integer parts in [-kR, kR - 1]^k of the cells that can hold a
+    connected configuration (no gap above R between the sorted parts and
+    vertex 0's part 0), in blocks of at most MC_BLOCK."""
+    pending, count = [], 0
+    for n in _blocks((2 * k * R,) * k):
+        n -= k * R
+        s = np.sort(np.concatenate([np.zeros((len(n), 1), n.dtype), n], axis=1),
+                    axis=1)
+        n = n[(np.diff(s, axis=1) <= R).all(axis=1)]
+        pending.append(n)
+        count += len(n)
+        if count >= MC_BLOCK:
+            n = np.concatenate(pending)
+            yield n[:MC_BLOCK]
+            pending, count = [n[MC_BLOCK:]], len(n) - MC_BLOCK
+    if count:
+        yield np.concatenate(pending)
+
+
+def _graph_terms(score, m: int):
+    """(coefficient, graph) for every labeled graph on m vertices whose
+    f-bond product appears in the class sum ``score``, read off by Mobius
+    inversion of score at the 0/1 pair matrices (a class sum is multilinear
+    in the f_ij)."""
+    pairs = list(itertools.combinations(range(m), 2))
+    i, j = np.triu_indices(m, 1)
+    values = []
+    for masks in _blocks((1 << len(pairs),)):
+        f = np.zeros((len(masks), m, m))
+        f[:, i, j] = f[:, j, i] = (masks >> np.arange(len(pairs))) & 1
+        values.append(score(f))
+    c = np.concatenate(values).reshape((2,) * len(pairs))
+    for axis in range(len(pairs)):
+        c = np.diff(c, axis=axis, prepend=0.0)
+    for mask, coef in enumerate(np.rint(c.reshape(-1)).astype(int).tolist()):
+        if coef:
+            edges = [pair for e, pair in enumerate(pairs) if mask >> e & 1]
+            yield coef, Graph.from_edges(m, edges)
+
+
+def lattice_class_sum(score, p: Potential, m: int, L: float | None = None) -> float:
+    """Exact integral of a class sum over the positions of vertices 1..m-1,
+    vertex 0 pinned at the origin, for a piecewise-constant 1D f.
+
+    ``score`` maps pair matrices (B, m, m) to class sums (B,) and must be
+    symmetric in vertices 1..m-1 (``phi_t_batch``, ``biconnected_sum_batch``,
+    ``kernel_sum_batch``, the product of (1 + f)).  On the line (L None) the
+    integral runs over R^(m-1); on the length-L torus, with minimum-image
+    distances, it is normalized by L^(m-1).
+
+    With h the lattice length of ``_lattice``, f is constant on each cell
+    of the arrangement x_i - x_j in h Z, fixed by the integer parts of the
+    x_i / h and the order of their fractional parts; every cell has volume
+    h^k / k! for k = m - 1.  Relabelling vertices 1..k maps each order onto
+    i / (k+1), so one point per integer pattern gives the sum:
+    h^k sum score on the line, where only patterns that can be connected
+    are visited (every class sum but the torus product vanishes on
+    disconnected configurations), and Lam^(-k) sum score over all
+    Lam^k patterns on the torus.  When the candidate patterns exceed
+    ``MAX_LATTICE_CELLS``, the sum runs graph by graph over polytopes
+    (``graph_weight_exact_1d`` or ``graph_weight_periodic_1d``).
+    """
+    if not p.piecewise_constant_f:
+        raise ValueError("use MC path: f is not piecewise constant")
+    if p.dimension != 1:
+        raise ValueError("exact path is one-dimensional")
+    if L is not None and p.interaction_range >= L / 2:
+        raise ValueError("interaction range must be < L/2 for image expansion")
+    k = m - 1
+    if k < 0:
+        raise ValueError("need m >= 1 vertices")
+    if k == 0:
+        return float(score(np.zeros((1, 1, 1)))[0])
+    h, R, Lam = _lattice(p, L)
+    n_cells = (2 * k * R) ** k if L is None else Lam ** k
+    if k > MAX_EXACT_BLACK:
+        raise EnumerationTooLarge("exact 1D class sums", m, MAX_EXACT_BLACK + 1,
+                                  n_cells)
+    if n_cells > MAX_LATTICE_CELLS:
+        if L is None:
+            return math.fsum(c * graph_weight_exact_1d(g, p)
+                             for c, g in _graph_terms(score, m))
+        return math.fsum(c * graph_weight_periodic_1d(g, p, L)
+                         for c, g in _graph_terms(score, m))
+    # f on the cells at integer distances 0..R-1 (in units of h); 0 beyond
+    table = np.zeros(R + 1)
+    table[:R] = p.mayer_f((np.arange(R) + 0.5) * float(h))
+    i, j = np.triu_indices(m, 1)
+    offsets = np.arange(m)
+    if L is None:
+        cells, scale = _line_cells(k, R), h ** k
+    else:
+        cells, scale = _blocks((Lam,) * k), Fraction(1, Lam ** k)
+
+    def scores():
+        for n in cells:
+            # positions in units of h / (k+1): vertex v at (k+1) n_v + v
+            y = np.concatenate([np.zeros((len(n), 1), n.dtype), n], axis=1)
+            y = (k + 1) * y + offsets
+            dist = np.abs(y[:, i] - y[:, j])
+            if L is not None:
+                dist = np.minimum(dist % ((k + 1) * Lam),
+                                  (k + 1) * Lam - dist % ((k + 1) * Lam))
+            f = np.zeros((len(n), m, m))
+            f[:, i, j] = f[:, j, i] = table[np.minimum(dist // (k + 1), R)]
+            yield from score(f).tolist()
+
+    return float(Fraction(math.fsum(scores())) * scale)
+
+
 def resolve_method(p: Potential, method: str) -> str:
     """The weight path that ``method`` selects: "exact1d" or "mc".
 
@@ -250,37 +409,38 @@ class CoefficientEstimate:
 
 
 class RadialProposal:
-    """Piecewise-constant radial density proportional to fbar.
+    """Piecewise-constant radial density proportional to |f|.
 
     Exact for hard-core / square-well potentials; for Lennard-Jones the
-    density is a gridded envelope truncated at ``r_max`` (the tree-edge
-    displacement never exceeds r_max, a documented tail truncation).
+    density is |f| gridded at bin midpoints and truncated at ``r_max`` (the
+    tree-edge displacement never exceeds r_max, a documented tail
+    truncation).  For hard cores |f| = fbar = 1 on the core.
     """
 
     def __init__(self, p: Potential, d: int, n_bins: int = 2048, r_max: float | None = None):
         self.d = d
         if p.piecewise_constant_f:
             edges, vals = [0.0], []
-            for r_lo, r_hi, _ in p.f_pieces():
+            for r_lo, r_hi, val in p.f_pieces():
                 if edges[-1] != r_lo:
                     edges.append(r_lo)
                     vals.append(0.0)
                 edges.append(r_hi)
-                vals.append(float(p.mayer_fbar(0.5 * (r_lo + r_hi))))
+                vals.append(abs(val))
         else:
             if r_max is None:
                 r_max = 50.0 * p.sigma if p.cutoff is None else p.cutoff
             grid = np.linspace(0.0, r_max, n_bins + 1)
             mids = 0.5 * (grid[:-1] + grid[1:])
             edges = list(grid)
-            vals = list(np.maximum(p.mayer_fbar(mids), 0.0))
+            vals = list(np.abs(p.mayer_f(mids)))
         self.edges = np.array(edges)
         self.vals = np.array(vals)
         shell = (self.edges[1:] ** d - self.edges[:-1] ** d) * SURFACE_AREA[d] / d
         masses = self.vals * shell
         self.norm = float(masses.sum())
         if self.norm <= 0:
-            raise ValueError("zero proposal mass: fbar vanishes")
+            raise ValueError("zero proposal mass: f vanishes")
         self.cum = np.concatenate([[0.0], np.cumsum(masses)]) / self.norm
 
     def sample_radii(self, rng, size):
@@ -312,7 +472,7 @@ def graph_weight_mc(g: Graph, p: Potential, d: int, n_samples: int, seed: int,
     """Unbiased Mayer-sampling estimate of the rooted graph weight.
 
     Free-vertex positions are drawn along a BFS spanning tree with per-edge
-    radial density proportional to fbar; every sample is reweighted by
+    radial density proportional to |f|; every sample is reweighted by
     f/proposal on tree edges times f on the remaining edges.
     """
     if d not in SURFACE_AREA or d > 3:
@@ -549,10 +709,12 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
     drawn uniformly at random, with ``RadialProposal`` displacements on its
     edges.  Its density is q(x) = T(x) / m^(m-2), where T is the matrix-tree
     sum of the proposal pdf over all pairs, and its weight is score(f) / q.
-    For hard cores the pdf is 1/norm on every overlapping pair, so the
-    tree-graph inequality |phi^T| <= sum over trees of prod |f| bounds the
-    connected weights by m^(m-2) norm^(m-1).  Draws ``n_samples``
-    configurations in blocks of ``MC_BLOCK``.
+    The pdf is |f| / norm on every pair, for the hard core and the well
+    alike, so the tree-graph inequality |phi^T| <= sum over trees of
+    prod |f| bounds the hard-core connected weights by m^(m-2) norm^(m-1);
+    with a well, |f| rather than fbar keeps the weights from growing by
+    |f| / fbar per well bond.  Draws ``n_samples`` configurations in blocks
+    of ``MC_BLOCK``.
     """
     d = p.dimension
     if d not in SURFACE_AREA or d > 3:

@@ -11,7 +11,9 @@ from clusterexp.canonical import (
     zeta,
     zeta_scaling_bound,
 )
+from clusterexp.graphs import GraphClass, enumerate_graphs
 from clusterexp.potentials import hard_rods, hard_spheres, square_well
+from clusterexp.weights import graph_weight_periodic_1d
 
 
 P = hard_rods()
@@ -32,6 +34,13 @@ class TestPolymerActivities:
     def test_scaling_bound(self, m):
         val = abs(zeta(P, m, 12.0).value)
         assert val <= zeta_scaling_bound(P, m, 12.0) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("L", [10.0, 20.0])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_lattice_cells_match_periodic_polytopes(self, m, L):
+        want = sum(graph_weight_periodic_1d(g, P, L)
+                   for g in enumerate_graphs(m, GraphClass.CONNECTED))
+        assert zeta(P, m, L).value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_periodic_only(self):
         with pytest.raises(ValueError):
@@ -57,6 +66,16 @@ class TestCanonicalCoefficients:
         got = canonical_B_k(P, 2, 10.0)
         assert got["B_star"] == pytest.approx(-1.5, abs=1e-10)
         assert got["B_star_polymer"] == pytest.approx(got["B_star"], abs=1e-10)
+
+    @pytest.mark.parametrize("L", [10.0, 20.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_B_star_graph_sum_matches_periodic_polytopes(self, k, L):
+        want = sum(graph_weight_periodic_1d(g, P, L)
+                   for g in enumerate_graphs(k + 1, GraphClass.BICONNECTED))
+        got = canonical_B_k(P, k, L)["B_star"]
+        assert got == pytest.approx(L ** k / math.factorial(k) * want,
+                                    rel=1e-12, abs=1e-12)
+        assert got == pytest.approx(-(k + 1) / k, abs=1e-12)
 
     def test_remainder_shrinks_with_L(self):
         r10 = abs(canonical_B_k(P, 2, 10.0)["remainder"])

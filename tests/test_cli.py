@@ -121,6 +121,61 @@ class TestVirialAndEos:
         assert code == EXIT_SCHEMA
 
 
+class TestIntegerFields:
+    """Every integer config field rejects strings, bools and fractions."""
+
+    CASES = [
+        ("graphs", {"n": "{}", "count": True}, "n"),
+        ("virial", {"order": "{}"}, "order"),
+        ("eos", {"order": "{}"}, "order"),
+        ("virial", {"order": 2, "mc": {"samples": "{}", "seed": 1}}, "mc.samples"),
+        ("virial", {"order": 2, "mc": {"seed": "{}"}}, "mc.seed"),
+        ("canonical", {"N": "{}", "L": 20.0, "K": 2}, "N"),
+        ("canonical", {"N": 6, "L": 20.0, "K": "{}"}, "K"),
+        ("canonical", {"N": 6, "L": 20.0, "K": 2, "truncation": "{}"}, "truncation"),
+        ("correlations", {"K": "{}", "r_values": [1.5]}, "K"),
+        ("correlations", {"n_r": "{}"}, "n_r"),
+        ("ozpy", {"rho": 0.1, "max_iter": "{}"}, "max_iter"),
+        ("ozpy", {"rho": 0.1, "grid": {"n_points": "{}"}}, "grid.n_points"),
+    ]
+
+    @staticmethod
+    def fill(cfg, value):
+        if isinstance(cfg, dict):
+            return {k: TestIntegerFields.fill(v, value) for k, v in cfg.items()}
+        return value if cfg == "{}" else cfg
+
+    @pytest.mark.parametrize("value", ["abc", 2.7, True])
+    @pytest.mark.parametrize("command,cfg,field", CASES,
+                             ids=[f"{c}-{f}" for c, _, f in CASES])
+    def test_non_integer_is_schema_error(self, capsys, tmp_path, command, cfg,
+                                         field, value):
+        path = write_config(tmp_path, "bad.json", self.fill(cfg, value))
+        code, _, err = run_cli(capsys, [command, "--config", path])
+        assert code == EXIT_SCHEMA
+        assert f"{field} must be an integer" in err
+
+    def test_integral_float_is_accepted(self, capsys, tmp_path):
+        path = write_config(tmp_path, "ok.json", {"n": 3.0, "count": True})
+        code, out, _ = run_cli(capsys, ["graphs", "--config", path])
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["count"] == 4
+
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_eos_order_below_one_is_schema_error(self, capsys, order):
+        code, _, err = run_cli(capsys, ["eos", "--order", order])
+        assert code == EXIT_SCHEMA
+        assert "need order >= 1" in err
+
+
+class TestHardRodVirialIsExact:
+    def test_order_five_prints_exactly_one(self, capsys):
+        code, out, _ = run_cli(capsys, ["virial", "--order", "5"])
+        assert code == EXIT_OK
+        B = json.loads(out)["results"]["B_virial"]
+        assert [B[str(n)] for n in range(2, 6)] == [1.0] * 4
+
+
 class TestRadius:
     def test_hard_rod_bound(self, capsys):
         code, out, _ = run_cli(capsys, ["radius"])

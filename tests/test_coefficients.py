@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from clusterexp import canonical, coefficients, weights
 from clusterexp.coefficients import (
     a_kernel,
     beta_table,
@@ -128,14 +130,6 @@ class TestClassSumMonteCarlo:
         "square_well": square_well(sigma=1.0, lam=1.5, epsilon=1.0, beta=1.0,
                                    dimension=1),
     }
-    # Exact-path values that take a minute or more each, recorded from it:
-    # square-well beta_4 agrees with Takahashi's B_5 = -(4/5) beta_4
-    # (3.5488565108807616) to 1e-15.
-    RECORDED_EXACT = {
-        ("square_well", "mayer_b_n", 5): 0.05234621010122877,
-        ("square_well", "irreducible_beta_n", 4): -4.436070638600947,
-    }
-
     @pytest.mark.parametrize("name", ["hard_rods", "square_well"])
     @pytest.mark.parametrize("coefficient,order", [
         *[(mayer_b_n, n) for n in (2, 3, 4, 5)],
@@ -144,12 +138,20 @@ class TestClassSumMonteCarlo:
         ids=lambda x: getattr(x, "__name__", str(x)))
     def test_agrees_with_exact_1d(self, name, coefficient, order):
         p = self.POTENTIALS[name]
-        exact = self.RECORDED_EXACT.get((name, coefficient.__name__, order))
-        if exact is None:
-            exact = coefficient(p, order).value
+        exact = coefficient(p, order).value
         est = coefficient(p, order, "mc", self.SAMPLES, self.SEED)
         assert est.method == "mc" and est.samples == self.SAMPLES
         assert est.agrees_with(exact, n_sigma=3.0)
+
+    def test_square_well_error_bars_cover(self):
+        # the proposal follows |f|, which is e - 1 = 1.72 in the well where
+        # fbar is only 0.63; with fbar the z-scores of b_4 had sd 1.43
+        p = self.POTENTIALS["square_well"]
+        exact = mayer_b_n(p, 4).value
+        z = [(est.value - exact) / est.std_error
+             for est in (mayer_b_n(p, 4, "mc", self.SAMPLES, seed)
+                         for seed in range(30))]
+        assert np.std(z, ddof=1) <= 1.2
 
     @pytest.mark.parametrize("k,ratio", [(3, 0.28695), (4, 0.11025)])
     def test_hard_sphere_betas_match_clisby_mccoy(self, k, ratio):
@@ -158,3 +160,45 @@ class TestClassSumMonteCarlo:
         want = -(k + 1) / k * ratio * b2 ** k
         est = irreducible_beta_n(hard_spheres(), k, "mc", self.SAMPLES, self.SEED)
         assert est.agrees_with(want, n_sigma=3.0)
+
+
+SQUARE_WELL = square_well(sigma=1.0, lam=1.5, epsilon=1.0, beta=1.0, dimension=1)
+
+
+class TestExactClassSums:
+    """The exact 1D path integrates each class sum over lattice cells."""
+
+    def test_no_per_graph_weights_on_lattice_potentials(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-graph polytope weight on a lattice potential")
+
+        for module, name in ((coefficients, "graph_weight_exact_1d"),
+                             (canonical, "graph_weight_periodic_1d"),
+                             (weights, "graph_weight_exact_1d"),
+                             (weights, "graph_weight_periodic_1d"),
+                             (weights, "difference_polytope_volume")):
+            monkeypatch.setattr(module, name, refuse)
+        for p in (hard_rods(), SQUARE_WELL):
+            for n in range(1, 5):
+                mayer_b_n(p, n + 1)
+                irreducible_beta_n(p, n)
+                a_kernel(p, n)
+            canonical.canonical_free_energy(p, 10, 20.0, 3)
+            canonical.direct_logZ_oracle(p, 4, 20.0)
+
+    def test_square_well_b5_matches_takahashi(self):
+        # B_5 = -(4/5) beta_4; Takahashi's isobaric transfer method
+        beta4 = irreducible_beta_n(SQUARE_WELL, 4).value
+        assert -0.8 * beta4 == pytest.approx(3.5488565108807616, rel=1e-12)
+
+    def test_hard_rod_b6(self):
+        assert mayer_b_n(hard_rods(), 6).value == pytest.approx(-54.0 / 5.0, rel=1e-12)
+
+    def test_hard_rod_virial_coefficients_are_exactly_one(self):
+        betas = {k: est.value for k, est in beta_table(hard_rods(), 5).items()}
+        B = eos_and_free_energy(betas, 6)["virial_coefficients"]
+        assert all(B[n] == 1.0 for n in range(2, 7))
+
+    def test_exact_orders_beyond_cap_raise(self):
+        with pytest.raises(EnumerationTooLarge):
+            mayer_b_n(hard_rods(), 7)

@@ -1,9 +1,12 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from clusterexp.potentials import (
+    SURFACE_AREA,
     Kind,
     UnsupportedStability,
     abs_f_integral,
@@ -137,3 +140,29 @@ class TestRadialIntegrals:
     def test_untruncated_lj_is_tempered_in_3d(self):
         val = cbar_integral(lennard_jones(beta=0.5))
         assert math.isfinite(val) and val > 0
+
+    @pytest.mark.parametrize("p,d", [
+        (hard_rods(), 1),
+        *[(hard_spheres(sigma=1.3), d) for d in (1, 2, 3)],
+        *[(square_well(sigma=1.0, lam=1.5, epsilon=0.7, beta=2.0), d)
+          for d in (1, 2, 3)],
+        *[(square_well(sigma=0.8, lam=2.0, epsilon=1.0, beta=1.0), d)
+          for d in (1, 2, 3)]],
+        ids=lambda x: x.kind.value if hasattr(x, "kind") else f"d{x}")
+    def test_closed_forms_match_quadrature(self, p, d):
+        from scipy.integrate import quad
+
+        breaks = [0.0] + [hi for _, hi, _ in p.f_pieces()]
+        for fn, closed in ((p.mayer_fbar, cbar_integral),
+                           (lambda r: abs(p.mayer_f(r)), abs_f_integral)):
+            want = SURFACE_AREA[d] * sum(
+                quad(lambda r: float(fn(r)) * r ** (d - 1), lo, hi)[0]
+                for lo, hi in zip(breaks, breaks[1:]))
+            assert closed(p, d) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, clusterexp; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

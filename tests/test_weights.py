@@ -1,10 +1,11 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from clusterexp.coefficients import _kernel_graphs
+from clusterexp import weights
 from clusterexp.graphs import Graph, GraphClass, enumerate_graphs, prufer_trees
 from clusterexp.potentials import hard_rods, hard_spheres, lennard_jones, square_well
 from clusterexp.weights import (
@@ -17,6 +18,7 @@ from clusterexp.weights import (
     graph_weight_mc,
     graph_weight_periodic_1d,
     kernel_sum_batch,
+    lattice_class_sum,
     pair_f_matrix,
     phi_batch,
     phi_t_batch,
@@ -186,6 +188,17 @@ def random_pair_matrices(rng, batch, n):
     return np.triu(f, 1) + np.triu(f, 1).transpose(0, 2, 1)
 
 
+def kernel_graphs(n):
+    """Graphs on {0..n} whose restriction to {1..n} is connected and whose
+    vertex 0 has at least one edge."""
+    zero_edges = [(0, v) for v in range(1, n + 1)]
+    for core in enumerate_graphs(n, GraphClass.CONNECTED):
+        shifted = [(i + 1, j + 1) for i, j in core.edges]
+        for r in range(1, n + 1):
+            for attach in itertools.combinations(zero_edges, r):
+                yield Graph.from_edges(n + 1, shifted + list(attach), white_count=1)
+
+
 def edge_product_sum(f, graphs):
     out = np.zeros(len(f))
     for g in graphs:
@@ -253,7 +266,7 @@ class TestClassSums:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kernel_product_is_graph_sum(self, n):
         f = random_pair_matrices(np.random.default_rng(10 + n), 16, n + 1)
-        expect = edge_product_sum(f, _kernel_graphs(n))
+        expect = edge_product_sum(f, kernel_graphs(n))
         assert np.allclose(kernel_sum_batch(f), expect, rtol=0.0, atol=1e-12)
 
     def test_connected_sums_cover_every_subset(self):
@@ -280,3 +293,125 @@ class TestClassSums:
         lap[:, idx, idx] = w.sum(axis=2)
         assert np.array_equal(fbar_tree_sum_batch(fbar),
                               np.linalg.det(lap[:, 1:, 1:]))
+
+
+def boltzmann_product(f):
+    i, j = np.triu_indices(f.shape[1], 1)
+    return np.prod(1.0 + f[:, i, j], axis=1)
+
+
+# (score, graphs on m vertices whose f-bond products it sums)
+CLASS_SUMS = {
+    "connected": (phi_t_batch, lambda m: enumerate_graphs(m, GraphClass.CONNECTED)),
+    "biconnected": (biconnected_sum_batch,
+                    lambda m: enumerate_graphs(m, GraphClass.BICONNECTED)),
+    "kernel": (kernel_sum_batch, lambda m: kernel_graphs(m - 1)),
+    "all": (boltzmann_product, lambda m: enumerate_graphs(m, GraphClass.ALL)),
+}
+SQUARE_WELLS = {lam: square_well(sigma=1.0, lam=lam, epsilon=1.0, beta=1.0,
+                                 dimension=1) for lam in (1.5, 2.0)}
+
+
+class TestLatticeClassSum:
+    """Class sums over lattice cells against the per-graph polytope sums."""
+
+    @pytest.mark.parametrize("cls", ["connected", "biconnected", "kernel"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_hard_rods_match_polytopes(self, cls, m):
+        score, graphs = CLASS_SUMS[cls]
+        want = sum(graph_weight_exact_1d(g, hard_rods()) for g in graphs(m))
+        assert lattice_class_sum(score, hard_rods(), m) == \
+            pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    # five-vertex square-well polytope sums take a minute each; see
+    # test_square_well_order_five_matches_recorded_polytope_values
+    @pytest.mark.parametrize("lam", [1.5, 2.0])
+    @pytest.mark.parametrize("cls", ["connected", "biconnected", "kernel"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_square_well_matches_polytopes(self, lam, cls, m):
+        p = SQUARE_WELLS[lam]
+        score, graphs = CLASS_SUMS[cls]
+        want = sum(graph_weight_exact_1d(g, p) for g in graphs(m))
+        assert lattice_class_sum(score, p, m) == \
+            pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_square_well_order_five_matches_recorded_polytope_values(self):
+        # 5! b_5 and 4! beta_4 from the per-graph polytope path
+        p = SQUARE_WELLS[1.5]
+        assert lattice_class_sum(phi_t_batch, p, 5) / 120 == \
+            pytest.approx(0.05234621010122877, rel=1e-12)
+        assert lattice_class_sum(biconnected_sum_batch, p, 5) / 24 == \
+            pytest.approx(-4.436070638600947, rel=1e-12)
+
+    @pytest.mark.parametrize("L", [10.0, 20.0])
+    @pytest.mark.parametrize("cls", ["connected", "biconnected", "all"])
+    @pytest.mark.parametrize("name,m", [("hard_rods", 2), ("hard_rods", 3),
+                                        ("hard_rods", 4), ("square_well", 2),
+                                        ("square_well", 3)])
+    def test_torus_matches_periodic_polytopes(self, L, cls, name, m):
+        # four-vertex square-well periodic polytope sums take 37 s each
+        p = hard_rods() if name == "hard_rods" else SQUARE_WELLS[1.5]
+        score, graphs = CLASS_SUMS[cls]
+        want = sum(graph_weight_periodic_1d(g, p, L) for g in graphs(m))
+        assert lattice_class_sum(score, p, m, L) == \
+            pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_decimal_lengths_take_the_lattice(self, monkeypatch):
+        # 1.1 and 12.3 are read as 11/10 and 123/10, so a lattice fits
+        p = square_well(sigma=1.0, lam=1.1, epsilon=1.0, beta=1.0, dimension=1)
+        want = sum(graph_weight_exact_1d(g, p)
+                   for g in enumerate_graphs(3, GraphClass.CONNECTED))
+        monkeypatch.setattr(weights, "graph_weight_exact_1d", _no_polytopes)
+        monkeypatch.setattr(weights, "graph_weight_periodic_1d", _no_polytopes)
+        assert lattice_class_sum(phi_t_batch, p, 3) == \
+            pytest.approx(want, rel=1e-12)
+        assert lattice_class_sum(phi_t_batch, p, 2, 12.3) == \
+            pytest.approx(2.0 * (-1.0 + 0.1 * math.expm1(1.0)) / 12.3, rel=1e-12)
+
+    def test_irrational_lengths_fall_back_to_polytopes(self):
+        p = square_well(sigma=1.0, lam=math.sqrt(2.0), epsilon=1.0, beta=1.0,
+                        dimension=1)
+        calls = []
+
+        def counted(g, p, L):
+            calls.append(g)
+            return graph_weight_periodic_1d(g, p, L)
+
+        # 2 b_2 = int f = -2 + 2 (lambda - 1)(e - 1)
+        b2 = 2.0 * (-1.0 + (math.sqrt(2.0) - 1.0) * math.expm1(1.0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "graph_weight_periodic_1d", counted)
+            assert lattice_class_sum(phi_t_batch, p, 2, 10.0) == \
+                pytest.approx(b2 / 10.0, rel=1e-12)
+        assert len(calls) == 1
+        assert lattice_class_sum(phi_t_batch, p, 2) == pytest.approx(b2, rel=1e-12)
+        assert lattice_class_sum(phi_t_batch, hard_rods(), 2, 10.0 * math.sqrt(2.0)) \
+            == pytest.approx(-2.0 / (10.0 * math.sqrt(2.0)), rel=1e-12)
+
+    def test_fallback_reads_the_class_off_the_score(self):
+        # the Mobius inversion of a class sum lists exactly its graphs
+        for cls in ("connected", "biconnected", "kernel"):
+            score, graphs = CLASS_SUMS[cls]
+            terms = list(weights._graph_terms(score, 4))
+            assert {c for c, _ in terms} == {1}
+            assert sorted(g.edges for _, g in terms) == \
+                sorted(g.edges for g in graphs(4))
+
+    def test_cells_stream_in_blocks(self, monkeypatch):
+        # the sum does not depend on the block size
+        p = SQUARE_WELLS[1.5]
+        full = lattice_class_sum(biconnected_sum_batch, p, 4)
+        monkeypatch.setattr(weights, "MC_BLOCK", 7)
+        assert lattice_class_sum(biconnected_sum_batch, p, 4) == full
+
+    def test_caps(self):
+        with pytest.raises(ValueError):
+            lattice_class_sum(phi_t_batch, hard_rods(), 7)
+        with pytest.raises(ValueError):
+            lattice_class_sum(phi_t_batch, hard_rods(), 2, 1.5)
+        with pytest.raises(ValueError):
+            lattice_class_sum(phi_t_batch, hard_spheres(), 2)
+
+
+def _no_polytopes(*args, **kwargs):
+    raise AssertionError("per-graph polytope path called")
