@@ -30,11 +30,13 @@ def potential_hash(p: Potential) -> str:
 
 def estimator_name(method: str, samples: int, seed: int) -> str:
     """The estimator a key asks for: the resolved method and, for Monte
-    Carlo, the requested sample count and seed.  "mc-class" names Mayer
-    sampling of whole class sums: ``samples`` configurations per
-    coefficient, from a stream derived from ``seed``.  Records keyed
-    "mc ..." hold per-graph estimates and never answer it."""
-    return f"mc-class samples={samples} seed={seed}" if method == "mc" else method
+    Carlo, the requested sample count and seed.  "mc-class-absf" names
+    Mayer sampling of whole class sums with tree edges drawn from |f|:
+    ``samples`` configurations per coefficient, from a stream derived from
+    ``seed``.  Records keyed "mc ..." (per-graph estimates) or "mc-class
+    ..." (edges drawn from fbar, which differs from |f| for the square
+    well and Lennard-Jones) never answer it."""
+    return f"mc-class-absf samples={samples} seed={seed}" if method == "mc" else method
 
 
 @dataclass(frozen=True)

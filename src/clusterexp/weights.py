@@ -5,8 +5,9 @@ integrand is constant on the cells of the arrangement x_i - x_j in h Z,
 where every breakpoint of f (and the box length on the torus) is an
 integer multiple of h.  ``lattice_class_sum`` integrates a whole class sum
 (connected, 2-connected, kernel, or the product of (1 + f)) exactly by one
-pass over these cells, one point per cell.  When no lattice fits under
-``MAX_LATTICE_CELLS`` it sums graph by graph instead:
+pass over these cells, one point per cell.  When the cells would take
+longer than the per-graph polytopes (as when no lattice fits, for
+lambda = sqrt(2)), it sums graph by graph instead:
 ``graph_weight_exact_1d`` and ``graph_weight_periodic_1d`` split each
 graph's integrand into convex polytopes of constant value, and a
 shortest-path (Floyd-Warshall) closure of each polytope's constraints
@@ -219,33 +220,40 @@ def graph_weight_periodic_1d(g: Graph, p: Potential, L: float):
 # exact class sums over lattice cells
 # ---------------------------------------------------------------------------
 
-# Most candidate cells a lattice sum may enumerate.  Past it (when no lattice
-# fits, as for lambda = sqrt(2)) the class sum is summed graph by graph over
-# polytopes instead.
-MAX_LATTICE_CELLS = 10 ** 8
-
-
-def _rational(x: float) -> Fraction:
-    """The simplest fraction within a few units in the last place of the
-    float x, so that 1.1 becomes 11/10 and 1.3 * 1.5 becomes 39/20.
-    Without one of denominator <= 10^6, x's exact value."""
-    q = Fraction(x).limit_denominator(10 ** 6)
-    return q if abs(q - Fraction(x)) <= 4 * math.ulp(x) else Fraction(x)
+# Lattice cells that take no longer than one per-graph polytope, on the
+# line and on the torus.  Timed for m = 3..6 on a 2-core x86 guest: a cell
+# takes 0.3-1.9 us; a polytope 110-4000 us on the line (most for hard rods
+# at m = 6, all of whose polytopes go to Qhull) and 38-56 us on the torus
+# (most of its image branches are empty).  The lowest measured ratios are
+# rounded down, so the lattice is taken only where it is the faster path.
+LINE_POLYTOPE_CELLS = 250
+TORUS_POLYTOPE_CELLS = 40
 
 
 def _lattice(p: Potential, L: float | None):
     """(h, R, Lam): the largest length h of which every breakpoint of f (and
     L on the torus) is an integer multiple, with R = range / h and
     Lam = L / h (None on the line)."""
-    breaks = {_rational(r) for piece in p.f_pieces() for r in piece[:2] if r > 0}
-    lengths = breaks | ({_rational(L)} if L is not None else set())
+    breaks = {Fraction(r) for piece in p.f_pieces() for r in piece[:2] if r > 0}
+    lengths = breaks | ({Fraction(L)} if L is not None else set())
     if not lengths:
         return Fraction(1), 0, None
     den = math.lcm(*(q.denominator for q in lengths))
     h = Fraction(math.gcd(*(q.numerator * (den // q.denominator)
                             for q in lengths)), den)
     R = int(max(breaks) / h) if breaks else 0
-    return h, R, None if L is None else int(_rational(L) / h)
+    return h, R, None if L is None else int(Fraction(L) / h)
+
+
+def _n_polytopes(score, p: Potential, m: int, L: float | None) -> float:
+    """Polytopes the per-graph path visits for ``score``: one per choice of
+    f piece, sign branch (and image on the torus) at each edge of each graph
+    of the class, so score at the constant pair matrix of that branch count,
+    every graph of a class sum having coefficient 1."""
+    branches = sum(1 if r_lo == 0 else 2 for r_lo, _, _ in p.f_pieces())
+    f = np.full((1, m, m), float(branches * (1 if L is None else 3)))
+    np.fill_diagonal(f[0], 0.0)
+    return float(score(f)[0])
 
 
 def _blocks(shape: tuple[int, ...]):
@@ -316,8 +324,10 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None) -> fl
     h^k sum score on the line, where only patterns that can be connected
     are visited (every class sum but the torus product vanishes on
     disconnected configurations), and Lam^(-k) sum score over all
-    Lam^k patterns on the torus.  When the candidate patterns exceed
-    ``MAX_LATTICE_CELLS``, the sum runs graph by graph over polytopes
+    Lam^k patterns on the torus.  When the candidate patterns cost more
+    time than the per-graph polytopes would (``LINE_POLYTOPE_CELLS`` or
+    ``TORUS_POLYTOPE_CELLS`` per polytope; always when no lattice fits, as
+    for lambda = sqrt(2)), the sum runs graph by graph over polytopes
     (``graph_weight_exact_1d`` or ``graph_weight_periodic_1d``).
     """
     if not p.piecewise_constant_f:
@@ -336,7 +346,8 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None) -> fl
     if k > MAX_EXACT_BLACK:
         raise EnumerationTooLarge("exact 1D class sums", m, MAX_EXACT_BLACK + 1,
                                   n_cells)
-    if n_cells > MAX_LATTICE_CELLS:
+    per_polytope = LINE_POLYTOPE_CELLS if L is None else TORUS_POLYTOPE_CELLS
+    if n_cells > per_polytope * _n_polytopes(score, p, m, L):
         if L is None:
             return math.fsum(c * graph_weight_exact_1d(g, p)
                              for c, g in _graph_terms(score, m))

@@ -6,7 +6,7 @@ import pytest
 from clusterexp.catalog import CatalogKey, append_record, potential_hash
 from clusterexp.cli import EXIT_CAP, EXIT_NONCONV, EXIT_OK, EXIT_SCHEMA, dumps, main, to_csv
 from clusterexp.coefficients import irreducible_beta_n, mayer_b_n
-from clusterexp.potentials import hard_rods, hard_spheres
+from clusterexp.potentials import hard_rods, hard_spheres, square_well
 from clusterexp.weights import CoefficientEstimate
 
 
@@ -290,6 +290,29 @@ class TestCatalogIntegration:
         report = json.loads(out)
         assert report["provenance"]["catalog_hits"] == 0
         assert all(b["value"] != 123.0 for b in report["results"]["b"].values())
+
+    def test_fbar_proposal_mc_records_are_not_served(self, capsys, tmp_path):
+        # a record keyed by class-sum sampling with edges drawn from fbar
+        # ("mc-class samples=... seed=...") must never answer a request for
+        # the |f| proposal, whose square-well estimates differ
+        catalog = str(tmp_path / "cat.jsonl")
+        old = CoefficientEstimate(123.0, 0.5, "mc", 2000, 4)
+        ph = potential_hash(square_well())
+        for kind, order in (("b_n", 1), ("b_n", 2), ("b_n", 3), ("beta_n", 1),
+                            ("beta_n", 2)):
+            append_record(catalog, CatalogKey(ph, 1.0, order, kind,
+                                              "mc-class samples=2000 seed=4"), old)
+        cfg = write_config(tmp_path, "v.json",
+                           {"potential": {"kind": "square_well"}, "order": 3,
+                            "mc": {"samples": 2000, "seed": 4},
+                            "catalog": {"path": catalog}})
+        code, out, _ = run_cli(capsys, ["virial", "--config", cfg])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["provenance"]["catalog_hits"] == 0
+        assert report["provenance"]["catalog_misses"] == 5
+        assert all(b["value"] != 123.0 for b in report["results"]["b"].values())
+        assert all(b["value"] != 123.0 for b in report["results"]["beta"].values())
 
     def test_catalog_gc_noop_when_missing(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "gc.json",

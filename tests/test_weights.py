@@ -336,12 +336,15 @@ class TestLatticeClassSum:
             pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_square_well_order_five_matches_recorded_polytope_values(self):
-        # 5! b_5 and 4! beta_4 from the per-graph polytope path
+        # 5! b_5, 4! beta_4 and the 570-graph kernel sum of a_4 from the
+        # per-graph polytope path
         p = SQUARE_WELLS[1.5]
         assert lattice_class_sum(phi_t_batch, p, 5) / 120 == \
             pytest.approx(0.05234621010122877, rel=1e-12)
         assert lattice_class_sum(biconnected_sum_batch, p, 5) / 24 == \
             pytest.approx(-4.436070638600947, rel=1e-12)
+        assert lattice_class_sum(kernel_sum_batch, p, 5) == \
+            pytest.approx(-9.70874294397424, rel=1e-12)
 
     @pytest.mark.parametrize("L", [10.0, 20.0])
     @pytest.mark.parametrize("cls", ["connected", "biconnected", "all"])
@@ -356,17 +359,39 @@ class TestLatticeClassSum:
         assert lattice_class_sum(score, p, m, L) == \
             pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_decimal_lengths_take_the_lattice(self, monkeypatch):
-        # 1.1 and 12.3 are read as 11/10 and 123/10, so a lattice fits
-        p = square_well(sigma=1.0, lam=1.1, epsilon=1.0, beta=1.0, dimension=1)
-        want = sum(graph_weight_exact_1d(g, p)
-                   for g in enumerate_graphs(3, GraphClass.CONNECTED))
-        monkeypatch.setattr(weights, "graph_weight_exact_1d", _no_polytopes)
-        monkeypatch.setattr(weights, "graph_weight_periodic_1d", _no_polytopes)
-        assert lattice_class_sum(phi_t_batch, p, 3) == \
-            pytest.approx(want, rel=1e-12)
-        assert lattice_class_sum(phi_t_batch, p, 2, 12.3) == \
-            pytest.approx(2.0 * (-1.0 + 0.1 * math.expm1(1.0)) / 12.3, rel=1e-12)
+    # each side of the choice of path: (potential, m, L, cells, polytopes);
+    # the lattice runs when cells <= 250 polytopes on the line, 40 on the torus
+    @pytest.mark.parametrize("lam,m,L,lattice", [
+        (1.0625, 3, None, True),    # 4,624 cells, 54 polytopes
+        (1.03125, 3, None, False),  # 17,424 cells
+        (None, 3, 20.0, True),      # hard rods: 400 cells, 54 polytopes
+        (None, 3, 20.0625, False),  # 103,041 cells
+        (None, 4, 20.5, True),      # 68,921 cells, 3,834 polytopes
+    ])
+    def test_takes_the_faster_path(self, lam, m, L, lattice):
+        p = hard_rods() if lam is None else \
+            square_well(sigma=1.0, lam=lam, epsilon=1.0, beta=1.0, dimension=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "LINE_POLYTOPE_CELLS", 10 ** 18)
+            mp.setattr(weights, "TORUS_POLYTOPE_CELLS", 10 ** 18)
+            want = lattice_class_sum(phi_t_batch, p, m, L)
+        calls = []
+
+        def counted(weight):
+            def wrapped(*args):
+                calls.append(args[0])
+                return weight(*args)
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "graph_weight_exact_1d",
+                       counted(graph_weight_exact_1d))
+            mp.setattr(weights, "graph_weight_periodic_1d",
+                       counted(graph_weight_periodic_1d))
+            got = lattice_class_sum(phi_t_batch, p, m, L)
+        assert len(calls) == (0 if lattice else
+                              len(list(enumerate_graphs(m, GraphClass.CONNECTED))))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_irrational_lengths_fall_back_to_polytopes(self):
         p = square_well(sigma=1.0, lam=math.sqrt(2.0), epsilon=1.0, beta=1.0,
@@ -387,6 +412,13 @@ class TestLatticeClassSum:
         assert lattice_class_sum(phi_t_batch, p, 2) == pytest.approx(b2, rel=1e-12)
         assert lattice_class_sum(phi_t_batch, hard_rods(), 2, 10.0 * math.sqrt(2.0)) \
             == pytest.approx(-2.0 / (10.0 * math.sqrt(2.0)), rel=1e-12)
+        # a decimal length is its float's exact binary value, so none fits
+        p = square_well(sigma=1.0, lam=1.1, epsilon=1.0, beta=1.0, dimension=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "graph_weight_periodic_1d", counted)
+            assert lattice_class_sum(phi_t_batch, p, 2, 12.3) == pytest.approx(
+                2.0 * (-1.0 + 0.1 * math.expm1(1.0)) / 12.3, rel=1e-12)
+        assert len(calls) == 2
 
     def test_fallback_reads_the_class_off_the_score(self):
         # the Mobius inversion of a class sum lists exactly its graphs
