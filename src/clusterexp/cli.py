@@ -49,10 +49,6 @@ class SchemaError(ValueError):
     pass
 
 
-class CapError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # serialization: every float as %.17g for round-trip fidelity
 
@@ -142,6 +138,14 @@ def _int_field(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise SchemaError(f"need {name} >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _float_field(value, name: str) -> float:
+    """A config real number: a JSON integer or float.  A string or a bool
+    is a SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -337,7 +341,7 @@ def _cmd_canonical(cfg: dict, args) -> _Result:
                 "canonical config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
     try:
-        N, L = _int_field(cfg["N"], "N"), float(cfg["L"])
+        N, L = _int_field(cfg["N"], "N"), _float_field(cfg["L"], "L")
         K = _int_field(cfg["K"], "K")
     except KeyError as exc:
         raise SchemaError(f"canonical config needs key {exc}") from exc
@@ -378,10 +382,12 @@ def _cmd_correlations(cfg: dict, args) -> _Result:
     mc = _mc_section(cfg, args.seed)
     seed = _require_seed(mc, p, method)
     if "r_values" in cfg:
-        rs = [float(r) for r in cfg["r_values"]]
+        if not isinstance(cfg["r_values"], list):
+            raise SchemaError(f"r_values must be a list, got {cfg['r_values']!r}")
+        rs = [_float_field(r, "r_values item") for r in cfg["r_values"]]
     else:
-        r_min = float(cfg.get("r_min", 0.1))
-        r_max = float(cfg.get("r_max", 3.0))
+        r_min = _float_field(cfg.get("r_min", 0.1), "r_min")
+        r_max = _float_field(cfg.get("r_max", 3.0), "r_max")
         n_r = _int_field(cfg.get("n_r", 30), "n_r", 1)
         rs = list(np.linspace(r_min, r_max, n_r))
     if n != 2:
@@ -414,27 +420,28 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
     p = potential_from_config(cfg.get("potential", {"kind": "hard_spheres"}))
     if "rho" not in cfg:
         raise SchemaError("ozpy config needs 'rho'")
-    rhos = cfg["rho"] if isinstance(cfg["rho"], list) else [cfg["rho"]]
+    rhos = [_float_field(rho, "rho") for rho in
+            (cfg["rho"] if isinstance(cfg["rho"], list) else [cfg["rho"]])]
     gcfg = cfg.get("grid", {})
     _check_keys(gcfg, {"dr", "n_points", "dimension"}, "ozpy grid")
-    grid = RadialGrid(dr=float(gcfg.get("dr", 0.005)),
+    grid = RadialGrid(dr=_float_field(gcfg.get("dr", 0.005), "grid.dr"),
                       n_points=_int_field(gcfg.get("n_points", 4096), "grid.n_points"),
                       dimension=_int_field(gcfg.get("dimension", p.dimension),
                                            "grid.dimension"))
-    tol = float(cfg.get("tol", 1e-10))
-    alpha = float(cfg.get("alpha", 0.5))
+    tol = _float_field(cfg.get("tol", 1e-10), "tol")
+    alpha = _float_field(cfg.get("alpha", 0.5), "alpha")
     max_iter = _int_field(cfg.get("max_iter", 20_000), "max_iter", 1)
     runs = []
     columns = None
     for rho in rhos:
         try:
-            sol = solve_py(p, float(rho), grid=grid, alpha=alpha, tol=tol,
+            sol = solve_py(p, rho, grid=grid, alpha=alpha, tol=tol,
                            max_iter=max_iter)
         except NonConvergence as exc:
             exc.args = (f"{exc}; rho = {rho}",)
             raise
         runs.append({
-            "rho": float(rho),
+            "rho": rho,
             "iterations": sol.iterations,
             "residual": sol.residual,
             "residual_history": sol.residual_history,
@@ -532,7 +539,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error (schema): {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (EnumerationTooLarge, CapError) as exc:
+    except EnumerationTooLarge as exc:
         print(f"error (cap): {exc}", file=sys.stderr)
         return EXIT_CAP
     except NonConvergence as exc:

@@ -6,13 +6,23 @@ fixed positions, the order-k value of
 
   u^(n)  is (1/k!) sum over connected graphs with k blacks,
   rho^(n) is (1/k!) sum over graphs whose blacks all reach a white,
-  h^(n)  is (1/k!) sum over articulation-free graphs,
+  h^(2)  is (1/k!) sum over articulation-free graphs,
   c^(2)  is (1/k!) sum over 2-connected graphs,
 
 each weight integrating the black coordinates with the whites pinned.
 With these factors h^(2) and c^(2) start at f(r) and satisfy
 h_k = c_k + sum_j c_j * h_{k-1-j} orderwise (OZ with unit density factor
 per order).
+
+Each order integrates one class sum over the black positions, scored at
+every configuration: phi^T for u, the 2-connected subset recursion for c,
+the 2-connected sum with the white-white bond toggled for h, and a subset
+recursion over the blacks that reach a white for rho.  The exact 1D path
+sums it over lattice cells with the whites pinned
+(``weights.lattice_class_sum``); Monte Carlo draws one set of
+configurations per order (``weights.class_sum_mc``) from the stream
+``np.random.SeedSequence(seed, spawn_key=(family, n, order))``, so an order
+does not depend on K, and every separation r of a series shares it.
 """
 
 from __future__ import annotations
@@ -22,12 +32,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphClass, enumerate_bicolored
 from .potentials import Kind, Potential
-from .weights import (CoefficientEstimate, graph_weight_exact_1d, graph_weight_mc,
+# Unused here: bench/tracing.py wraps these names in this module, and its
+# --trace 1 runs fail at install without them.
+from .graphs import enumerate_bicolored  # noqa: F401
+from .weights import graph_weight_exact_1d, graph_weight_mc  # noqa: F401
+from .weights import (CoefficientEstimate, _subset_phis, biconnected_sum_batch,
+                      class_sum_mc, lattice_class_sum, phi_t_batch,
                       resolve_method)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+# spawn-key tags of the series' random streams, after the coefficient
+# families 0-2 of ``coefficients``
+_FAMILY = {"u": 3, "rho": 4, "h": 5, "c": 6}
 
 
 @dataclass(frozen=True)
@@ -67,35 +85,75 @@ def _as_positions(positions, d: int):
     return pts
 
 
-def _bicolored_order_sum(p: Potential, n_white: int, n_black: int,
-                         cls: GraphClass, positions, method: str,
-                         n_samples: int, seed: int) -> tuple[float, float]:
-    """(1/k!) sum over the bicolored class of w(g; positions)."""
+# ---------------------------------------------------------------------------
+# bicolored class sums at a batch of configurations (whites first)
+# ---------------------------------------------------------------------------
+
+def articulation_free_pair_batch(f: np.ndarray) -> np.ndarray:
+    """Sum over the articulation-free graphs on two whites (vertices 0, 1)
+    and n - 2 blacks, for a batch of pair matrices (B, n, n).
+
+    With a black, these are the graphs that the white-white edge would make
+    2-connected, so the sum is (1 + f_01) (Bic|f_01=1 - Bic|f_01=0), Bic
+    the 2-connected sum; with none, it is the edge f_01.  The identity
+    fails for three whites."""
+    if f.shape[1] == 2:
+        return f[:, 0, 1]
+    bonded, unbonded = f.copy(), f.copy()
+    bonded[:, 0, 1] = bonded[:, 1, 0] = 1.0
+    unbonded[:, 0, 1] = unbonded[:, 1, 0] = 0.0
+    return (1.0 + f[:, 0, 1]) * (biconnected_sum_batch(bonded)
+                                 - biconnected_sum_batch(unbonded))
+
+
+def black_to_white_batch(f: np.ndarray, n_white: int) -> np.ndarray:
+    """Sum over the graphs on n_white whites and the remaining blacks in
+    which every black reaches a white, for a batch (B, n, n).
+
+    Every graph splits into the part that reaches the whites W, on W + U,
+    and any graph on the other blacks T - U, so with Phi(S) the product of
+    (1 + f) over the pairs in S,
+    A(W + T) = Phi(W + T) - sum over U a proper subset of T of
+    A(W + U) Phi(T - U)."""
+    phis = _subset_phis(f)
+    whites = (1 << n_white) - 1
+    A = []    # A[t]: the sum on W + T, T the blacks in bitmask t << n_white
+    for t in range(1 << (f.shape[1] - n_white)):
+        acc = phis[whites | t << n_white].copy()
+        u = t
+        while u:    # every proper submask u of t, from t - 1 down to 0
+            u = (u - 1) & t
+            acc -= A[u] * phis[(t & ~u) << n_white]
+        A.append(acc)
+    return A[-1]
+
+
+def _series(p: Potential, n: int, positions, K: int, score, family: str,
+            variable: str, method: str, n_samples: int,
+            seed: int) -> CorrelationSeries:
+    """Orders 0..K of (1/k!) times the integral of the class sum ``score``
+    over k blacks, with the n whites pinned at ``positions``."""
     method = resolve_method(p, method)
-    if method == "exact1d":
-        roots = tuple(float(x) for x in np.ravel(positions))
-    else:
-        roots = _as_positions(positions, p.dimension)
-    total, var = 0.0, 0.0
-    for i, g in enumerate(enumerate_bicolored(n_white, n_black, cls)):
-        if method == "exact1d":
-            total += graph_weight_exact_1d(g, p, root_positions=roots)
-        else:
-            est = graph_weight_mc(g, p, p.dimension, n_samples, seed=seed + 7919 * i,
-                                  root_positions=roots)
-            total += est.value
-            var += est.std_error ** 2
-    k_fact = math.factorial(n_black)
-    return total / k_fact, math.sqrt(var) / k_fact
-
-
-def _series(p, n, positions, K, cls, variable, method, n_samples, seed):
+    pts = _as_positions(positions, p.dimension)
+    if len(pts) != n:
+        raise ValueError(f"need {n} positions, got {len(pts)}")
     vals, errs = [], []
     for k in range(K + 1):
-        v, e = _bicolored_order_sum(p, n, k, cls, positions, method,
-                                    n_samples, seed + 104729 * k)
-        vals.append(v)
-        errs.append(e)
+        if p.kind is Kind.ZERO and k:
+            # every class joins each black to a white by an f bond
+            value, err = 0.0, 0.0
+        elif method == "exact1d":
+            value = lattice_class_sum(score, p, n + k,
+                                      root_positions=tuple(pts[:, 0].tolist()))
+            err = 0.0
+        else:
+            stream = np.random.SeedSequence(seed,
+                                            spawn_key=(_FAMILY[family], n, k))
+            value, err = class_sum_mc(score, p, n + k, n_samples,
+                                      np.random.default_rng(stream),
+                                      root_positions=pts)
+        vals.append(value / math.factorial(k))
+        errs.append(err / math.factorial(k))
     return CorrelationSeries(n, tuple(np.ravel(positions)), variable,
                              tuple(vals), tuple(errs))
 
@@ -104,7 +162,7 @@ def u_n_activity(p: Potential, n: int, positions, K: int, method: str = "auto",
                  n_samples: int = 100_000, seed: int = 0) -> CorrelationSeries:
     """Truncated (Ursell) correlation series: connected graphs with n white
     and k black vertices; the z^n prefactor is left to the caller."""
-    return _series(p, n, positions, K, GraphClass.CONNECTED, "z",
+    return _series(p, n, positions, K, phi_t_batch, "u", "z",
                    method, n_samples, seed)
 
 
@@ -112,24 +170,25 @@ def rho_n_activity(p: Potential, n: int, positions, K: int, method: str = "auto"
                    n_samples: int = 100_000, seed: int = 0) -> CorrelationSeries:
     """n-point density series: graphs where every black vertex has a path
     to some white vertex (whites may be mutually disconnected)."""
-    return _series(p, n, positions, K, GraphClass.BLACK_TO_WHITE_CONNECTED, "z",
+    return _series(p, n, positions, K,
+                   lambda f: black_to_white_batch(f, n), "rho", "z",
                    method, n_samples, seed)
 
 
 def rho_2_from_u(p: Potential, positions, K: int, method: str = "auto",
                  n_samples: int = 100_000, seed: int = 0) -> CorrelationSeries:
     """rho^(2) assembled from the partition identity
-    rho^(2)(x1,x2) = u^(2)(x1,x2) + u^(1)(x1) u^(1)(x2), orderwise in z."""
-    x1, x2 = positions
+    rho^(2)(x1,x2) = u^(2)(x1,x2) + u^(1)(x1) u^(1)(x2), orderwise in z.
+    u^(1) does not depend on the point, so one series serves both."""
     u2 = u_n_activity(p, 2, positions, K, method, n_samples, seed)
-    ua = u_n_activity(p, 1, (x1,), K, method, n_samples, seed + 1)
-    ub = u_n_activity(p, 1, (x2,), K, method, n_samples, seed + 2)
+    u1 = u_n_activity(p, 1, positions[:1], K, method, n_samples, seed)
     vals, errs = [], []
     for k in range(K + 1):
-        v = u2.values[k] + sum(ua.values[j] * ub.values[k - j] for j in range(k + 1))
+        v = u2.values[k] + sum(u1.values[j] * u1.values[k - j] for j in range(k + 1))
+        # the two u^(1) factors share one stream, so their errors add
         e = math.hypot(u2.std_errors[k],
-                       sum(abs(ua.values[j]) * ub.std_errors[k - j]
-                           + ua.std_errors[j] * abs(ub.values[k - j])
+                       sum(abs(u1.values[j]) * u1.std_errors[k - j]
+                           + u1.std_errors[j] * abs(u1.values[k - j])
                            for j in range(k + 1)))
         vals.append(v)
         errs.append(e)
@@ -139,9 +198,13 @@ def rho_2_from_u(p: Potential, positions, K: int, method: str = "auto",
 
 def h_n_density(p: Potential, n: int, positions, K: int, method: str = "auto",
                 n_samples: int = 100_000, seed: int = 0) -> CorrelationSeries:
-    """Density series of the truncated pair (or n-point) correlation:
-    articulation-free graphs.  Order 0 at n=2 equals f(r)."""
-    return _series(p, n, positions, K, GraphClass.ARTICULATION_FREE, "rho",
+    """Density series of the truncated pair correlation: articulation-free
+    graphs.  Order 0 equals f(r).  Only the pair (n = 2) is implemented:
+    its class sum is read off the 2-connected one by an identity that
+    fails for three whites."""
+    if n != 2:
+        raise ValueError("h_n_density is implemented for the pair (n = 2)")
+    return _series(p, n, positions, K, articulation_free_pair_batch, "h", "rho",
                    method, n_samples, seed)
 
 
@@ -156,8 +219,8 @@ def c2_density(p: Potential, r: float, K: int, method: str = "auto",
                n_samples: int = 100_000, seed: int = 0) -> CorrelationSeries:
     """Direct correlation function series: 2-connected graphs on 2 whites
     pinned at separation r."""
-    return _series(p, 2, _pair_positions(p, r), K, GraphClass.BICONNECTED, "rho",
-                   method, n_samples, seed)
+    return _series(p, 2, _pair_positions(p, r), K, biconnected_sum_batch, "c",
+                   "rho", method, n_samples, seed)
 
 
 def h2_density_at(p: Potential, r: float, K: int, **kw) -> CorrelationSeries:
@@ -236,44 +299,36 @@ def oz_residual_order(p: Potential, k: int, r_grid, method: str = "auto",
 
     cache: dict = {}
 
-    def h_k_at(j, r):
-        key = ("h", j, round(float(r), 12))
+    def order_at(series, j, r, K):
+        """Order j at r of ``series`` (h2_density_at or c2_density), from
+        its orders 0..K; order j does not depend on K."""
+        key = (series, K, round(float(r), 12))
         if key not in cache:
-            s = h2_density_at(p, float(r), j, method=method,
-                              n_samples=n_samples, seed=seed)
-            cache[key] = (s.values[j], s.std_errors[j])
-        return cache[key]
-
-    def c_k_at(j, r):
-        key = ("c", j, round(float(r), 12))
-        if key not in cache:
-            s = c2_density(p, float(r), j, method=method,
-                           n_samples=n_samples, seed=seed + 31)
-            cache[key] = (s.values[j], s.std_errors[j])
-        return cache[key]
+            cache[key] = series(p, float(r), K, method=method,
+                                n_samples=n_samples, seed=seed)
+        return cache[key].values[j], cache[key].std_errors[j]
 
     support = p.interaction_range * (k + 2)
     breaks = _kink_candidates(p, k)
 
     residuals, errors = [], []
     for r in r_grid:
-        hv, he = h_k_at(k, r)
-        cv, ce = c_k_at(k, r)
+        hv, he = order_at(h2_density_at, k, r, k)
+        cv, ce = order_at(c2_density, k, r, k)
         conv_total = 0.0
-        conv_err = 0.0
         for j in range(k):
             if method == "exact1d":
-                conv_total += convolve_1d(lambda s: c_k_at(j, s)[0],
-                                          lambda s: h_k_at(k - 1 - j, s)[0],
-                                          float(r), support, support,
-                                          breaks, breaks)
+                conv_total += convolve_1d(
+                    lambda s: order_at(c2_density, j, s, k - 1)[0],
+                    lambda s: order_at(h2_density_at, k - 1 - j, s, k - 1)[0],
+                    float(r), support, support, breaks, breaks)
             elif p.kind is Kind.HARD_SPHERE and k == 1:
                 conv_total += lens_volume(p.sigma, float(r))
             else:
                 raise ValueError("OZ convolutions implemented exactly in 1D "
                                  "and for hard spheres at order 1")
         residuals.append(hv - cv - conv_total)
-        errors.append(math.hypot(he, ce) + conv_err)
+        errors.append(math.hypot(he, ce))
     residuals = np.array(residuals)
     return {"r": r_grid, "residual": residuals, "std_error": np.array(errors),
             "max_abs": float(np.max(np.abs(residuals)))}

@@ -88,10 +88,12 @@ class Potential:
         raise ValueError(self.kind)
 
     def mayer_f(self, r):
-        """f(r) = exp(-beta V(r)) - 1, the expansion bond weight."""
+        """f(r) = exp(-beta V(r)) - 1, the expansion bond weight.  It is +0.0
+        where V = 0: expm1(-0.0) is -0.0, and adding 0.0 clears the sign."""
         v = self.v(r)
         with np.errstate(over="ignore"):
-            return np.where(np.isinf(v), -1.0, np.expm1(-self.beta * np.where(np.isinf(v), 0.0, v)))
+            return np.where(np.isinf(v), -1.0,
+                            np.expm1(-self.beta * np.where(np.isinf(v), 0.0, v))) + 0.0
 
     def mayer_fbar(self, r):
         """fbar(r) = 1 - exp(-beta |V(r)|), the tree-bound bond weight."""

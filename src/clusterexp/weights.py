@@ -4,23 +4,26 @@ For piecewise-constant Mayer functions in 1D (hard rods, square well) the
 integrand is constant on the cells of the arrangement x_i - x_j in h Z,
 where every breakpoint of f (and the box length on the torus) is an
 integer multiple of h.  ``lattice_class_sum`` integrates a whole class sum
-(connected, 2-connected, kernel, or the product of (1 + f)) exactly by one
-pass over these cells, one point per cell.  When the cells would take
-longer than the per-graph polytopes (as when no lattice fits, for
-lambda = sqrt(2)), it sums graph by graph instead:
-``graph_weight_exact_1d`` and ``graph_weight_periodic_1d`` split each
-graph's integrand into convex polytopes of constant value, and a
+(connected, 2-connected, kernel, the product of (1 + f), or a bicolored
+class of the correlation functions) exactly by one pass over these cells,
+one point per cell, with one vertex or several pinned at any positions on
+the line.  When the cells would take longer than the per-graph polytopes
+(as when no lattice fits, for lambda = sqrt(2)), it sums graph by graph
+instead: ``graph_weight_exact_1d`` and ``graph_weight_periodic_1d`` split
+each graph's integrand into convex polytopes of constant value, and a
 shortest-path (Floyd-Warshall) closure of each polytope's constraints
 decides emptiness and boundedness and gives Qhull its facets and an
 interior point.  Otherwise Monte Carlo: ``graph_weight_mc`` samples one
 graph's weight along its BFS tree, and ``class_sum_mc`` samples a whole
-class sum (connected, 2-connected or kernel, from subset recursions at each
-configuration) under a mixture over all spanning trees.  Both draw tree
-edges from a radial density proportional to |f|.
+class sum (connected, 2-connected, kernel or bicolored, from subset
+recursions at each configuration) under a mixture over all spanning trees
+on a root, which stands for the pinned vertices, and the free ones.  Both
+draw tree edges from a radial density proportional to |f|.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -245,13 +248,16 @@ def _lattice(p: Potential, L: float | None):
     return h, R, None if L is None else int(Fraction(L) / h)
 
 
-def _n_polytopes(score, p: Potential, m: int, L: float | None) -> float:
+def _n_polytopes(score, p: Potential, m: int, L: float | None,
+                 n_roots: int = 1) -> float:
     """Polytopes the per-graph path visits for ``score``: one per choice of
-    f piece, sign branch (and image on the torus) at each edge of each graph
-    of the class, so score at the constant pair matrix of that branch count,
-    every graph of a class sum having coefficient 1."""
+    f piece, sign branch (and image on the torus) at each edge with a free
+    end, in each graph of the class, so score at the constant pair matrix of
+    that branch count (1 between pinned vertices), every graph of a class
+    sum having coefficient 1."""
     branches = sum(1 if r_lo == 0 else 2 for r_lo, _, _ in p.f_pieces())
     f = np.full((1, m, m), float(branches * (1 if L is None else 3)))
+    f[0, :n_roots, :n_roots] = 1.0
     np.fill_diagonal(f[0], 0.0)
     return float(score(f)[0])
 
@@ -265,16 +271,29 @@ def _blocks(shape: tuple[int, ...]):
         yield np.stack(np.unravel_index(idx, shape), axis=1)
 
 
-def _line_cells(k: int, R: int):
-    """Integer parts in [-kR, kR - 1]^k of the cells that can hold a
-    connected configuration (no gap above R between the sorted parts and
-    vertex 0's part 0), in blocks of at most MC_BLOCK."""
+def _line_cells(allowed: np.ndarray, anchors: np.ndarray, k: int, R: int):
+    """Integer parts in ``allowed``^k of the cells that can hold a
+    configuration in which every free vertex is joined to a pinned one
+    (integer parts ``anchors``) by a chain of pairs whose parts differ by
+    at most R: sorted together with the anchors, the parts split into runs
+    with no step above R, and every run must hold an anchor (with one
+    anchor: there is one run).  Yields blocks of at most MC_BLOCK."""
     pending, count = [], 0
-    for n in _blocks((2 * k * R,) * k):
-        n -= k * R
-        s = np.sort(np.concatenate([np.zeros((len(n), 1), n.dtype), n], axis=1),
-                    axis=1)
-        n = n[(np.diff(s, axis=1) <= R).all(axis=1)]
+    for idx in _blocks((len(allowed),) * k):
+        n = allowed[idx]
+        if len(anchors) == 1:
+            s = np.sort(np.concatenate(
+                [np.full((len(n), 1), anchors[0], n.dtype), n], axis=1), axis=1)
+            n = n[(np.diff(s, axis=1) <= R).all(axis=1)]
+        else:
+            # anchors as even keys and free parts as odd ones
+            keys = np.sort(np.concatenate(
+                [np.broadcast_to(2 * anchors, (len(n), len(anchors))), 2 * n + 1],
+                axis=1), axis=1)
+            run = np.zeros(keys.shape, dtype=np.intp)
+            run[:, 1:] = np.cumsum(np.diff(keys >> 1, axis=1) > R, axis=1)
+            held = run[keys % 2 == 0].reshape(len(n), len(anchors))
+            n = n[(np.diff(held, axis=1) > 0).sum(axis=1) == run[:, -1]]
         pending.append(n)
         count += len(n)
         if count >= MC_BLOCK:
@@ -306,29 +325,40 @@ def _graph_terms(score, m: int):
             yield coef, Graph.from_edges(m, edges)
 
 
-def lattice_class_sum(score, p: Potential, m: int, L: float | None = None) -> float:
-    """Exact integral of a class sum over the positions of vertices 1..m-1,
-    vertex 0 pinned at the origin, for a piecewise-constant 1D f.
+def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
+                      root_positions=(0.0,)) -> float:
+    """Exact integral of a class sum over the positions of the free
+    vertices, for a piecewise-constant 1D f.  Vertices 0..n-1 are pinned at
+    the n ``root_positions`` (by default vertex 0 at the origin) and
+    vertices n..m-1 are free.
 
     ``score`` maps pair matrices (B, m, m) to class sums (B,) and must be
-    symmetric in vertices 1..m-1 (``phi_t_batch``, ``biconnected_sum_batch``,
-    ``kernel_sum_batch``, the product of (1 + f)).  On the line (L None) the
-    integral runs over R^(m-1); on the length-L torus, with minimum-image
-    distances, it is normalized by L^(m-1).
+    symmetric in the free vertices (``phi_t_batch``,
+    ``biconnected_sum_batch``, ``kernel_sum_batch``, the product of
+    (1 + f), or a bicolored class sum).  On the line (L None) the integral
+    runs over R^k for k = m - n; on the length-L torus, with minimum-image
+    distances and one pinned vertex, it is normalized by L^k.
 
     With h the lattice length of ``_lattice``, f is constant on each cell
-    of the arrangement x_i - x_j in h Z, fixed by the integer parts of the
-    x_i / h and the order of their fractional parts; every cell has volume
-    h^k / k! for k = m - 1.  Relabelling vertices 1..k maps each order onto
-    i / (k+1), so one point per integer pattern gives the sum:
-    h^k sum score on the line, where only patterns that can be connected
-    are visited (every class sum but the torus product vanishes on
-    disconnected configurations), and Lam^(-k) sum score over all
-    Lam^k patterns on the torus.  When the candidate patterns cost more
-    time than the per-graph polytopes would (``LINE_POLYTOPE_CELLS`` or
-    ``TORUS_POLYTOPE_CELLS`` per polytope; always when no lattice fits, as
-    for lambda = sqrt(2)), the sum runs graph by graph over polytopes
-    (``graph_weight_exact_1d`` or ``graph_weight_periodic_1d``).
+    of the arrangement x_i - x_j in h Z (the pinned positions need not lie
+    on the lattice).  A cell is fixed by the integer parts of the x_v / h
+    and the order of their fractional parts.  The pinned fractional parts
+    c_w and the cut points 0 and 1 split [0, 1) into gaps of lengths l_g,
+    and the cells in which j_g free fractional parts fall in gap g, in a
+    given order, have volume h^k prod l_g^j_g / j_g!.  Relabelling the free
+    vertices maps every order with the same counts (j_g) onto the one in
+    which the sorted free parts fill the gaps in turn, so the integral is
+    h^k sum over the counts of k! prod l_g^j_g / j_g! times the sum of the
+    score over integer patterns, at one point per cell.  With one vertex
+    pinned at the origin there is one gap, of weight 1.  On the line only
+    the patterns in which every free vertex can be joined to a pinned one
+    are visited (every class sum but the torus product vanishes
+    elsewhere); on the torus all Lam^k patterns are, with weight Lam^-k.
+    When the candidate patterns cost more time than the per-graph
+    polytopes would (``LINE_POLYTOPE_CELLS`` or ``TORUS_POLYTOPE_CELLS``
+    per polytope; always when no lattice fits, as for lambda = sqrt(2)),
+    the sum runs graph by graph over polytopes (``graph_weight_exact_1d``
+    or ``graph_weight_periodic_1d``).
     """
     if not p.piecewise_constant_f:
         raise ValueError("use MC path: f is not piecewise constant")
@@ -336,20 +366,34 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None) -> fl
         raise ValueError("exact path is one-dimensional")
     if L is not None and p.interaction_range >= L / 2:
         raise ValueError("interaction range must be < L/2 for image expansion")
-    k = m - 1
-    if k < 0:
-        raise ValueError("need m >= 1 vertices")
+    n_roots = len(root_positions)
+    k = m - n_roots
+    if n_roots < 1 or k < 0:
+        raise ValueError("need 1 <= len(root_positions) <= m")
+    if L is not None and n_roots > 1:
+        raise ValueError("the torus pins one vertex")
     if k == 0:
-        return float(score(np.zeros((1, 1, 1)))[0])
+        return float(score(pair_f_matrix(p, root_positions)[None])[0])
     h, R, Lam = _lattice(p, L)
-    n_cells = (2 * k * R) ** k if L is None else Lam ** k
+    roots = [Fraction(float(x)) / h for x in root_positions]
+    parts = [math.floor(x) for x in roots]
+    fracs = [x - n for x, n in zip(roots, parts)]
+    cuts = sorted({Fraction(0), *fracs})
+    gaps = [b - a for a, b in zip(cuts, cuts[1:] + [Fraction(1)])]
+    # on the line a free vertex lies within k steps shorter than R of a
+    # pinned one
+    lo, hi = min(parts) - k * R, max(math.ceil(x) for x in roots) + k * R
+    n_cells = ((hi - lo if L is None else Lam) ** k
+               * math.comb(k + len(gaps) - 1, k))
     if k > MAX_EXACT_BLACK:
         raise EnumerationTooLarge("exact 1D class sums", m, MAX_EXACT_BLACK + 1,
                                   n_cells)
     per_polytope = LINE_POLYTOPE_CELLS if L is None else TORUS_POLYTOPE_CELLS
-    if n_cells > per_polytope * _n_polytopes(score, p, m, L):
+    # no polytope count is needed when the cells cost less than one polytope
+    if n_cells > per_polytope and \
+            n_cells > per_polytope * _n_polytopes(score, p, m, L, n_roots):
         if L is None:
-            return math.fsum(c * graph_weight_exact_1d(g, p)
+            return math.fsum(c * graph_weight_exact_1d(g, p, root_positions)
                              for c, g in _graph_terms(score, m))
         return math.fsum(c * graph_weight_periodic_1d(g, p, L)
                          for c, g in _graph_terms(score, m))
@@ -357,26 +401,35 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None) -> fl
     table = np.zeros(R + 1)
     table[:R] = p.mayer_f((np.arange(R) + 0.5) * float(h))
     i, j = np.triu_indices(m, 1)
-    offsets = np.arange(m)
-    if L is None:
-        cells, scale = _line_cells(k, R), h ** k
-    else:
-        cells, scale = _blocks((Lam,) * k), Fraction(1, Lam ** k)
+    anchors = np.array(parts)
 
-    def scores():
+    def scores(offsets, M):
+        cells = (_line_cells(np.arange(lo, hi), anchors, k, R) if L is None
+                 else _blocks((Lam,) * k))
         for n in cells:
-            # positions in units of h / (k+1): vertex v at (k+1) n_v + v
-            y = np.concatenate([np.zeros((len(n), 1), n.dtype), n], axis=1)
-            y = (k + 1) * y + offsets
+            # positions in units of h / M: integer part times M plus the
+            # rank of the fractional part
+            y = np.concatenate([np.broadcast_to(anchors, (len(n), n_roots)), n],
+                               axis=1)
+            y = M * y + offsets
             dist = np.abs(y[:, i] - y[:, j])
             if L is not None:
-                dist = np.minimum(dist % ((k + 1) * Lam),
-                                  (k + 1) * Lam - dist % ((k + 1) * Lam))
+                dist = np.minimum(dist % (M * Lam), M * Lam - dist % (M * Lam))
             f = np.zeros((len(n), m, m))
-            f[:, i, j] = f[:, j, i] = table[np.minimum(dist // (k + 1), R)]
+            f[:, i, j] = f[:, j, i] = table[np.minimum(dist // M, R)]
             yield from score(f).tolist()
 
-    return float(Fraction(math.fsum(scores())) * scale)
+    total = Fraction(0)
+    for gap_of in itertools.combinations_with_replacement(range(len(gaps)), k):
+        # ranks of the fractional parts: cut g, then the free parts in gap g
+        cut_rank = [g + bisect.bisect_left(gap_of, g) for g in range(len(gaps))]
+        offsets = np.array([cut_rank[cuts.index(c)] for c in fracs]
+                           + [g + 1 + v for v, g in enumerate(gap_of)])
+        weight = math.factorial(k) * math.prod(
+            gaps[g] ** gap_of.count(g) / math.factorial(gap_of.count(g))
+            for g in range(len(gaps)))
+        total += weight * Fraction(math.fsum(scores(offsets, len(gaps) + k)))
+    return float(total * (h ** k if L is None else Fraction(1, Lam ** k)))
 
 
 def resolve_method(p: Potential, method: str) -> str:
@@ -478,9 +531,10 @@ def _random_directions(rng, size, d):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def graph_weight_mc(g: Graph, p: Potential, d: int, n_samples: int, seed: int,
-                    root_positions=None) -> CoefficientEstimate:
-    """Unbiased Mayer-sampling estimate of the rooted graph weight.
+def graph_weight_mc(g: Graph, p: Potential, d: int, n_samples: int,
+                    seed: int) -> CoefficientEstimate:
+    """Unbiased Mayer-sampling estimate of the weight of g with vertex 0
+    pinned at the origin.
 
     Free-vertex positions are drawn along a BFS spanning tree with per-edge
     radial density proportional to |f|; every sample is reweighted by
@@ -488,23 +542,15 @@ def graph_weight_mc(g: Graph, p: Potential, d: int, n_samples: int, seed: int,
     """
     if d not in SURFACE_AREA or d > 3:
         raise ValueError("d must be 1, 2 or 3")
-    if root_positions is None:
-        root_positions = np.zeros((1, d))
-    roots = np.atleast_2d(np.asarray(root_positions, dtype=float))
-    if roots.shape[1] != d:
-        roots = roots.reshape(-1, d)
-    n_roots = roots.shape[0]
-    n_free = g.n_vertices - n_roots
     if p.kind is Kind.ZERO:
-        value = 1.0 if g.n_edges == 0 and n_free == 0 else 0.0
+        value = 1.0 if g.n_vertices == 1 else 0.0
         return CoefficientEstimate(value, 0.0, "mc", n_samples, seed)
 
-    tree = bfs_tree(g, n_roots)
+    tree = bfs_tree(g, 1)
     proposal = RadialProposal(p, d)
     rng = np.random.default_rng(seed)
 
-    pos = np.empty((n_samples, g.n_vertices, d))
-    pos[:, :n_roots, :] = roots[None, :, :]
+    pos = np.zeros((n_samples, g.n_vertices, d))
     logless_weight = np.ones(n_samples)
     tree_set = set()
     for parent, child in tree:
@@ -711,21 +757,28 @@ def _spanning_trees(m: int) -> np.ndarray:
 
 
 def class_sum_mc(score, p: Potential, m: int, n_samples: int,
-                 rng: np.random.Generator) -> tuple[float, float]:
+                 rng: np.random.Generator,
+                 root_positions=None) -> tuple[float, float]:
     """Mean and standard error of a Mayer-sampling estimate of the integral
-    of score(f) over the positions of vertices 1..m-1, vertex 0 pinned at
-    the origin.  ``score`` maps pair matrices (B, m, m) to class sums (B,).
+    of score(f) over the positions of the free vertices.  Vertices 0..n-1
+    are pinned at the rows of ``root_positions``, an (n, d) array (by
+    default vertex 0 at the origin), and vertices n..m-1 are free;
+    ``score`` maps pair matrices (B, m, m) to class sums (B,).
 
-    Each configuration grows along a labeled spanning tree on the m vertices
+    The pinned vertices act as one root.  Each configuration grows along a
+    labeled spanning tree on the root and the k = m - n free vertices,
     drawn uniformly at random, with ``RadialProposal`` displacements on its
-    edges.  Its density is q(x) = T(x) / m^(m-2), where T is the matrix-tree
-    sum of the proposal pdf over all pairs, and its weight is score(f) / q.
-    The pdf is |f| / norm on every pair, for the hard core and the well
-    alike, so the tree-graph inequality |phi^T| <= sum over trees of
-    prod |f| bounds the hard-core connected weights by m^(m-2) norm^(m-1);
-    with a well, |f| rather than fbar keeps the weights from growing by
-    |f| / fbar per well bond.  Draws ``n_samples`` configurations in blocks
-    of ``MC_BLOCK``.
+    edges; each edge from the root starts at a pinned vertex drawn
+    uniformly.  Its density is q(x) = T(x) / (k+1)^(k-1), where T is the
+    matrix-tree sum of the proposal pdf over all pairs, the root's pdf to a
+    free vertex being the mean over the pinned vertices, and its weight is
+    score(f) / q.  The pdf is |f| / norm on every pair, for the hard core
+    and the well alike, so the tree-graph inequality |phi^T| <= sum over
+    trees of prod |f| bounds the hard-core connected weights by
+    m^(m-2) norm^(m-1) when one vertex is pinned; with a well, |f| rather
+    than fbar keeps the weights from growing by |f| / fbar per well bond.
+    Draws ``n_samples`` configurations in blocks of ``MC_BLOCK``; with no
+    free vertex the score is exact.
     """
     d = p.dimension
     if d not in SURFACE_AREA or d > 3:
@@ -733,27 +786,45 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
     if m > MAX_EXHAUSTIVE_N:
         raise EnumerationTooLarge("class sums", m, MAX_EXHAUSTIVE_N,
                                   2 ** (m * (m - 1) // 2))
-    if m < 2 or n_samples < 1:
-        raise ValueError("need m >= 2 vertices and n_samples >= 1")
+    roots = np.zeros((1, d)) if root_positions is None else \
+        np.asarray(root_positions, dtype=float).reshape(-1, d)
+    n_roots = len(roots)
+    k = m - n_roots
+    if k < 0 or n_samples < 1:
+        raise ValueError("need m >= the pinned vertices and n_samples >= 1")
+    if k == 0:
+        return float(score(pair_f_matrix(p, roots)[None])[0]), 0.0
     proposal = RadialProposal(p, d)
-    trees = _spanning_trees(m)
+    trees = _spanning_trees(k + 1)
     i, j = np.triu_indices(m, 1)
     count, mean, sq = 0, 0.0, 0.0
     for start in range(0, n_samples, MC_BLOCK):
         b = min(MC_BLOCK, n_samples - start)
         edges = trees[rng.integers(len(trees), size=b)]
-        r = proposal.sample_radii(rng, (b, m - 1))
-        disp = _random_directions(rng, b * (m - 1), d).reshape(b, m - 1, d)
+        r = proposal.sample_radii(rng, (b, k))
+        disp = _random_directions(rng, b * k, d).reshape(b, k, d)
         disp *= r[..., None]
+        if n_roots > 1:
+            # tree vertex v > 0 is row n_roots - 1 + v, and each edge from
+            # the root starts at a pinned row drawn uniformly
+            edges = edges + (n_roots - 1)
+            from_root = edges[:, :, 0] == n_roots - 1
+            edges[:, :, 0][from_root] = rng.integers(n_roots, size=(b, k))[from_root]
         pos = np.zeros((b, m, d))
+        pos[:, :n_roots] = roots
         rows = np.arange(b)
-        for k in range(m - 1):
-            pos[rows, edges[:, k, 1]] = pos[rows, edges[:, k, 0]] + disp[:, k]
+        for e in range(k):
+            pos[rows, edges[:, e, 1]] = pos[rows, edges[:, e, 0]] + disp[:, e]
         dist = np.linalg.norm(pos[:, i] - pos[:, j], axis=-1)
         f = np.zeros((b, m, m))
         f[:, i, j] = f[:, j, i] = p.mayer_f(dist)
         pdf = np.zeros((b, m, m))
         pdf[:, i, j] = pdf[:, j, i] = proposal.pdf(dist)
+        if n_roots > 1:
+            # the root's pdf to a free vertex: the mean over pinned rows
+            root_pdf = pdf[:, :n_roots, n_roots:].mean(axis=1)
+            pdf = pdf[:, n_roots - 1:, n_roots - 1:]
+            pdf[:, 0, 1:] = pdf[:, 1:, 0] = root_pdf
         w = score(f) * len(trees) / fbar_tree_sum_batch(pdf)
         # merge the block's mean and sum of squared deviations (Chan et al.)
         w_mean = float(w.mean())

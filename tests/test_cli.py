@@ -121,6 +121,52 @@ class TestVirialAndEos:
         assert code == EXIT_SCHEMA
 
 
+class TestFloatFields:
+    """Every real-valued config field rejects strings, bools and nulls."""
+
+    CASES = [
+        ("canonical", {"N": 6, "L": "{}", "K": 2}, "L"),
+        ("ozpy", {"rho": "{}"}, "rho"),
+        ("ozpy", {"rho": [0.1, "{}"]}, "rho"),
+        ("ozpy", {"rho": 0.1, "tol": "{}"}, "tol"),
+        ("ozpy", {"rho": 0.1, "alpha": "{}"}, "alpha"),
+        ("ozpy", {"rho": 0.1, "grid": {"dr": "{}"}}, "grid.dr"),
+        ("correlations", {"r_min": "{}"}, "r_min"),
+        ("correlations", {"r_max": "{}"}, "r_max"),
+        ("correlations", {"r_values": [1.5, "{}"]}, "r_values item"),
+    ]
+
+    @staticmethod
+    def fill(cfg, value):
+        if isinstance(cfg, dict):
+            return {k: TestFloatFields.fill(v, value) for k, v in cfg.items()}
+        if isinstance(cfg, list):
+            return [TestFloatFields.fill(v, value) for v in cfg]
+        return value if cfg == "{}" else cfg
+
+    @pytest.mark.parametrize("value", ["abc", True, None])
+    @pytest.mark.parametrize("command,cfg,field", CASES,
+                             ids=[f"{c}-{f}-{i}" for i, (c, _, f) in enumerate(CASES)])
+    def test_non_number_is_schema_error(self, capsys, tmp_path, command, cfg,
+                                        field, value):
+        path = write_config(tmp_path, "bad.json", self.fill(cfg, value))
+        code, _, err = run_cli(capsys, [command, "--config", path])
+        assert code == EXIT_SCHEMA
+        assert f"{field} must be a number" in err
+
+    def test_r_values_must_be_a_list(self, capsys, tmp_path):
+        path = write_config(tmp_path, "bad.json", {"r_values": 1.5})
+        code, _, err = run_cli(capsys, ["correlations", "--config", path])
+        assert code == EXIT_SCHEMA
+        assert "r_values must be a list" in err
+
+    def test_integer_is_accepted(self, capsys, tmp_path):
+        path = write_config(tmp_path, "ok.json", {"N": 4, "L": 20, "K": 2})
+        code, out, _ = run_cli(capsys, ["canonical", "--config", path])
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["L"] == 20.0
+
+
 class TestIntegerFields:
     """Every integer config field rejects strings, bools and fractions."""
 

@@ -30,6 +30,18 @@ class TestMayerFunctions:
         assert p.boltzmann(0.5) == 0.0
         assert p.boltzmann(1.5) == 1.0
 
+    @pytest.mark.parametrize("p", [hard_rods(), hard_spheres(), square_well(),
+                                   lennard_jones(cutoff=2.5), zero_potential()],
+                             ids=["hard_rods", "hard_spheres", "square_well",
+                                  "lennard_jones", "zero"])
+    def test_f_is_positive_zero_beyond_the_range(self, p):
+        # expm1(-0.0) is -0.0; a printed order read straight off f would
+        # show "-0"
+        r = np.array([3.0, 10.0])
+        assert np.all(p.mayer_f(r) == 0.0)
+        assert not np.any(np.signbit(p.mayer_f(r)))
+        assert not np.signbit(p.mayer_f(3.0))
+
     def test_square_well_values(self):
         p = square_well(sigma=1.0, lam=1.5, epsilon=0.7, beta=2.0)
         assert p.mayer_f(0.5) == -1.0
