@@ -12,6 +12,14 @@ over polymer collections covering [k+1].  Periodic boundaries are required:
 the reduction of the leading part B*(k) to 2-connected graphs only holds on
 the torus.
 
+The covering sum is log Xi by inclusion-exclusion over the label sets,
+with Xi_m the partition function of the polymer packings of m labels from
+one recursion.  Fed the float activities it gives the exact B(k); fed
+zeta(V) w^(|V|-1), a series in a weight variable w whose every unit is one
+power of 1/L, it gives the same sum graded by weight, so B(k) truncated at
+any total weight and the leading part B*(k) (weight exactly k) are read
+off its coefficients.
+
 Polymer activities, the 2-connected graph sum of B*(k) and the exact direct
 oracle each integrate one class sum (phi^T, the 2-connected recursion, the
 product of (1 + f)) over the lattice cells of the torus
@@ -21,13 +29,14 @@ polytopes when no lattice fits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphs import EnumerationTooLarge
 from .potentials import Potential, abs_f_integral, stability_profile
+from .series import TruncatedSeries, series_log
 # Unused here: bench/tracing.py wraps these names in this module, and its
 # --trace 1 runs fail at install without them.
 from .graphs import enumerate_graphs  # noqa: F401
@@ -35,39 +44,29 @@ from .weights import graph_weight_periodic_1d  # noqa: F401
 from .weights import (CoefficientEstimate, biconnected_sum_batch,
                       lattice_class_sum, phi_t_batch, resolve_method)
 
+# Largest N of the exact direct oracle, which "auto" picks up to this size,
+# and of the Monte Carlo one.
+EXACT_ORACLE_MAX_N = 4
+MC_ORACLE_MAX_N = 8
 
-def _require_periodic_1d(p: Potential, boundary: str):
-    if boundary != "periodic":
-        raise ValueError("only periodic boundaries are supported: the "
-                         "2-connected reduction fails for free boundaries")
+
+def _require_periodic_1d(p: Potential):
     if p.dimension != 1 or not p.piecewise_constant_f:
         raise ValueError("canonical exact path needs a piecewise-constant 1D potential")
 
 
-@dataclass(frozen=True)
-class PolymerActivity:
-    size: int
-    value: float
-    volume: float
-    boundary: str = "periodic"
-
-    def __post_init__(self):
-        if self.size == 1 and self.value != 1.0:
-            raise ValueError("singleton polymers have activity 1")
-
-
-def zeta(p: Potential, v_size: int, L: float, boundary: str = "periodic") -> PolymerActivity:
+def zeta(p: Potential, v_size: int, L: float) -> float:
     """Polymer activity: sum over connected graphs on the label set of the
-    normalized periodic weight.  Scales as L^{-(size-1)}."""
-    _require_periodic_1d(p, boundary)
+    normalized periodic weight.  Scales as L^{-(size-1)}; singletons have
+    activity 1."""
+    _require_periodic_1d(p)
     if v_size < 1:
         raise ValueError("polymer size must be >= 1")
     if v_size == 1:
-        return PolymerActivity(1, 1.0, L, boundary)
+        return 1.0
     if v_size > 5:
         raise ValueError("polymer activities capped at size 5")
-    total = lattice_class_sum(phi_t_batch, p, v_size, L)
-    return PolymerActivity(v_size, total, L, boundary)
+    return lattice_class_sum(phi_t_batch, p, v_size, L)
 
 
 def zeta_scaling_bound(p: Potential, v_size: int, L: float) -> float:
@@ -82,63 +81,16 @@ def zeta_scaling_bound(p: Potential, v_size: int, L: float) -> float:
 # polymer covering sums
 # ---------------------------------------------------------------------------
 
-def _polymers_of(k: int) -> list[frozenset]:
-    """Subsets of [k+1] = {0..k} with at least two labels."""
-    labels = range(k + 1)
-    out = []
-    for size in range(2, k + 2):
-        out.extend(frozenset(c) for c in itertools.combinations(labels, size))
-    return out
-
-
-def _phi_t_multiset(polymers: list[frozenset]) -> float:
-    """phi^T of a polymer collection under the hard-core overlap species:
-    sum over connected graphs of prod (-1 if V_i and V_j overlap)."""
-    n = len(polymers)
-    if n == 1:
-        return 1.0
-    h = np.zeros((1, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if polymers[i] & polymers[j]:
-                h[0, i, j] = h[0, j, i] = -1.0
-    return float(phi_t_batch(h)[0])
-
-
-def _covering_multisets(k: int, max_weight: int):
-    """Multisets of polymers of [k+1] with union [k+1] and total weight
-    sum(|V|-1) <= max_weight, yielded as (polymer list with repeats)."""
-    polymers = _polymers_of(k)
-    full = frozenset(range(k + 1))
-
-    def rec(start: int, weight_left: int, chosen: list, union: frozenset):
-        if union == full:
-            yield list(chosen)
-        if start == len(polymers):
-            return
-        # bound: remaining polymers must still be able to cover
-        for idx in range(start, len(polymers)):
-            v = polymers[idx]
-            w = len(v) - 1
-            if w > weight_left:
-                continue
-            max_rep = weight_left // w
-            for rep in range(1, max_rep + 1):
-                chosen.extend([v] * rep)
-                yield from rec(idx + 1, weight_left - rep * w, chosen, union | v)
-                del chosen[-rep:]
-
-    yield from rec(0, max_weight, [], frozenset())
-
-
-def _packing_partition_functions(k: int, zetas: dict[int, float]) -> list[float]:
+def _packing_partition_functions(k: int, zetas: dict) -> list:
     """Xi_m = sum over sets of pairwise-disjoint polymers inside [m] of
-    prod zeta(|V|), for m = 0..k+1 (singletons carry weight 1).
+    prod zeta(|V|), for m = 0..k+1, with zetas[s] the activity of a size-s
+    polymer in any ring (floats, or series in the weight variable);
+    zetas[1], the singleton's, is the ring's 1.
 
     Recursion on the polymer containing label m: either none, or one of
     binom(m-1, s-1) polymers of size s.
     """
-    xi = [1.0, 1.0]
+    xi = [zetas[1], zetas[1]]
     for m in range(2, k + 2):
         total = xi[m - 1]
         for s in range(2, m + 1):
@@ -147,65 +99,59 @@ def _packing_partition_functions(k: int, zetas: dict[int, float]) -> list[float]
     return xi
 
 
-def _covering_sum_exact(k: int, zetas: dict[int, float]) -> float:
+def _covering_sum(k: int, zetas: dict, log):
     """sum_n (1/n!) sum over tuples (V_1..V_n) with union [k+1] of
     phi^T * prod zeta, summed in closed form.
 
     Dropping the covering constraint turns the connected sum into
     log Xi_{[S]} over any ground set S (the basic exp/log expansion of the
     hard-core polymer gas); the union constraint is restored by
-    inclusion-exclusion over S.
+    inclusion-exclusion over S.  ``log`` is the logarithm of the ring of
+    ``zetas``: ``math.log`` or ``series.series_log``.
     """
     xi = _packing_partition_functions(k, zetas)
-    return sum((-1) ** (k + 1 - m) * math.comb(k + 1, m) * math.log(xi[m])
-               for m in range(k + 2))
+    terms = [(-1) ** (k + 1 - m) * math.comb(k + 1, m) * log(xi[m])
+             for m in range(k + 2)]
+    return sum(terms[1:], terms[0])
 
 
-def _covering_sum_truncated(k: int, zetas: dict[int, float], truncation: int) -> float:
-    """Same sum restricted to multisets of total weight sum(|V_i|-1) <=
-    truncation; the discarded terms carry extra 1/L powers."""
-    total = 0.0
-    for ms in _covering_multisets(k, truncation):
-        if len(ms) > 14:
-            raise ValueError("truncation too large for explicit phi^T sums")
-        phit = _phi_t_multiset(ms)
-        if phit == 0.0:
-            continue
-        mult = 1.0
-        for _, grp in itertools.groupby(sorted(ms, key=sorted)):
-            mult *= math.factorial(len(list(grp)))
-        total += phit * math.prod(zetas[len(v)] for v in ms) / mult
-    return total
+def _graded(value: float, weight: int, order: int) -> TruncatedSeries:
+    """value * w^weight, truncated at w^order."""
+    coeffs = [0.0] * (order + 1)
+    if weight <= order:
+        coeffs[weight] = value
+    return TruncatedSeries(coeffs)
 
 
-def canonical_B_k(p: Potential, k: int, L: float, truncation: int | None = None,
-                  boundary: str = "periodic") -> dict:
+def canonical_B_k(p: Potential, k: int, L: float,
+                  truncation: int | None = None) -> dict:
     """B(k), its leading part B*(k) and the finite-volume remainder.
 
     B(k) = (L^k/k!) sum over polymer collections covering [k+1] of
-    phi^T * prod zeta; evaluated in closed form (truncation=None) or as an
-    explicit multiset sum truncated at total weight sum(|V|-1) <=
-    truncation.  B*(k) keeps only distinct-polymer collections of weight
+    phi^T * prod zeta; evaluated in closed form (truncation=None) or
+    restricted to collections of total weight sum(|V|-1) <= truncation,
+    any integer (a covering of k+1 labels weighs at least k, so
+    truncation < k gives 0).  B*(k) keeps the collections of weight
     exactly k; it equals (L^k/k!) * sum over 2-connected graphs on k+1
     vertices of the normalized weight, and both routes are returned.
     """
-    _require_periodic_1d(p, boundary)
+    _require_periodic_1d(p)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > 4:
         raise ValueError("canonical coefficients capped at k = 4")
-    zetas = {m: zeta(p, m, L).value for m in range(2, k + 2)}
+    zetas = {m: zeta(p, m, L) for m in range(1, k + 2)}
+    order = k if truncation is None else max(k, truncation)
+    graded = _covering_sum(
+        k, {m: _graded(z, m - 1, order) for m, z in zetas.items()}, series_log)
 
     if truncation is None:
-        total = _covering_sum_exact(k, zetas)
+        total = _covering_sum(k, zetas, math.log)
     else:
-        total = _covering_sum_truncated(k, zetas, truncation)
-    star_polymer = _covering_sum_truncated(k, zetas, k) - (
-        _covering_sum_truncated(k, zetas, k - 1) if k > 1 else 0.0)
-    # weight-k collections covering k+1 labels are automatically distinct
+        total = sum(graded[j] for j in range(k, truncation + 1))
     scale = L ** k / math.factorial(k)
     B = scale * total
-    B_star_polymer = scale * star_polymer
+    B_star_polymer = scale * graded[k]
 
     star_graph = lattice_class_sum(biconnected_sum_batch, p, k + 1, L)
     B_star_graph = scale * star_graph
@@ -238,8 +184,7 @@ class CanonicalExpansion:
 
 
 def canonical_free_energy(p: Potential, N: int, L: float, K: int,
-                          truncation: int | None = None,
-                          boundary: str = "periodic") -> CanonicalExpansion:
+                          truncation: int | None = None) -> CanonicalExpansion:
     """Truncated expansion of log Z:
     log(L^N/N!) + N sum_{k<=K} (1/(k+1)) P_{N,L}(k) B(k).
 
@@ -247,7 +192,7 @@ def canonical_free_energy(p: Potential, N: int, L: float, K: int,
     (empirical constants; the decay itself is the certified property).
     Densities beyond the canonical certificate only set a warning flag.
     """
-    _require_periodic_1d(p, boundary)
+    _require_periodic_1d(p)
     if not 1 <= K < N:
         raise ValueError("need 1 <= K < N")
     from .convergence import canonical_radius
@@ -283,28 +228,28 @@ def _boltzmann_product(f: np.ndarray) -> np.ndarray:
 
 
 def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
-                       n_samples: int = 200_000, seed: int = 0,
-                       boundary: str = "periodic") -> CoefficientEstimate:
+                       n_samples: int = 200_000, seed: int = 0) -> CoefficientEstimate:
     """log Z by direct evaluation of (1/N!) int_{[0,L]^N} e^{-beta H}.
 
     The exact route integrates e^{-beta H}, the product of (1 + f) over all
-    pairs, over the lattice cells of the torus (N <= 4);
-    the MC route samples uniform configurations (N <= 8).
+    pairs, over the lattice cells of the torus (N <= EXACT_ORACLE_MAX_N);
+    the MC route samples uniform configurations (N <= MC_ORACLE_MAX_N).
+    A larger N raises ``EnumerationTooLarge``.
     """
-    _require_periodic_1d(p, boundary)
+    _require_periodic_1d(p)
     if method == "auto":
-        method = "exact1d" if N <= 4 else "mc"
+        method = "exact1d" if N <= EXACT_ORACLE_MAX_N else "mc"
     method = resolve_method(p, method)
     if N < 1:
         raise ValueError("N must be >= 1")
+    cap = EXACT_ORACLE_MAX_N if method == "exact1d" else MC_ORACLE_MAX_N
+    if N > cap:
+        raise EnumerationTooLarge(f"direct {method} oracle", N, cap,
+                                  2 ** (N * (N - 1) // 2))
     if method == "exact1d":
-        if N > 4:
-            raise ValueError("exact oracle capped at N = 4")
         total = lattice_class_sum(_boltzmann_product, p, N, L)
         log_z = N * math.log(L) - math.lgamma(N + 1) + math.log(total)
         return CoefficientEstimate(log_z, 0.0, "exact1d")
-    if N > 8:
-        raise ValueError("MC oracle capped at N = 8")
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, L, size=(n_samples, N))
     boltz = np.ones(n_samples)

@@ -27,10 +27,11 @@ import numpy as np
 from .catalog import (CODE_VERSION, CatalogKey, CoefficientTable, estimator_name,
                       potential_hash)
 from .catalog import gc as catalog_gc
-from .canonical import canonical_free_energy, direct_logZ_oracle
+from .canonical import (EXACT_ORACLE_MAX_N, canonical_free_energy,
+                        direct_logZ_oracle)
 from .coefficients import irreducible_beta_n, mayer_b_n
 from .convergence import activity_radius, canonical_radius
-from .correlations import h_n_density, oz_residual_order
+from .correlations import h_n_density
 from .graphs import EnumerationTooLarge, GraphClass, enumerate_graphs
 from .ozpy import (NonConvergence, RadialGrid, oz_selfconsistency, solve_py,
                    thermodynamics)
@@ -353,7 +354,7 @@ def _cmd_canonical(cfg: dict, args) -> _Result:
         "potential": p.label(),
         "N": N, "L": L, "K": K,
         "expansion": {
-            "coefficients": [float(c) for c in exp.coefficients],
+            "coefficients": {str(k): t for k, t in exp.coefficients.items()},
             "log_z": exp.log_z,
             "remainder_estimate": exp.remainder_estimate,
             "within_certificate": exp.within_certificate,
@@ -361,11 +362,10 @@ def _cmd_canonical(cfg: dict, args) -> _Result:
     }
     if cfg.get("oracle", True):
         mc = _mc_section(cfg, args.seed)
-        method = "exact1d" if N <= 4 else "mc"
-        if method == "mc" and mc["seed"] is None:
-            raise SchemaError("oracle for N > 4 is Monte Carlo; --seed required")
-        oracle = direct_logZ_oracle(p, N, L, method=method,
-                                    n_samples=mc["samples"],
+        if N > EXACT_ORACLE_MAX_N and mc["seed"] is None:
+            raise SchemaError(f"oracle for N > {EXACT_ORACLE_MAX_N} is Monte "
+                              "Carlo; --seed required")
+        oracle = direct_logZ_oracle(p, N, L, n_samples=mc["samples"],
                                     seed=mc["seed"] or 0)
         payload["oracle"] = asdict(oracle)
         payload["expansion_minus_oracle"] = exp.log_z - oracle.value

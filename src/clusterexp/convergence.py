@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import Potential, cbar_integral, abs_f_integral, stability_profile
-from .weights import pair_f_matrix, phi_t_batch, fbar_tree_sum_batch
+from .potentials import Potential, cbar_integral, stability_profile
+from .weights import phi_t_batch, fbar_tree_sum_batch
 
 
 @dataclass(frozen=True)

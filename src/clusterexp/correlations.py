@@ -27,6 +27,7 @@ does not depend on K, and every separation r of a series shares it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,8 +41,6 @@ from .weights import graph_weight_exact_1d, graph_weight_mc  # noqa: F401
 from .weights import (CoefficientEstimate, _subset_phis, biconnected_sum_batch,
                       class_sum_mc, lattice_class_sum, phi_t_batch,
                       resolve_method)
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 # spawn-key tags of the series' random streams, after the coefficient
 # families 0-2 of ``coefficients``
@@ -239,53 +238,49 @@ def lens_volume(sigma: float, r: float) -> float:
     return math.pi * (4.0 * sigma + r) * (2.0 * sigma - r) ** 2 / 12.0
 
 
-def _kink_candidates(p: Potential, order: int) -> np.ndarray:
-    """Superset of radii where order-k correlation functions can kink."""
-    base = [p.sigma]
+def _kink_candidates(p: Potential, order: int, support: float) -> np.ndarray:
+    """Superset of radii in [0, support] where order-k correlation
+    functions can kink: every nonnegative signed sum of up to k + 3
+    breakpoints of f."""
+    breaks = [p.sigma]
     if p.kind is Kind.SQUARE_WELL:
-        base.append(p.lam * p.sigma)
-    pts = {0.0}
-    reach = order + 3
-    stack = [(0.0, 0)]
-    while stack:
-        val, depth = stack.pop()
-        if depth >= reach:
-            continue
-        for b in base:
-            nv = val + b
-            if nv not in pts:
-                pts.add(nv)
-                stack.append((nv, depth + 1))
-    return np.array(sorted(pts))
+        breaks.append(p.lam * p.sigma)
+    n = order + 3
+    sums = {sum(c * b for c, b in zip(coeffs, breaks))
+            for coeffs in itertools.product(range(-n, n + 1), repeat=len(breaks))
+            if sum(map(abs, coeffs)) <= n}
+    return np.array(sorted(s for s in sums if 0.0 <= s <= support))
 
 
 def convolve_1d(a, b, r: float, support_a: float, support_b: float,
-                breaks_a, breaks_b, panels: int = 2) -> float:
-    """(a*b)(r) = int a(|s|) b(|r-s|) ds for even compactly supported a, b,
-    by Gauss-Legendre quadrature on panels split at every kink of the
-    integrand."""
+                breaks_a, breaks_b, nodes: int) -> float:
+    """(a*b)(r) = int a(|s|) b(|r-s|) ds for even compactly supported a, b.
+
+    The integrand is cut where it can kink: at s = 0 and s = r, and where
+    |s| or |r - s| crosses a radius in ``breaks_a`` or ``breaks_b``.  When
+    it is a polynomial of degree below 2 * ``nodes`` on each piece, as the
+    order-by-order correlation functions are, Gauss-Legendre quadrature
+    with ``nodes`` points per piece is exact."""
     lo = max(-support_a, r - support_b)
     hi = min(support_a, r + support_b)
     if hi <= lo:
         return 0.0
     cuts = {lo, hi}
-    for q in np.asarray(breaks_a, dtype=float):
+    for q in (0.0, *np.asarray(breaks_a, dtype=float)):
         for s in (q, -q):
             if lo < s < hi:
                 cuts.add(float(s))
-    for q in np.asarray(breaks_b, dtype=float):
+    for q in (0.0, *np.asarray(breaks_b, dtype=float)):
         for s in (r - q, r + q):
             if lo < s < hi:
                 cuts.add(float(s))
     edges = np.array(sorted(cuts))
+    x, w = np.polynomial.legendre.leggauss(nodes)
     total = 0.0
-    for e0, e1 in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(e0, e1, panels + 1)
-        for s0, s1 in zip(sub[:-1], sub[1:]):
-            mid, half = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
-            s = mid + half * _GL_NODES
-            vals = np.array([a(abs(x)) * b(abs(r - x)) for x in s])
-            total += half * float(np.dot(_GL_WEIGHTS, vals))
+    for s0, s1 in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
+        vals = np.array([a(abs(s)) * b(abs(r - s)) for s in mid + half * x])
+        total += half * float(np.dot(w, vals))
     return total
 
 
@@ -309,7 +304,7 @@ def oz_residual_order(p: Potential, k: int, r_grid, method: str = "auto",
         return cache[key].values[j], cache[key].std_errors[j]
 
     support = p.interaction_range * (k + 2)
-    breaks = _kink_candidates(p, k)
+    breaks = _kink_candidates(p, k, support)
 
     residuals, errors = [], []
     for r in r_grid:
@@ -321,7 +316,7 @@ def oz_residual_order(p: Potential, k: int, r_grid, method: str = "auto",
                 conv_total += convolve_1d(
                     lambda s: order_at(c2_density, j, s, k - 1)[0],
                     lambda s: order_at(h2_density_at, k - 1 - j, s, k - 1)[0],
-                    float(r), support, support, breaks, breaks)
+                    float(r), support, support, breaks, breaks, k)
             elif p.kind is Kind.HARD_SPHERE and k == 1:
                 conv_total += lens_volume(p.sigma, float(r))
             else:

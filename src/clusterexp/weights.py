@@ -13,12 +13,12 @@ instead: ``graph_weight_exact_1d`` and ``graph_weight_periodic_1d`` split
 each graph's integrand into convex polytopes of constant value, and a
 shortest-path (Floyd-Warshall) closure of each polytope's constraints
 decides emptiness and boundedness and gives Qhull its facets and an
-interior point.  Otherwise Monte Carlo: ``graph_weight_mc`` samples one
-graph's weight along its BFS tree, and ``class_sum_mc`` samples a whole
+interior point.  Otherwise Monte Carlo: ``class_sum_mc`` samples a whole
 class sum (connected, 2-connected, kernel or bicolored, from subset
 recursions at each configuration) under a mixture over all spanning trees
-on a root, which stands for the pinned vertices, and the free ones.  Both
-draw tree edges from a radial density proportional to |f|.
+on a root, which stands for the pinned vertices, and the free ones, with
+tree edges drawn from a radial density proportional to |f|;
+``graph_weight_mc`` scores one graph's bond product the same way.
 """
 
 from __future__ import annotations
@@ -531,42 +531,17 @@ def _random_directions(rng, size, d):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def graph_weight_mc(g: Graph, p: Potential, d: int, n_samples: int,
+def graph_weight_mc(g: Graph, p: Potential, n_samples: int,
                     seed: int) -> CoefficientEstimate:
-    """Unbiased Mayer-sampling estimate of the weight of g with vertex 0
-    pinned at the origin.
-
-    Free-vertex positions are drawn along a BFS spanning tree with per-edge
-    radial density proportional to |f|; every sample is reweighted by
-    f/proposal on tree edges times f on the remaining edges.
-    """
-    if d not in SURFACE_AREA or d > 3:
-        raise ValueError("d must be 1, 2 or 3")
+    """Mayer-sampling estimate of the weight of g with vertex 0 pinned at
+    the origin: ``class_sum_mc`` with g's bond product as the score."""
     if p.kind is Kind.ZERO:
         value = 1.0 if g.n_vertices == 1 else 0.0
         return CoefficientEstimate(value, 0.0, "mc", n_samples, seed)
-
-    tree = bfs_tree(g, 1)
-    proposal = RadialProposal(p, d)
-    rng = np.random.default_rng(seed)
-
-    pos = np.zeros((n_samples, g.n_vertices, d))
-    logless_weight = np.ones(n_samples)
-    tree_set = set()
-    for parent, child in tree:
-        tree_set.add(tuple(sorted((parent, child))))
-        r = proposal.sample_radii(rng, n_samples)
-        disp = _random_directions(rng, n_samples, d) * r[:, None]
-        pos[:, child, :] = pos[:, parent, :] + disp
-        logless_weight *= p.mayer_f(r) / proposal.pdf(r)
-    for i, j in g.edges:
-        if (i, j) in tree_set:
-            continue
-        r = np.linalg.norm(pos[:, i, :] - pos[:, j, :], axis=1)
-        logless_weight *= p.mayer_f(r)
-
-    value = float(logless_weight.mean())
-    stderr = float(logless_weight.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else math.inf
+    i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    value, stderr = class_sum_mc(lambda f: np.prod(f[:, i, j], axis=1), p,
+                                 g.n_vertices, n_samples,
+                                 np.random.default_rng(seed))
     return CoefficientEstimate(value, stderr, "mc", n_samples, seed)
 
 

@@ -218,7 +218,7 @@ class TestCriterion9OzOrderByOrder:
         r = np.linspace(0.2, 2.8, 7)
         for k in (0, 1, 2):
             res = oz_residual_order(hard_rods(), k, r)
-            assert res["max_abs"] < 1e-6, f"order {k}"
+            assert res["max_abs"] < 1e-12, f"order {k}"
 
     def test_hard_sphere_order_one_within_mc_error(self):
         r = np.array([0.4, 0.9, 1.3, 1.7])

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from clusterexp.canonical import (
@@ -11,28 +13,86 @@ from clusterexp.canonical import (
     zeta,
     zeta_scaling_bound,
 )
-from clusterexp.graphs import GraphClass, enumerate_graphs
+from clusterexp.graphs import EnumerationTooLarge, GraphClass, enumerate_graphs
 from clusterexp.potentials import hard_rods, hard_spheres, square_well
-from clusterexp.weights import graph_weight_periodic_1d
+from clusterexp.weights import graph_weight_periodic_1d, phi_t_batch
 
 
 P = hard_rods()
+SQUARE_WELL = square_well(sigma=1.0, lam=1.5, epsilon=1.0, beta=1.0, dimension=1)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the covering sum listed polymer multiset by polymer multiset
+# ---------------------------------------------------------------------------
+
+def _polymers_of(k):
+    """Subsets of [k+1] = {0..k} with at least two labels."""
+    return [frozenset(c) for size in range(2, k + 2)
+            for c in itertools.combinations(range(k + 1), size)]
+
+
+def _phi_t_multiset(polymers):
+    """phi^T of a polymer collection under the hard-core overlap species:
+    sum over connected graphs of prod (-1 if V_i and V_j overlap)."""
+    n = len(polymers)
+    if n == 1:
+        return 1.0
+    h = np.zeros((1, n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if polymers[i] & polymers[j]:
+                h[0, i, j] = h[0, j, i] = -1.0
+    return float(phi_t_batch(h)[0])
+
+
+def _covering_multisets(k, max_weight):
+    """Multisets of polymers of [k+1] with union [k+1] and total weight
+    sum(|V|-1) <= max_weight, as polymer lists with repeats."""
+    polymers = _polymers_of(k)
+    full = frozenset(range(k + 1))
+
+    def rec(start, weight_left, chosen, union):
+        if union == full:
+            yield list(chosen)
+        for idx in range(start, len(polymers)):
+            v = polymers[idx]
+            w = len(v) - 1
+            for rep in range(1, weight_left // w + 1):
+                chosen.extend([v] * rep)
+                yield from rec(idx + 1, weight_left - rep * w, chosen, union | v)
+                del chosen[-rep:]
+
+    yield from rec(0, max_weight, [], frozenset())
+
+
+def listed_B_k(p, k, L, truncation):
+    """B(k) truncated at total weight ``truncation``, summed over the listed
+    covering multisets, each with phi^T / (product of repeat factorials)."""
+    zetas = {s: zeta(p, s, L) for s in range(2, k + 2)}
+    total = 0.0
+    for ms in _covering_multisets(k, truncation):
+        mult = 1.0
+        for _, grp in itertools.groupby(sorted(ms, key=sorted)):
+            mult *= math.factorial(len(list(grp)))
+        total += _phi_t_multiset(ms) * math.prod(zetas[len(v)] for v in ms) / mult
+    return L ** k / math.factorial(k) * total
 
 
 class TestPolymerActivities:
     def test_pair_activity(self):
         # single edge on the length-10 circle: -2 sigma / L
-        assert zeta(P, 2, 10.0).value == pytest.approx(-0.2, abs=1e-12)
+        assert zeta(P, 2, 10.0) == pytest.approx(-0.2, abs=1e-12)
 
     def test_triple_activity(self):
-        assert zeta(P, 3, 10.0).value == pytest.approx(0.09, abs=1e-12)
+        assert zeta(P, 3, 10.0) == pytest.approx(0.09, abs=1e-12)
 
     def test_singleton_is_one(self):
-        assert zeta(P, 1, 10.0).value == 1.0
+        assert zeta(P, 1, 10.0) == 1.0
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_scaling_bound(self, m):
-        val = abs(zeta(P, m, 12.0).value)
+        val = abs(zeta(P, m, 12.0))
         assert val <= zeta_scaling_bound(P, m, 12.0) * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("L", [10.0, 20.0])
@@ -40,7 +100,7 @@ class TestPolymerActivities:
     def test_lattice_cells_match_periodic_polytopes(self, m, L):
         want = sum(graph_weight_periodic_1d(g, P, L)
                    for g in enumerate_graphs(m, GraphClass.CONNECTED))
-        assert zeta(P, m, L).value == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert zeta(P, m, L) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_periodic_only(self):
         with pytest.raises(ValueError):
@@ -86,6 +146,35 @@ class TestCanonicalCoefficients:
         with pytest.raises(ValueError):
             canonical_B_k(P, 5, 40.0)
 
+    @pytest.mark.parametrize("L", [10.0, 20.0])
+    @pytest.mark.parametrize("k,truncation",
+                             [(k, t) for k in (1, 2, 3) for t in range(k, k + 3)])
+    @pytest.mark.parametrize("p", [P, SQUARE_WELL], ids=["hard_rods", "square_well"])
+    def test_truncated_matches_multiset_listing(self, p, k, truncation, L):
+        got = canonical_B_k(p, k, L, truncation=truncation)["B"]
+        assert got == pytest.approx(listed_B_k(p, k, L, truncation), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [P, SQUARE_WELL], ids=["hard_rods", "square_well"])
+    def test_B_star_polymer_equals_graph_sum(self, p, k):
+        got = canonical_B_k(p, k, 10.0)
+        assert got["B_star_polymer"] == pytest.approx(got["B_star"], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("truncation", [-1, 0, 1, 2])
+    def test_truncation_below_k_is_zero(self, truncation):
+        assert canonical_B_k(P, 3, 10.0, truncation=truncation)["B"] == 0.0
+
+    def test_high_truncation_reaches_closed_form(self):
+        exact = canonical_B_k(P, 4, 20.0)["B"]
+        got = canonical_B_k(P, 4, 20.0, truncation=30)["B"]
+        assert got == pytest.approx(exact, rel=1e-10)
+
+    def test_truncation_beyond_fourteen_polymers(self):
+        # weight 8 admits collections of 8 pair polymers, and t = 4 is B*
+        exact = canonical_B_k(P, 4, 10.0)
+        got = canonical_B_k(P, 4, 10.0, truncation=8)["B"]
+        assert abs(got - exact["B"]) < abs(exact["B_star"] - exact["B"])
+
     def test_prefactor(self):
         assert prefactor(5, 10.0, 2) == pytest.approx(4 * 3 / 100.0)
         assert prefactor(3, 10.0, 3) == 0.0  # (N-3) factor vanishes
@@ -112,6 +201,11 @@ class TestExpansionAgainstOracles:
     def test_direct_oracle_matches_tonks(self, N, L):
         est = direct_logZ_oracle(P, N, L)
         assert est.value == pytest.approx(tonks_logZ(N, L), abs=1e-10)
+
+    @pytest.mark.parametrize("N,method", [(5, "exact1d"), (9, "mc"), (9, "auto")])
+    def test_oracle_caps_raise_enumeration_too_large(self, N, method):
+        with pytest.raises(EnumerationTooLarge):
+            direct_logZ_oracle(P, N, 40.0, method=method, n_samples=10)
 
     def test_mc_oracle_consistent(self):
         est = direct_logZ_oracle(P, 5, 30.0, method="mc",

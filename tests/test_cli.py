@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from clusterexp.canonical import EXACT_ORACLE_MAX_N, canonical_B_k, prefactor
 from clusterexp.catalog import CatalogKey, append_record, potential_hash
 from clusterexp.cli import EXIT_CAP, EXIT_NONCONV, EXIT_OK, EXIT_SCHEMA, dumps, main, to_csv
 from clusterexp.coefficients import irreducible_beta_n, mayer_b_n
@@ -239,6 +240,44 @@ class TestCanonical:
         assert float(res["expansion"]["log_z"]) == pytest.approx(math.log(40.0),
                                                                  abs=1e-12)
         assert abs(float(res["expansion_minus_oracle"])) < 1e-12
+
+    def test_coefficients_keyed_by_order(self, capsys, tmp_path):
+        N, L = 4, 20.0
+        cfg = write_config(tmp_path, "can.json",
+                           {"N": N, "L": L, "K": 3, "oracle": False})
+        code, out, _ = run_cli(capsys, ["canonical", "--config", cfg])
+        assert code == EXIT_OK
+        coeffs = json.loads(out)["results"]["expansion"]["coefficients"]
+        assert sorted(coeffs) == ["1", "2", "3"]
+        for k in (1, 2, 3):
+            want = canonical_B_k(hard_rods(), k, L)
+            assert coeffs[str(k)] == {
+                "B": want["B"], "B_star": want["B_star"],
+                "term": N * prefactor(N, L, k) * want["B"] / (k + 1)}
+
+    def test_oracle_beyond_its_cap_exits_cap(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "can.json", {"N": 10, "L": 20.0, "K": 3})
+        code, out, err = run_cli(capsys, ["canonical", "--config", cfg,
+                                          "--seed", "1"])
+        assert code == EXIT_CAP
+        assert out == "" and "error (cap)" in err
+
+    def test_mc_oracle_needs_a_seed(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "can.json",
+                           {"N": EXACT_ORACLE_MAX_N + 1, "L": 30.0, "K": 1})
+        code, _, err = run_cli(capsys, ["canonical", "--config", cfg])
+        assert code == EXIT_SCHEMA
+        assert "--seed required" in err
+
+    def test_any_truncation_runs(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "can.json", {"N": 6, "L": 20.0, "K": 2,
+                                                  "truncation": 20,
+                                                  "oracle": False})
+        code, out, _ = run_cli(capsys, ["canonical", "--config", cfg])
+        assert code == EXIT_OK
+        B2 = json.loads(out)["results"]["expansion"]["coefficients"]["2"]["B"]
+        assert B2 == pytest.approx(canonical_B_k(hard_rods(), 2, 20.0)["B"],
+                                   rel=1e-12)
 
 
 class TestCorrelations:

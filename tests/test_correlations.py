@@ -97,13 +97,13 @@ class TestConvolution:
     def test_indicator_convolution(self):
         f = lambda x: np.where(np.abs(x) < 1.0, -1.0, 0.0)
         for r in (0.0, 0.5, 1.3, 1.9):
-            got = convolve_1d(f, f, r, 1.0, 1.0, [1.0], [1.0])
+            got = convolve_1d(f, f, r, 1.0, 1.0, [1.0], [1.0], 1)
             assert got == pytest.approx(max(2.0 - r, 0.0), abs=1e-12)
 
     def test_kink_handling(self):
-        # convolving triangle-shaped pieces: result must be smooth in panels
+        # triangle-shaped pieces: a quadratic on each piece, cut at s = 0
         f = lambda x: np.where(np.abs(x) < 1.0, 1.0 - np.abs(x), 0.0)
-        got = convolve_1d(f, f, 0.0, 1.0, 1.0, [1.0], [1.0])
+        got = convolve_1d(f, f, 0.0, 1.0, 1.0, [1.0], [1.0], 2)
         # int (1-|x|)^2 dx over [-1,1] = 2/3
         assert got == pytest.approx(2.0 / 3.0, abs=1e-10)
 
@@ -131,6 +131,13 @@ class TestOzResiduals:
         r = np.linspace(0.1, 2.5, 13)
         res = oz_residual_order(P, 1, r)
         assert res["max_abs"] < 1e-10
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_square_well_exact(self, k):
+        # order-k h and c also kink at differences of the breakpoints,
+        # such as (lambda - 1) sigma = 0.5
+        res = oz_residual_order(SQUARE_WELL, k, [0.3, 0.7, 1.2, 1.7])
+        assert res["max_abs"] < 1e-12
 
     def test_hard_sphere_order1_within_mc_error(self):
         r = np.array([0.5, 1.2, 1.8])

@@ -145,12 +145,12 @@ class TestPeriodic1D:
 
 class TestMonteCarlo:
     def test_hard_sphere_edge_zero_variance(self):
-        est = graph_weight_mc(EDGE, hard_spheres(), d=3, n_samples=2_000, seed=1)
+        est = graph_weight_mc(EDGE, hard_spheres(), n_samples=2_000, seed=1)
         assert est.value == pytest.approx(-4.0 * math.pi / 3.0, rel=1e-12)
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
     def test_hard_sphere_triangle(self):
-        est = graph_weight_mc(TRIANGLE, hard_spheres(), d=3,
+        est = graph_weight_mc(TRIANGLE, hard_spheres(),
                               n_samples=200_000, seed=7)
         exact = -5.0 * math.pi ** 2 / 6.0
         assert est.agrees_with(exact, n_sigma=4.0)
@@ -159,12 +159,12 @@ class TestMonteCarlo:
     def test_mc_matches_exact_1d(self):
         p = square_well(sigma=1.0, lam=1.5, epsilon=0.3, beta=1.0, dimension=1)
         exact = graph_weight_exact_1d(TRIANGLE, p)
-        est = graph_weight_mc(TRIANGLE, p, d=1, n_samples=300_000, seed=11)
+        est = graph_weight_mc(TRIANGLE, p, n_samples=300_000, seed=11)
         assert est.agrees_with(exact, n_sigma=4.0)
 
     def test_seed_reproducibility(self):
-        a = graph_weight_mc(TRIANGLE, hard_spheres(), d=3, n_samples=5_000, seed=5)
-        b = graph_weight_mc(TRIANGLE, hard_spheres(), d=3, n_samples=5_000, seed=5)
+        a = graph_weight_mc(TRIANGLE, hard_spheres(), n_samples=5_000, seed=5)
+        b = graph_weight_mc(TRIANGLE, hard_spheres(), n_samples=5_000, seed=5)
         assert a.value == b.value and a.std_error == b.std_error
 
 
