@@ -42,7 +42,7 @@ from .series import TruncatedSeries, series_log
 from .graphs import enumerate_graphs  # noqa: F401
 from .weights import graph_weight_periodic_1d  # noqa: F401
 from .weights import (CoefficientEstimate, biconnected_sum_batch,
-                      lattice_class_sum, phi_t_batch, resolve_method)
+                      lattice_class_sum, phi_t_batch, resolve_method, stream)
 
 # Largest N of the exact direct oracle, which "auto" picks up to this size,
 # and of the Monte Carlo one.
@@ -65,7 +65,8 @@ def zeta(p: Potential, v_size: int, L: float) -> float:
     if v_size == 1:
         return 1.0
     if v_size > 5:
-        raise ValueError("polymer activities capped at size 5")
+        raise EnumerationTooLarge("polymer activities", v_size, 5,
+                                  2 ** (v_size * (v_size - 1) // 2))
     return lattice_class_sum(phi_t_batch, p, v_size, L)
 
 
@@ -139,7 +140,8 @@ def canonical_B_k(p: Potential, k: int, L: float,
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > 4:
-        raise ValueError("canonical coefficients capped at k = 4")
+        raise EnumerationTooLarge("canonical coefficients B(k) on k + 1 labels",
+                                  k + 1, 5, 2 ** (k * (k + 1) // 2))
     zetas = {m: zeta(p, m, L) for m in range(1, k + 2)}
     order = k if truncation is None else max(k, truncation)
     graded = _covering_sum(
@@ -250,8 +252,7 @@ def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
         total = lattice_class_sum(_boltzmann_product, p, N, L)
         log_z = N * math.log(L) - math.lgamma(N + 1) + math.log(total)
         return CoefficientEstimate(log_z, 0.0, "exact1d")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, L, size=(n_samples, N))
+    x = stream(seed, "direct_logZ", N).uniform(0.0, L, size=(n_samples, N))
     boltz = np.ones(n_samples)
     for i in range(N):
         for j in range(i + 1, N):

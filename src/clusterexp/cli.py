@@ -212,11 +212,7 @@ def _mc_section(cfg: dict, seed_flag: int | None) -> dict:
 
 def _require_seed(mc: dict, p, method: str) -> int:
     # seed is mandatory whenever the Monte Carlo path is active
-    try:
-        method = resolve_method(p, method)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    if method == "mc" and mc["seed"] is None:
+    if resolve_method(p, method) == "mc" and mc["seed"] is None:
         raise SchemaError("Monte Carlo evaluation requires --seed "
                           "(or mc.seed in the config)")
     return mc["seed"] or 0
@@ -536,12 +532,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text, code = run(args)
-    except SchemaError as exc:
-        print(f"error (schema): {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except EnumerationTooLarge as exc:
         print(f"error (cap): {exc}", file=sys.stderr)
         return EXIT_CAP
+    except ValueError as exc:
+        # a SchemaError, or a library ValueError on a value the schema admits
+        print(f"error (schema): {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except NonConvergence as exc:
         print(f"error (nonconvergence): {exc}", file=sys.stderr)
         return EXIT_NONCONV

@@ -7,44 +7,27 @@ the 1/volume normalization of a finite box for tempered potentials.
 
 Each coefficient integrates one class sum over the configurations of its
 vertices: phi^T for b_n, the 2-connected subset recursion for beta_n and
-the kernel product for a_n.  The exact 1D path sums it over the cells of a
-lattice arrangement (``weights.lattice_class_sum``, which falls back to
-per-graph polytopes when no lattice fits).  The Monte Carlo path draws one
-set of configurations per coefficient and scores each
-(``weights.class_sum_mc``); its random stream comes from
-``np.random.SeedSequence(seed, spawn_key=(family, order))``, so the streams
-of different coefficients are independent for one user seed.
+the kernel product for a_n.  ``weights.class_integral`` integrates it, by
+the rule it applies to every coefficient and correlation order: exactly
+over the cells of a lattice arrangement in 1D, or by Monte Carlo with one
+set of configurations drawn from the coefficient's own stream
+``weights.stream(seed, family, order)``, so the streams of different
+coefficients are independent for one user seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
-import numpy as np
-
-from .potentials import Kind, Potential
+from .potentials import Potential
 # Unused here: bench/tracing.py wraps these names in this module, and its
 # --trace 1 runs fail at install without them.
 from .graphs import enumerate_graphs  # noqa: F401
 from .weights import graph_weight_exact_1d, graph_weight_mc  # noqa: F401
-from .weights import (CoefficientEstimate, biconnected_sum_batch, class_sum_mc,
-                      kernel_sum_batch, lattice_class_sum, phi_t_batch,
+from .weights import (CoefficientEstimate, biconnected_sum_batch,
+                      class_integral, kernel_sum_batch, phi_t_batch,
                       resolve_method)
-
-# spawn-key tags of the coefficient families' random streams
-_FAMILY = {"b_n": 0, "beta_n": 1, "a_n": 2}
-
-
-def _class_sum(score, p: Potential, m: int, family: str, order: int,
-               method: str, n_samples: int, seed: int) -> CoefficientEstimate:
-    """The rooted integral of the class sum that ``score`` evaluates on m
-    vertices: exact over lattice cells, or Mayer-sampled from the
-    coefficient's own stream."""
-    if resolve_method(p, method) == "exact1d":
-        return CoefficientEstimate(lattice_class_sum(score, p, m), 0.0, "exact1d")
-    stream = np.random.SeedSequence(seed, spawn_key=(_FAMILY[family], order))
-    value, err = class_sum_mc(score, p, m, n_samples, np.random.default_rng(stream))
-    return CoefficientEstimate(value, err, "mc", n_samples, seed)
 
 
 def _scaled(est: CoefficientEstimate, factor: float) -> CoefficientEstimate:
@@ -60,9 +43,7 @@ def mayer_b_n(p: Potential, n: int, method: str = "auto",
         raise ValueError("order must be >= 1")
     if n == 1:
         return CoefficientEstimate(1.0, 0.0, resolve_method(p, method))
-    if p.kind is Kind.ZERO:
-        return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
-    est = _class_sum(phi_t_batch, p, n, "b_n", n, method, n_samples, seed)
+    est = class_integral(phi_t_batch, p, n, method, n_samples, seed, ("b_n", n))
     return _scaled(est, 1.0 / math.factorial(n))
 
 
@@ -72,10 +53,8 @@ def irreducible_beta_n(p: Potential, n: int, method: str = "auto",
     of the rooted weight."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    if p.kind is Kind.ZERO:
-        return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
-    est = _class_sum(biconnected_sum_batch, p, n + 1, "beta_n", n, method,
-                     n_samples, seed)
+    est = class_integral(biconnected_sum_batch, p, n + 1, method, n_samples,
+                         seed, ("beta_n", n))
     return _scaled(est, 1.0 / math.factorial(n))
 
 
@@ -89,10 +68,10 @@ def a_kernel(p: Potential, n: int, method: str = "auto",
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    if p.kind is Kind.ZERO:
-        return CoefficientEstimate(0.0, 0.0, resolve_method(p, method))
-    est = _class_sum(kernel_sum_batch, p, n + 1, "a_n", n, method, n_samples, seed)
-    return _scaled(est, -1.0)
+    est = class_integral(kernel_sum_batch, p, n + 1, method, n_samples, seed,
+                         ("a_n", n))
+    # 0.0 - value, not -value: a vanishing kernel stays +0.0
+    return dataclasses.replace(est, value=0.0 - est.value)
 
 
 def beta_table(p: Potential, max_order: int, method: str = "auto",

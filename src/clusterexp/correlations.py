@@ -17,12 +17,12 @@ per order).
 Each order integrates one class sum over the black positions, scored at
 every configuration: phi^T for u, the 2-connected subset recursion for c,
 the 2-connected sum with the white-white bond toggled for h, and a subset
-recursion over the blacks that reach a white for rho.  The exact 1D path
-sums it over lattice cells with the whites pinned
-(``weights.lattice_class_sum``); Monte Carlo draws one set of
-configurations per order (``weights.class_sum_mc``) from the stream
-``np.random.SeedSequence(seed, spawn_key=(family, n, order))``, so an order
-does not depend on K, and every separation r of a series shares it.
+recursion over the blacks that reach a white for rho.
+``weights.class_integral`` integrates it with the whites pinned, exactly
+over lattice cells in 1D or by Monte Carlo with one set of configurations
+per order drawn from the stream ``weights.stream(seed, family, n, order)``,
+so an order does not depend on K, and every separation r of a series
+shares it.
 """
 
 from __future__ import annotations
@@ -33,18 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import EnumerationTooLarge
 from .potentials import Kind, Potential
 # Unused here: bench/tracing.py wraps these names in this module, and its
 # --trace 1 runs fail at install without them.
 from .graphs import enumerate_bicolored  # noqa: F401
 from .weights import graph_weight_exact_1d, graph_weight_mc  # noqa: F401
 from .weights import (CoefficientEstimate, _subset_phis, biconnected_sum_batch,
-                      class_sum_mc, lattice_class_sum, phi_t_batch,
-                      resolve_method)
-
-# spawn-key tags of the series' random streams, after the coefficient
-# families 0-2 of ``coefficients``
-_FAMILY = {"u": 3, "rho": 4, "h": 5, "c": 6}
+                      class_integral, phi_t_batch, resolve_method, stream)
 
 
 @dataclass(frozen=True)
@@ -132,27 +128,15 @@ def _series(p: Potential, n: int, positions, K: int, score, family: str,
             seed: int) -> CorrelationSeries:
     """Orders 0..K of (1/k!) times the integral of the class sum ``score``
     over k blacks, with the n whites pinned at ``positions``."""
-    method = resolve_method(p, method)
     pts = _as_positions(positions, p.dimension)
     if len(pts) != n:
         raise ValueError(f"need {n} positions, got {len(pts)}")
     vals, errs = [], []
     for k in range(K + 1):
-        if p.kind is Kind.ZERO and k:
-            # every class joins each black to a white by an f bond
-            value, err = 0.0, 0.0
-        elif method == "exact1d":
-            value = lattice_class_sum(score, p, n + k,
-                                      root_positions=tuple(pts[:, 0].tolist()))
-            err = 0.0
-        else:
-            stream = np.random.SeedSequence(seed,
-                                            spawn_key=(_FAMILY[family], n, k))
-            value, err = class_sum_mc(score, p, n + k, n_samples,
-                                      np.random.default_rng(stream),
-                                      root_positions=pts)
-        vals.append(value / math.factorial(k))
-        errs.append(err / math.factorial(k))
+        est = class_integral(score, p, n + k, method, n_samples, seed,
+                             (family, n, k), root_positions=pts)
+        vals.append(est.value / math.factorial(k))
+        errs.append(est.std_error / math.factorial(k))
     return CorrelationSeries(n, tuple(np.ravel(positions)), variable,
                              tuple(vals), tuple(errs))
 
@@ -252,26 +236,22 @@ def _kink_candidates(p: Potential, order: int, support: float) -> np.ndarray:
     return np.array(sorted(s for s in sums if 0.0 <= s <= support))
 
 
-def convolve_1d(a, b, r: float, support_a: float, support_b: float,
-                breaks_a, breaks_b, nodes: int) -> float:
-    """(a*b)(r) = int a(|s|) b(|r-s|) ds for even compactly supported a, b.
+def convolve_1d(a, b, r: float, support: float, breaks, nodes: int) -> float:
+    """(a*b)(r) = int a(|s|) b(|r-s|) ds for even a, b that vanish beyond
+    ``support``.
 
     The integrand is cut where it can kink: at s = 0 and s = r, and where
-    |s| or |r - s| crosses a radius in ``breaks_a`` or ``breaks_b``.  When
-    it is a polynomial of degree below 2 * ``nodes`` on each piece, as the
-    order-by-order correlation functions are, Gauss-Legendre quadrature
-    with ``nodes`` points per piece is exact."""
-    lo = max(-support_a, r - support_b)
-    hi = min(support_a, r + support_b)
+    |s| or |r - s| crosses a radius in ``breaks``.  When it is a polynomial
+    of degree below 2 * ``nodes`` on each piece, as the order-by-order
+    correlation functions are, Gauss-Legendre quadrature with ``nodes``
+    points per piece is exact."""
+    lo = max(-support, r - support)
+    hi = min(support, r + support)
     if hi <= lo:
         return 0.0
     cuts = {lo, hi}
-    for q in (0.0, *np.asarray(breaks_a, dtype=float)):
-        for s in (q, -q):
-            if lo < s < hi:
-                cuts.add(float(s))
-    for q in (0.0, *np.asarray(breaks_b, dtype=float)):
-        for s in (r - q, r + q):
+    for q in (0.0, *np.asarray(breaks, dtype=float)):
+        for s in (q, -q, r - q, r + q):
             if lo < s < hi:
                 cuts.add(float(s))
     edges = np.array(sorted(cuts))
@@ -316,7 +296,7 @@ def oz_residual_order(p: Potential, k: int, r_grid, method: str = "auto",
                 conv_total += convolve_1d(
                     lambda s: order_at(c2_density, j, s, k - 1)[0],
                     lambda s: order_at(h2_density_at, k - 1 - j, s, k - 1)[0],
-                    float(r), support, support, breaks, breaks, k)
+                    float(r), support, breaks, k)
             elif p.kind is Kind.HARD_SPHERE and k == 1:
                 conv_total += lens_volume(p.sigma, float(r))
             else:
@@ -380,7 +360,8 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
     if p.dimension != 1:
         raise ValueError("oracle is one-dimensional")
     if N_max > 6:
-        raise ValueError("oracle capped at N_max = 6")
+        raise EnumerationTooLarge("grand-canonical oracle particles", N_max, 6,
+                                  2 ** (N_max * (N_max - 1) // 2))
     xs = tuple(float(x) for x in np.ravel(positions))
     if len(xs) != n:
         raise ValueError("need n positions")
@@ -405,7 +386,6 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
         for j in range(i + 1, n):
             dx = abs(xs[i] - xs[j]) % L
             b_fixed *= float(p.boltzmann(min(dx, L - dx)))
-    rng = np.random.default_rng(seed)
     num, num_var = 0.0, 0.0
     den, den_var = 0.0, 0.0
     for N in range(N_max + 1):
@@ -415,6 +395,8 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
             num += coef_num * b_fixed
             den += coef_den
             continue
+        # the draws of N do not depend on N_max
+        rng = stream(seed, "gc_oracle", n, N)
         y = rng.uniform(0.0, L, size=(n_samples, N))
         pts = np.concatenate([np.broadcast_to(np.array(xs), (n_samples, n)), y],
                              axis=1)

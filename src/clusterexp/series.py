@@ -119,7 +119,7 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     y = [one] + [0] * K
     for n in range(1, K + 1):
         s = sum(k * a[k] * y[n - k] for k in range(1, n + 1))
-        y[n] = s / n if not isinstance(s, (int, Fraction)) else Fraction(s, n)
+        y[n] = s / Fraction(n)
     return TruncatedSeries(y, a.variable)
 
 
@@ -130,7 +130,7 @@ def series_log(a: TruncatedSeries) -> TruncatedSeries:
     y = [0] * (K + 1)
     for n in range(1, K + 1):
         s = n * a[n] - sum(k * y[k] * a[n - k] for k in range(1, n))
-        y[n] = s / n if not isinstance(s, (int, Fraction)) else Fraction(s, n)
+        y[n] = s / Fraction(n)
     return TruncatedSeries(y, a.variable)
 
 
@@ -157,10 +157,7 @@ def lagrange_invert(rho_of_z: TruncatedSeries) -> TruncatedSeries:
     K = rho_of_z.order
     out_var = "rho" if rho_of_z.variable == "z" else "z"
     inv = [0] * (K + 1)
-    if isinstance(c1, (int, Fraction)):
-        inv[1] = Fraction(1, 1) / Fraction(c1)
-    else:
-        inv[1] = 1.0 / c1
+    inv[1] = Fraction(1) / c1
     for m in range(2, K + 1):
         cand = TruncatedSeries(inv[:m] + [0] * (K + 1 - m), out_var)
         err = series_compose(rho_of_z, cand)[m]
@@ -178,9 +175,7 @@ def kernel_series(a_kernels: dict[int, object], K: int,
     c = [0] * (K + 1)
     for n in range(1, K + 1):
         if n in a_kernels:
-            c[n] = a_kernels[n] / (Fraction(math.factorial(n))
-                                   if isinstance(a_kernels[n], (int, Fraction))
-                                   else float(math.factorial(n)))
+            c[n] = a_kernels[n] / Fraction(math.factorial(n))
     return TruncatedSeries(c, variable)
 
 
@@ -233,10 +228,7 @@ def two_connected_series(beta_table: dict[int, object], K: int) -> TruncatedSeri
     c = [0] * (K + 1)
     for k, bk in beta_table.items():
         if k + 1 <= K:
-            if isinstance(bk, (int, Fraction)):
-                c[k + 1] = Fraction(bk) / (k + 1)
-            else:
-                c[k + 1] = bk / (k + 1)
+            c[k + 1] = bk / Fraction(k + 1)
     return TruncatedSeries(c, "rho")
 
 
@@ -286,7 +278,7 @@ def density_from_activity(beta_table: dict[int, object], K: int) -> TruncatedSer
     Bprime = series_derivative(B).truncate(K)
     rho = [0] * (K + 1)
     if K >= 1:
-        rho[1] = 1 if isinstance(Bprime[1], (int, Fraction)) else 1.0
+        rho[1] = Bprime[1] * 0 + 1
     for m in range(2, K + 1):
         cand = TruncatedSeries(rho[:m] + [0] * (K + 1 - m), "z")
         # rho_m = [z^m] z * exp(B'(rho)) with rho known below order m

@@ -19,6 +19,10 @@ recursions at each configuration) under a mixture over all spanning trees
 on a root, which stands for the pinned vertices, and the free ones, with
 tree edges drawn from a radial density proportional to |f|;
 ``graph_weight_mc`` scores one graph's bond product the same way.
+
+``class_integral`` is the estimator of every coefficient and correlation
+order: it picks the path, gives 0 for f = 0, and draws Monte Carlo
+configurations from ``stream``, one spawn key per estimate.
 """
 
 from __future__ import annotations
@@ -386,8 +390,8 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
     n_cells = ((hi - lo if L is None else Lam) ** k
                * math.comb(k + len(gaps) - 1, k))
     if k > MAX_EXACT_BLACK:
-        raise EnumerationTooLarge("exact 1D class sums", m, MAX_EXACT_BLACK + 1,
-                                  n_cells)
+        raise EnumerationTooLarge("exact 1D class sums", m,
+                                  n_roots + MAX_EXACT_BLACK, n_cells)
     per_polytope = LINE_POLYTOPE_CELLS if L is None else TORUS_POLYTOPE_CELLS
     # no polytope count is needed when the cells cost less than one polytope
     if n_cells > per_polytope and \
@@ -534,15 +538,10 @@ def _random_directions(rng, size, d):
 def graph_weight_mc(g: Graph, p: Potential, n_samples: int,
                     seed: int) -> CoefficientEstimate:
     """Mayer-sampling estimate of the weight of g with vertex 0 pinned at
-    the origin: ``class_sum_mc`` with g's bond product as the score."""
-    if p.kind is Kind.ZERO:
-        value = 1.0 if g.n_vertices == 1 else 0.0
-        return CoefficientEstimate(value, 0.0, "mc", n_samples, seed)
+    the origin: ``class_integral`` with g's bond product as the score."""
     i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
-    value, stderr = class_sum_mc(lambda f: np.prod(f[:, i, j], axis=1), p,
-                                 g.n_vertices, n_samples,
-                                 np.random.default_rng(seed))
-    return CoefficientEstimate(value, stderr, "mc", n_samples, seed)
+    return class_integral(lambda f: np.prod(f[:, i, j], axis=1), p,
+                          g.n_vertices, "mc", n_samples, seed, ("graph",))
 
 
 # ---------------------------------------------------------------------------
@@ -810,3 +809,43 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
         count = total
     stderr = math.sqrt(sq / (count - 1) / count) if count > 1 else math.inf
     return mean, stderr
+
+
+# ---------------------------------------------------------------------------
+# the estimator policy: path, vanishing f and random streams
+# ---------------------------------------------------------------------------
+
+# spawn-key tags of the families of random streams; no two may be equal
+STREAMS = {"b_n": 0, "beta_n": 1, "a_n": 2, "u": 3, "rho": 4, "h": 5, "c": 6,
+           "graph": 7, "direct_logZ": 8, "gc_oracle": 9}
+
+
+def stream(seed: int, family: str, *key: int) -> np.random.Generator:
+    """The generator of the estimate keyed (family, *key): independent of
+    every other key's for one seed."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(STREAMS[family], *key)))
+
+
+def class_integral(score, p: Potential, m: int, method: str, n_samples: int,
+                   seed: int, key: tuple,
+                   root_positions=None) -> CoefficientEstimate:
+    """Integral of the class sum ``score`` on m vertices over the free
+    ones, vertices 0..n-1 pinned at the rows of ``root_positions`` (n, d)
+    (by default vertex 0 at the origin): ``lattice_class_sum`` or
+    ``class_sum_mc`` on ``stream(seed, *key)``, as ``resolve_method``
+    picks.  A class sum vanishes unless each free vertex is joined to a
+    pinned one by f bonds, so for f = 0 it is +0.0, with nothing drawn,
+    once a vertex is free."""
+    method = resolve_method(p, method)
+    roots = np.zeros((1, p.dimension)) if root_positions is None else \
+        np.asarray(root_positions, dtype=float).reshape(-1, p.dimension)
+    if p.kind is Kind.ZERO and m > len(roots):
+        return CoefficientEstimate(0.0, 0.0, method)
+    if method == "exact1d":
+        value = lattice_class_sum(score, p, m,
+                                  root_positions=tuple(roots[:, 0].tolist()))
+        return CoefficientEstimate(value, 0.0, "exact1d")
+    value, err = class_sum_mc(score, p, m, n_samples, stream(seed, *key),
+                              root_positions=roots)
+    return CoefficientEstimate(value, err, "mc", n_samples, seed)

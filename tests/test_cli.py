@@ -262,6 +262,13 @@ class TestCanonical:
         assert code == EXIT_CAP
         assert out == "" and "error (cap)" in err
 
+    def test_order_beyond_its_cap_exits_cap(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "can.json",
+                           {"N": 8, "L": 20.0, "K": 5, "oracle": False})
+        code, out, err = run_cli(capsys, ["canonical", "--config", cfg])
+        assert code == EXIT_CAP
+        assert out == "" and "error (cap)" in err
+
     def test_mc_oracle_needs_a_seed(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "can.json",
                            {"N": EXACT_ORACLE_MAX_N + 1, "L": 30.0, "K": 1})
@@ -278,6 +285,26 @@ class TestCanonical:
         B2 = json.loads(out)["results"]["expansion"]["coefficients"]["2"]["B"]
         assert B2 == pytest.approx(canonical_B_k(hard_rods(), 2, 20.0)["B"],
                                    rel=1e-12)
+
+
+class TestLibraryValueErrors:
+    """Configs that pass the schema but that the library rejects exit with
+    the schema code and a message, not a traceback."""
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("ozpy", {"potential": {"kind": "hard_spheres"}, "rho": 0.2,
+                  "grid": {"n_points": 8}}, "nontrivial grid"),
+        ("ozpy", {"potential": {"kind": "hard_spheres"}, "rho": 0.2,
+                  "grid": {"dr": 0.001, "n_points": 1024}}, "10 sigma"),
+        ("virial", {"potential": {"kind": "hard_spheres"}, "order": 2,
+                    "method": "exact1d"}, "one-dimensional"),
+        ("canonical", {"N": 2, "L": 1.5, "K": 1}, "L/2"),
+    ])
+    def test_exit_schema(self, capsys, tmp_path, command, cfg, message):
+        path = write_config(tmp_path, "cfg.json", cfg)
+        code, out, err = run_cli(capsys, [command, "--config", path])
+        assert code == EXIT_SCHEMA
+        assert out == "" and "error (schema)" in err and message in err
 
 
 class TestCorrelations:

@@ -97,13 +97,13 @@ class TestConvolution:
     def test_indicator_convolution(self):
         f = lambda x: np.where(np.abs(x) < 1.0, -1.0, 0.0)
         for r in (0.0, 0.5, 1.3, 1.9):
-            got = convolve_1d(f, f, r, 1.0, 1.0, [1.0], [1.0], 1)
+            got = convolve_1d(f, f, r, 1.0, [1.0], 1)
             assert got == pytest.approx(max(2.0 - r, 0.0), abs=1e-12)
 
     def test_kink_handling(self):
         # triangle-shaped pieces: a quadratic on each piece, cut at s = 0
         f = lambda x: np.where(np.abs(x) < 1.0, 1.0 - np.abs(x), 0.0)
-        got = convolve_1d(f, f, 0.0, 1.0, 1.0, [1.0], [1.0], 2)
+        got = convolve_1d(f, f, 0.0, 1.0, [1.0], 2)
         # int (1-|x|)^2 dx over [-1,1] = 2/3
         assert got == pytest.approx(2.0 / 3.0, abs=1e-10)
 
@@ -172,6 +172,29 @@ class TestGrandCanonicalOracle:
         with pytest.raises(ValueError, match="unknown method"):
             gc_correlation_oracle(P, 1, [0.0], z=0.1, L=10.0, N_max=2,
                                   method=method, n_samples=2000, seed=1)
+
+    def test_mc_terms_do_not_depend_on_N_max(self):
+        # with b_fixed = 1 the oracle is z (1 + sum_N w^N A_N / N!) /
+        # (1 + sum_N w^N C_N / N!), w = z L, so R = value / z satisfies
+        # sum_N (w^N / N!) (A_N - R C_N) = R - 1, linear in A_N and C_N:
+        # 2 N_max values of z give the Monte Carlo terms of every N.
+        L = 10.0
+
+        def terms(N_max):
+            zs = np.linspace(0.05, 0.2, 2 * N_max)
+            rows, rhs = [], []
+            for z in zs:
+                R = gc_correlation_oracle(SQUARE_WELL, 1, [0.0], z=z, L=L,
+                                          N_max=N_max, n_samples=2_000,
+                                          seed=4).value / z
+                w = [(z * L) ** N / math.factorial(N)
+                     for N in range(1, N_max + 1)]
+                rows.append(w + [-R * x for x in w])
+                rhs.append(R - 1.0)
+            return np.linalg.solve(np.array(rows), np.array(rhs))
+
+        short, long = terms(1), terms(2)
+        assert long[[0, 2]] == pytest.approx(short, rel=1e-8)
 
     def test_mc_fallback_agrees(self):
         est = gc_correlation_oracle(P, 1, [0.0], z=0.05, L=20.0,
@@ -309,7 +332,7 @@ class TestMonteCarloSeries:
                 rng.bit_generator.state["state"]["state"])
             return 0.0, 0.0
 
-        monkeypatch.setattr(correlations, "class_sum_mc", recording)
+        monkeypatch.setattr(weights, "class_sum_mc", recording)
         h2_density_at(hard_spheres(), 1.2, 2, method="mc", seed=3)
         c2_density(hard_spheres(), 1.2, 2, method="mc", seed=3)
         h = states[articulation_free_pair_batch]

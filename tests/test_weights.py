@@ -1,14 +1,21 @@
+import ast
 import itertools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clusterexp import weights
-from clusterexp.graphs import Graph, GraphClass, enumerate_graphs, prufer_trees
-from clusterexp.potentials import hard_rods, hard_spheres, lennard_jones, square_well
+from clusterexp.coefficients import a_kernel, irreducible_beta_n, mayer_b_n
+from clusterexp.correlations import u_n_activity
+from clusterexp.graphs import (EnumerationTooLarge, Graph, GraphClass,
+                               enumerate_graphs, prufer_trees)
+from clusterexp.potentials import (hard_rods, hard_spheres, lennard_jones,
+                                   square_well, zero_potential)
 from clusterexp.weights import (
+    STREAMS,
     CoefficientEstimate,
     biconnected_sum_batch,
     connected_sums,
@@ -444,6 +451,53 @@ class TestLatticeClassSum:
         with pytest.raises(ValueError):
             lattice_class_sum(phi_t_batch, hard_spheres(), 2)
 
+    def test_cap_counts_the_pinned_vertices(self):
+        # MAX_EXACT_BLACK free vertices run, so the cap on m is n_roots + 5
+        for roots, m, cap in (((0.0,), 7, 6), ((0.0, 1.5), 8, 7)):
+            with pytest.raises(EnumerationTooLarge,
+                               match=f"n={m} exceeds cap {cap} "):
+                lattice_class_sum(phi_t_batch, hard_rods(), m,
+                                  root_positions=roots)
+
 
 def _no_polytopes(*args, **kwargs):
     raise AssertionError("per-graph polytope path called")
+
+
+class TestEstimatorPolicy:
+    @pytest.mark.parametrize("method", ["exact1d", "mc"])
+    def test_vanishing_f_gives_positive_zero_and_integrates_nothing(
+            self, monkeypatch, method):
+        sizes = []
+        for name in ("lattice_class_sum", "class_sum_mc"):
+            def recording(score, p, m, *args, real=getattr(weights, name),
+                          **kwargs):
+                sizes.append(m)
+                return real(score, p, m, *args, **kwargs)
+            monkeypatch.setattr(weights, name, recording)
+        p = zero_potential()
+        values = [fn(p, n, method, 1_000, 1).value
+                  for fn in (mayer_b_n, irreducible_beta_n, a_kernel)
+                  for n in (2, 3)]
+        values += u_n_activity(p, 2, [0.0, 0.5], 3, method, 1_000, 1).values[1:]
+        # +0.0, though a_kernel negates the class integral
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
+        # only order 0 of the series, with no free vertex, is evaluated
+        assert sizes == [2]
+
+    def test_only_weights_stream_makes_generators(self):
+        makers = set()
+        for path in sorted(Path(weights.__file__).parent.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                names = {getattr(n, "attr", getattr(n, "id", None))
+                         for n in ast.walk(node)}
+                if names & {"default_rng", "SeedSequence"}:
+                    makers.add((path.stem, getattr(node, "name", None)))
+        assert makers == {("weights", "stream")}
+
+    def test_stream_tags(self):
+        assert len(set(STREAMS.values())) == len(STREAMS)
+        # these tags fix every coefficient and series Monte Carlo value
+        assert {name: STREAMS[name]
+                for name in ("b_n", "beta_n", "a_n", "u", "rho", "h", "c")} \
+            == {"b_n": 0, "beta_n": 1, "a_n": 2, "u": 3, "rho": 4, "h": 5, "c": 6}
