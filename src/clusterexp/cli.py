@@ -536,8 +536,9 @@ def main(argv=None) -> int:
         print(f"error (cap): {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:
-        # a SchemaError, or a library ValueError on a value the schema admits
-        print(f"error (schema): {exc}", file=sys.stderr)
+        # a SchemaError, or a library ValueError on a value the schema
+        # admits; the class name tells a bug that lands here from a config
+        print(f"error (schema): {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except NonConvergence as exc:
         print(f"error (nonconvergence): {exc}", file=sys.stderr)

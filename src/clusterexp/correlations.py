@@ -395,7 +395,7 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
             num += coef_num * b_fixed
             den += coef_den
             continue
-        # the draws of N do not depend on N_max
+        # each N draws from its own stream, apart from the other N
         rng = stream(seed, "gc_oracle", n, N)
         y = rng.uniform(0.0, L, size=(n_samples, N))
         pts = np.concatenate([np.broadcast_to(np.array(xs), (n_samples, n)), y],

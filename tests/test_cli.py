@@ -304,7 +304,8 @@ class TestLibraryValueErrors:
         path = write_config(tmp_path, "cfg.json", cfg)
         code, out, err = run_cli(capsys, [command, "--config", path])
         assert code == EXIT_SCHEMA
-        assert out == "" and "error (schema)" in err and message in err
+        assert out == "" and "error (schema): ValueError: " in err
+        assert message in err
 
 
 class TestCorrelations:

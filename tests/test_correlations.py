@@ -173,14 +173,14 @@ class TestGrandCanonicalOracle:
             gc_correlation_oracle(P, 1, [0.0], z=0.1, L=10.0, N_max=2,
                                   method=method, n_samples=2000, seed=1)
 
-    def test_mc_terms_do_not_depend_on_N_max(self):
+    def test_mc_terms_of_N_do_not_depend_on_other_N_draws(self, monkeypatch):
         # with b_fixed = 1 the oracle is z (1 + sum_N w^N A_N / N!) /
         # (1 + sum_N w^N C_N / N!), w = z L, so R = value / z satisfies
         # sum_N (w^N / N!) (A_N - R C_N) = R - 1, linear in A_N and C_N:
         # 2 N_max values of z give the Monte Carlo terms of every N.
-        L = 10.0
+        L, N_max = 10.0, 2
 
-        def terms(N_max):
+        def terms():
             zs = np.linspace(0.05, 0.2, 2 * N_max)
             rows, rhs = [], []
             for z in zs:
@@ -193,8 +193,14 @@ class TestGrandCanonicalOracle:
                 rhs.append(R - 1.0)
             return np.linalg.solve(np.array(rows), np.array(rhs))
 
-        short, long = terms(1), terms(2)
-        assert long[[0, 2]] == pytest.approx(short, rel=1e-8)
+        before = terms()
+        # other draws for N = 1 only
+        monkeypatch.setattr(
+            correlations, "stream",
+            lambda seed, *key: weights.stream(seed + (key[-1] == 1), *key))
+        after = terms()
+        assert after[[0, 2]] != pytest.approx(before[[0, 2]], rel=1e-3)
+        assert after[[1, 3]] == pytest.approx(before[[1, 3]], rel=1e-8)
 
     def test_mc_fallback_agrees(self):
         est = gc_correlation_oracle(P, 1, [0.0], z=0.05, L=20.0,
