@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, irfft, next_fast_len, rfft
 
 from .potentials import Kind, Potential, SURFACE_AREA
 
@@ -52,6 +51,9 @@ class _Convolver:
     product, inverse transform."""
 
     def __init__(self, grid: RadialGrid):
+        # scipy.fft loads with the first solve, not with clusterexp
+        from scipy import fft
+        self.fft = fft
         self.grid = grid
         n, dr = grid.n_points, grid.dr
         self.r = grid.r
@@ -61,10 +63,11 @@ class _Convolver:
     def forward(self, phi: np.ndarray) -> np.ndarray:
         # hat(phi)(q) = (4 pi / q) int r phi sin(qr) dr
         dr = self.grid.dr
-        return 2.0 * math.pi * dr * dst(self.r * phi, type=1) / self.q
+        return 2.0 * math.pi * dr * self.fft.dst(self.r * phi, type=1) / self.q
 
     def inverse(self, phi_hat: np.ndarray) -> np.ndarray:
-        return self.dq / (4.0 * math.pi ** 2 * self.r) * dst(self.q * phi_hat, type=1)
+        return (self.dq / (4.0 * math.pi ** 2 * self.r)
+                * self.fft.dst(self.q * phi_hat, type=1))
 
     def _even_extension(self, phi: np.ndarray) -> np.ndarray:
         """Samples on m = -n..n times dr; the missing r = 0 value is filled
@@ -83,9 +86,10 @@ class _Convolver:
         # line.  The outputs m = 1..n sit at indices 2n+1..3n of the linear
         # convolution; a period of 3n+1 or more keeps wrap-around off them.
         n = self.grid.n_points
-        size = next_fast_len(3 * n + 1, real=True)
-        out = irfft(rfft(self._even_extension(a), size)
-                    * rfft(self._even_extension(b), size), size)
+        fft = self.fft
+        size = fft.next_fast_len(3 * n + 1, real=True)
+        out = fft.irfft(fft.rfft(self._even_extension(a), size)
+                        * fft.rfft(self._even_extension(b), size), size)
         return self.grid.dr * out[2 * n + 1:3 * n + 1]
 
 

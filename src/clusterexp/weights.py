@@ -35,14 +35,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-# Unused here: bench/tracing.py wraps weights.linprog by name, and its
-# --trace 1 runs fail at install without it.
-from scipy.optimize import linprog  # noqa: F401
-from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .graphs import (MAX_EXHAUSTIVE_N, EnumerationTooLarge, Graph, bfs_tree,
                      prufer_trees)
 from .potentials import SURFACE_AREA, Kind, Potential
+
+
+# These wrappers exist only for bench/tracing.py, which wraps these names
+# here (``linprog`` is called nowhere).  Each loads scipy when called, so
+# importing clusterexp loads no scipy module.
+def linprog(*args, **kwargs):
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
+def HalfspaceIntersection(*args, **kwargs):
+    from scipy.spatial import HalfspaceIntersection
+    return HalfspaceIntersection(*args, **kwargs)
+
+
+def ConvexHull(*args, **kwargs):
+    from scipy.spatial import ConvexHull
+    return ConvexHull(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +208,11 @@ def graph_weight_exact_1d(g: Graph, p: Potential, root_positions=(0.0,)):
     if n_black < 0:
         raise ValueError("more roots than vertices")
     if p.kind is Kind.ZERO:
-        return 0.0 if g.n_edges > 0 else 1.0
+        if g.n_edges > 0:
+            return 0.0
+        if n_black > 0:
+            raise ValueError("unbounded integration region")
+        return 1.0
     prefactor, eb, ev, n_free = _edge_terms(g, p, root_positions)
     return _sum_branch_combinations(prefactor, eb, ev, n_free, box=None)
 

@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -68,11 +66,6 @@ class TestConvolution:
         assert np.max(np.abs(got - exact)) < 1e-4
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    code = "import sys, clusterexp; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 class TestSolver:

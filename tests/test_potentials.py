@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -171,10 +169,3 @@ class TestRadialIntegrals:
                 quad(lambda r: float(fn(r)) * r ** (d - 1), lo, hi)[0]
                 for lo, hi in zip(breaks, breaks[1:]))
             assert closed(p, d) == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-def test_import_leaves_scipy_integrate_unloaded():
-    code = "import sys, clusterexp; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"

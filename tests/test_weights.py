@@ -99,6 +99,18 @@ class TestPolytopeVolume:
         with pytest.raises(ValueError):
             difference_polytope_volume(2, [(1, 0, 0.0, 1.0)])
 
+    def test_qhull_goes_through_the_traced_names(self, monkeypatch):
+        # bench/tracing.py counts weights.qhull by wrapping these two names
+        calls = []
+        for name in ("HalfspaceIntersection", "ConvexHull"):
+            def counted(*args, name=name, real=getattr(weights, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(weights, name, counted)
+        cons = [(0, -1, -1.0, 1.0), (1, -1, -1.0, 1.0), (1, 0, -1.5, 1.5)]
+        assert difference_polytope_volume(2, cons) == pytest.approx(3.75, abs=1e-12)
+        assert sorted(calls) == ["ConvexHull", "HalfspaceIntersection"]
+
 
 class TestExact1D:
     def test_edge_weight(self):
@@ -133,6 +145,19 @@ class TestExact1D:
         assert graph_weight_exact_1d(g, hard_rods(), root_positions=(0.0, 0.5)) \
             == pytest.approx(-1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [zero_potential(), hard_rods()],
+                             ids=["zero", "hard-rods"])
+    def test_free_vertex_with_no_edge_diverges(self, p):
+        with pytest.raises(ValueError, match="unbounded integration region"):
+            graph_weight_exact_1d(Graph.from_edges(2, []), p)
+
+    def test_zero_potential(self):
+        p = zero_potential()
+        pinned = Graph.from_edges(2, [], 2)
+        assert graph_weight_exact_1d(pinned, p, root_positions=(0.0, 0.5)) == 1.0
+        assert graph_weight_exact_1d(EDGE, p) == 0.0
+        assert graph_weight_exact_1d(PATH3, p) == 0.0
+
 
 class TestPeriodic1D:
     def test_edge_periodic(self):
@@ -142,6 +167,12 @@ class TestPeriodic1D:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             graph_weight_periodic_1d(EDGE, hard_rods(), L=1.5)
+
+    def test_zero_potential(self):
+        # the normalized torus integral of an edgeless graph is 1
+        p = zero_potential()
+        assert graph_weight_periodic_1d(Graph.from_edges(3, []), p, L=10.0) == 1.0
+        assert graph_weight_periodic_1d(EDGE, p, L=10.0) == 0.0
 
     def test_matches_free_weight_for_large_L(self):
         # with L large the periodic images cannot contribute: w_bar = w / L^{n-1}
