@@ -42,7 +42,8 @@ from .series import TruncatedSeries, series_log
 from .graphs import enumerate_graphs  # noqa: F401
 from .weights import graph_weight_periodic_1d  # noqa: F401
 from .weights import (CoefficientEstimate, biconnected_sum_batch,
-                      lattice_class_sum, phi_t_batch, resolve_method, stream)
+                      lattice_class_sum, phi_t_batch, require_exact_1d,
+                      resolve_method, stream, torus_boltzmann_mc)
 
 # Largest N of the exact direct oracle, which "auto" picks up to this size,
 # and of the Monte Carlo one.
@@ -50,16 +51,11 @@ EXACT_ORACLE_MAX_N = 4
 MC_ORACLE_MAX_N = 8
 
 
-def _require_periodic_1d(p: Potential):
-    if p.dimension != 1 or not p.piecewise_constant_f:
-        raise ValueError("canonical exact path needs a piecewise-constant 1D potential")
-
-
 def zeta(p: Potential, v_size: int, L: float) -> float:
     """Polymer activity: sum over connected graphs on the label set of the
     normalized periodic weight.  Scales as L^{-(size-1)}; singletons have
     activity 1."""
-    _require_periodic_1d(p)
+    require_exact_1d(p, L)
     if v_size < 1:
         raise ValueError("polymer size must be >= 1")
     if v_size == 1:
@@ -136,7 +132,7 @@ def canonical_B_k(p: Potential, k: int, L: float,
     exactly k; it equals (L^k/k!) * sum over 2-connected graphs on k+1
     vertices of the normalized weight, and both routes are returned.
     """
-    _require_periodic_1d(p)
+    require_exact_1d(p, L)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > 4:
@@ -194,7 +190,7 @@ def canonical_free_energy(p: Potential, N: int, L: float, K: int,
     (empirical constants; the decay itself is the certified property).
     Densities beyond the canonical certificate only set a warning flag.
     """
-    _require_periodic_1d(p)
+    require_exact_1d(p, L)
     if not 1 <= K < N:
         raise ValueError("need 1 <= K < N")
     from .convergence import canonical_radius
@@ -229,40 +225,43 @@ def _boltzmann_product(f: np.ndarray) -> np.ndarray:
     return np.prod(1.0 + f[:, i, j], axis=1)
 
 
+def oracle_method(p: Potential, N: int, method: str) -> str:
+    """The path of the direct oracle: "auto" is exact up to
+    ``EXACT_ORACLE_MAX_N`` particles."""
+    return resolve_method(p, method, covered=N <= EXACT_ORACLE_MAX_N)
+
+
 def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
                        n_samples: int = 200_000, seed: int = 0) -> CoefficientEstimate:
     """log Z by direct evaluation of (1/N!) int_{[0,L]^N} e^{-beta H}.
 
     The exact route integrates e^{-beta H}, the product of (1 + f) over all
-    pairs, over the lattice cells of the torus (N <= EXACT_ORACLE_MAX_N);
-    the MC route samples uniform configurations (N <= MC_ORACLE_MAX_N).
+    pairs, over the lattice cells of the torus (N <= EXACT_ORACLE_MAX_N),
+    and gives -inf when no configuration fits; the MC route averages
+    e^{-beta H} over uniform configurations (``torus_boltzmann_mc``,
+    N <= MC_ORACLE_MAX_N) and raises when no sample has nonzero weight.
     A larger N raises ``EnumerationTooLarge``.
     """
-    _require_periodic_1d(p)
-    if method == "auto":
-        method = "exact1d" if N <= EXACT_ORACLE_MAX_N else "mc"
-    method = resolve_method(p, method)
+    require_exact_1d(p)
+    method = oracle_method(p, N, method)
     if N < 1:
         raise ValueError("N must be >= 1")
     cap = EXACT_ORACLE_MAX_N if method == "exact1d" else MC_ORACLE_MAX_N
     if N > cap:
         raise EnumerationTooLarge(f"direct {method} oracle", N, cap,
                                   2 ** (N * (N - 1) // 2))
+    ideal = N * math.log(L) - math.lgamma(N + 1)
     if method == "exact1d":
         total = lattice_class_sum(_boltzmann_product, p, N, L)
-        log_z = N * math.log(L) - math.lgamma(N + 1) + math.log(total)
+        log_z = ideal + math.log(total) if total else -math.inf
         return CoefficientEstimate(log_z, 0.0, "exact1d")
-    x = stream(seed, "direct_logZ", N).uniform(0.0, L, size=(n_samples, N))
-    boltz = np.ones(n_samples)
-    for i in range(N):
-        for j in range(i + 1, N):
-            dx = np.abs(x[:, i] - x[:, j])
-            dx = np.minimum(dx, L - dx)
-            boltz *= p.boltzmann(dx)
-    mean = float(boltz.mean())
-    stderr = float(boltz.std(ddof=1) / math.sqrt(n_samples))
-    log_z = N * math.log(L) - math.lgamma(N + 1) + math.log(mean)
-    return CoefficientEstimate(log_z, stderr / mean, "mc", n_samples, seed)
+    mean, stderr = torus_boltzmann_mc(p, L, (), N, n_samples,
+                                      stream(seed, "direct_logZ", N))
+    if not mean:
+        raise ValueError(f"no sample had nonzero weight ({n_samples} uniform "
+                         f"configurations of {N} particles at L = {L})")
+    return CoefficientEstimate(ideal + math.log(mean), stderr / mean, "mc",
+                               n_samples, seed)
 
 
 def tonks_logZ(N: int, L: float, sigma: float = 1.0) -> float:

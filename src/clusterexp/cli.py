@@ -27,8 +27,8 @@ import numpy as np
 from .catalog import (CODE_VERSION, CatalogKey, CoefficientTable, estimator_name,
                       potential_hash)
 from .catalog import gc as catalog_gc
-from .canonical import (EXACT_ORACLE_MAX_N, canonical_free_energy,
-                        direct_logZ_oracle)
+from .canonical import (canonical_free_energy, direct_logZ_oracle,
+                        oracle_method)
 from .coefficients import irreducible_beta_n, mayer_b_n
 from .convergence import activity_radius, canonical_radius
 from .correlations import h_n_density
@@ -358,9 +358,9 @@ def _cmd_canonical(cfg: dict, args) -> _Result:
     }
     if cfg.get("oracle", True):
         mc = _mc_section(cfg, args.seed)
-        if N > EXACT_ORACLE_MAX_N and mc["seed"] is None:
-            raise SchemaError(f"oracle for N > {EXACT_ORACLE_MAX_N} is Monte "
-                              "Carlo; --seed required")
+        if oracle_method(p, N, "auto") == "mc" and mc["seed"] is None:
+            raise SchemaError(f"oracle for N = {N} is Monte Carlo; "
+                              "--seed required")
         oracle = direct_logZ_oracle(p, N, L, n_samples=mc["samples"],
                                     seed=mc["seed"] or 0)
         payload["oracle"] = asdict(oracle)

@@ -40,7 +40,8 @@ from .potentials import Kind, Potential
 from .graphs import enumerate_bicolored  # noqa: F401
 from .weights import graph_weight_exact_1d, graph_weight_mc  # noqa: F401
 from .weights import (CoefficientEstimate, _subset_phis, biconnected_sum_batch,
-                      class_integral, phi_t_batch, resolve_method, stream)
+                      class_integral, phi_t_batch, resolve_method, stream,
+                      torus_boltzmann_mc)
 
 
 @dataclass(frozen=True)
@@ -226,9 +227,7 @@ def _kink_candidates(p: Potential, order: int, support: float) -> np.ndarray:
     """Superset of radii in [0, support] where order-k correlation
     functions can kink: every nonnegative signed sum of up to k + 3
     breakpoints of f."""
-    breaks = [p.sigma]
-    if p.kind is Kind.SQUARE_WELL:
-        breaks.append(p.lam * p.sigma)
+    breaks = [r for r, _ in p.f_jumps()]
     n = order + 3
     sums = {sum(c * b for c, b in zip(coeffs, breaks))
             for coeffs in itertools.product(range(-n, n + 1), repeat=len(breaks))
@@ -354,8 +353,10 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
     """Finite-volume grand-canonical rho^(n)(x_1..x_n) with the particle sum
     truncated at N_max: (1/Xi) sum_N (z^{n+N}/N!) int e^{-beta H} dy.
 
-    Exact for hard rods via the arc decomposition of the excluded-volume
-    indicator; Monte Carlo otherwise.
+    "auto" is exact for hard rods, via the arc decomposition of the
+    excluded-volume indicator, and Monte Carlo otherwise: for each N the
+    numerator and then the denominator from ``torus_boltzmann_mc``, on one
+    stream per N.
     """
     if p.dimension != 1:
         raise ValueError("oracle is one-dimensional")
@@ -365,9 +366,7 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
     xs = tuple(float(x) for x in np.ravel(positions))
     if len(xs) != n:
         raise ValueError("need n positions")
-    if method == "auto":
-        method = "exact1d" if p.kind is Kind.HARD_ROD else "mc"
-    method = resolve_method(p, method)
+    method = resolve_method(p, method, covered=p.kind is Kind.HARD_ROD)
     if z == 0.0:
         return CoefficientEstimate(0.0 if n >= 1 else 1.0, 0.0, "exact1d")
     if method == "exact1d":
@@ -381,46 +380,19 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
                   for N in range(N_max + 1))
         return CoefficientEstimate(num / den, 0.0, "exact1d")
 
-    b_fixed = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = abs(xs[i] - xs[j]) % L
-            b_fixed *= float(p.boltzmann(min(dx, L - dx)))
     num, num_var = 0.0, 0.0
     den, den_var = 0.0, 0.0
     for N in range(N_max + 1):
-        coef_num = z ** (n + N) * L ** N / math.factorial(N)
-        coef_den = z ** N * L ** N / math.factorial(N)
-        if N == 0:
-            num += coef_num * b_fixed
-            den += coef_den
-            continue
         # each N draws from its own stream, apart from the other N
         rng = stream(seed, "gc_oracle", n, N)
-        y = rng.uniform(0.0, L, size=(n_samples, N))
-        pts = np.concatenate([np.broadcast_to(np.array(xs), (n_samples, n)), y],
-                             axis=1)
-        boltz = np.ones(n_samples)
-        m = n + N
-        for i in range(m):
-            for j in range(i + 1, m):
-                if i < n and j < n:
-                    continue
-                dx = np.abs(pts[:, i] - pts[:, j]) % L
-                boltz *= p.boltzmann(np.minimum(dx, L - dx))
-        mean_num = float(boltz.mean()) * b_fixed
-        # denominator samples: same N free particles, no fixed points
-        y2 = rng.uniform(0.0, L, size=(n_samples, N))
-        boltz2 = np.ones(n_samples)
-        for i in range(N):
-            for j in range(i + 1, N):
-                dx = np.abs(y2[:, i] - y2[:, j]) % L
-                boltz2 *= p.boltzmann(np.minimum(dx, L - dx))
+        mean_num, err_num = torus_boltzmann_mc(p, L, xs, N, n_samples, rng)
+        mean_den, err_den = torus_boltzmann_mc(p, L, (), N, n_samples, rng)
+        coef_num = z ** (n + N) * L ** N / math.factorial(N)
+        coef_den = z ** N * L ** N / math.factorial(N)
         num += coef_num * mean_num
-        den += coef_den * float(boltz2.mean())
-        num_var += (coef_num * b_fixed * float(boltz.std(ddof=1))
-                    / math.sqrt(n_samples)) ** 2
-        den_var += (coef_den * float(boltz2.std(ddof=1)) / math.sqrt(n_samples)) ** 2
+        den += coef_den * mean_den
+        num_var += (coef_num * err_num) ** 2
+        den_var += (coef_den * err_den) ** 2
     value = num / den
     stderr = abs(value) * math.hypot(math.sqrt(num_var) / max(num, 1e-300),
                                      math.sqrt(den_var) / den)

@@ -233,24 +233,12 @@ def oz_selfconsistency(p: Potential, sol: RadialFunctions) -> float:
     return float(np.max(np.abs(h - c - sol.rho * conv.convolve(c, h))))
 
 
-def _boltzmann_jumps(p: Potential) -> list[tuple[float, float]]:
-    """(radius, jump of e^{-beta V} across it), inner to outer."""
-    jumps = []
-    if p.kind in (Kind.HARD_ROD, Kind.HARD_SPHERE):
-        jumps.append((p.sigma, 1.0))
-    elif p.kind is Kind.SQUARE_WELL:
-        e_well = math.exp(p.beta * p.epsilon)
-        jumps.append((p.sigma, e_well))
-        jumps.append((p.lam * p.sigma, 1.0 - e_well))
-    return jumps
-
-
 def _boltzmann_weights(p: Potential, grid: RadialGrid) -> np.ndarray:
     """e^{-beta V} on the grid as the convolutions and quadratures weigh it:
     a grid point on a jump gets the mean of the two one-sided limits."""
     r = grid.r
     boltz = 1.0 + np.asarray(p.mayer_f(r), dtype=float)
-    for radius, jump in _boltzmann_jumps(p):
+    for radius, jump in p.f_jumps():
         k = round(radius / grid.dr) - 1
         if 0 <= k < grid.n_points and abs(r[k] - radius) < 1e-9 * grid.dr:
             # the outer limit, read half a cell out, less half the jump
@@ -270,7 +258,7 @@ def thermodynamics(p: Potential, sol: RadialFunctions) -> dict:
 
     # virial route: beta P = rho + rho^2/(2d) int y(r) r d(e^{-bV})/dr dV
     jump_term = 0.0
-    for radius, jump in _boltzmann_jumps(p):
+    for radius, jump in p.f_jumps():
         # y is continuous across the jump, so read it at the jump itself
         yj = float(np.interp(radius, r, sol.y))
         jump_term += sd * radius ** d * jump * yj

@@ -135,6 +135,16 @@ class Potential:
             pieces.append((self.sigma, self.lam * self.sigma, math.expm1(self.beta * self.epsilon)))
         return pieces
 
+    def f_jumps(self) -> list[tuple[float, float]]:
+        """(radius, step of f across it) at the outer edge of each piece of
+        a piecewise-constant f, inner to outer: f just outside less f just
+        inside, the pieces tiling [0, range).  Empty when f is not piecewise
+        constant."""
+        pieces = self.f_pieces() if self.piecewise_constant_f else []
+        outside = [val for _, _, val in pieces[1:]] + [0.0]
+        return [(r_hi, out - val)
+                for (_, r_hi, val), out in zip(pieces, outside)]
+
     def label(self) -> dict:
         """Stable key material for caching/catalog purposes."""
         return {

@@ -22,7 +22,11 @@ tree edges drawn from a radial density proportional to |f|;
 
 ``class_integral`` is the estimator of every coefficient and correlation
 order: it picks the path, gives 0 for f = 0, and draws Monte Carlo
-configurations from ``stream``, one spawn key per estimate.
+configurations from ``stream``, one spawn key per estimate.  The
+finite-volume oracles share its "auto" rule (``resolve_method``, told
+whether their exact path covers the input), the domain check of the exact
+paths (``require_exact_1d``) and one uniform-torus sampler
+(``torus_boltzmann_mc``).
 """
 
 from __future__ import annotations
@@ -124,6 +128,18 @@ def difference_polytope_volume(k, constraints, box=None):
 MAX_EXACT_BLACK = 5
 
 
+def require_exact_1d(p: Potential, L: float | None = None):
+    """Raise ValueError unless the exact 1D paths cover p: a
+    piecewise-constant f in one dimension and, on the length-L torus, a
+    range below L/2, so that each pair meets one periodic image."""
+    if not p.piecewise_constant_f:
+        raise ValueError("use MC path: f is not piecewise constant")
+    if p.dimension != 1:
+        raise ValueError("exact path is one-dimensional")
+    if L is not None and p.interaction_range >= L / 2:
+        raise ValueError("interaction range must be < L/2 for image expansion")
+
+
 def _delta_branches(piece, shifts=(0.0,)):
     """Convex branches of {Delta : |Delta| in [r_lo, r_hi)} (+ periodic
     images), each as (lo, hi, value)."""
@@ -174,6 +190,10 @@ def _edge_terms(g: Graph, p: Potential, positions, shifts=(0.0,), box=None):
 
 
 def _sum_branch_combinations(prefactor, edge_branches, edge_vars, n_free, box):
+    if n_free > MAX_EXACT_BLACK:
+        raise EnumerationTooLarge("exact 1D graph weights", n_free,
+                                  MAX_EXACT_BLACK,
+                                  math.prod(map(len, edge_branches)))
     if prefactor == 0.0:
         return 0.0
     total = 0.0
@@ -198,21 +218,9 @@ def graph_weight_exact_1d(g: Graph, p: Potential, root_positions=(0.0,)):
     Exact for piecewise-constant f.  The graph must connect every free
     vertex to a fixed one (else the integral diverges).
     """
-    if not p.piecewise_constant_f:
-        raise ValueError("use MC path: f is not piecewise constant")
-    if p.dimension != 1:
-        raise ValueError("exact path is one-dimensional")
-    n_black = g.n_vertices - len(root_positions)
-    if n_black > MAX_EXACT_BLACK:
-        raise ValueError(f"exact path capped at {MAX_EXACT_BLACK} free vertices")
-    if n_black < 0:
+    require_exact_1d(p)
+    if g.n_vertices < len(root_positions):
         raise ValueError("more roots than vertices")
-    if p.kind is Kind.ZERO:
-        if g.n_edges > 0:
-            return 0.0
-        if n_black > 0:
-            raise ValueError("unbounded integration region")
-        return 1.0
     prefactor, eb, ev, n_free = _edge_terms(g, p, root_positions)
     return _sum_branch_combinations(prefactor, eb, ev, n_free, box=None)
 
@@ -224,19 +232,11 @@ def graph_weight_periodic_1d(g: Graph, p: Potential, L: float):
     Translation invariance pins vertex 0; periodic distances are realized
     by image shifts, valid because the interaction range is < L/2.
     """
-    if not p.piecewise_constant_f:
-        raise ValueError("use MC path: f is not piecewise constant")
-    if p.dimension != 1:
-        raise ValueError("periodic exact path is one-dimensional")
-    if p.interaction_range >= L / 2:
-        raise ValueError("interaction range must be < L/2 for image expansion")
-    n_free = g.n_vertices - 1
-    if n_free > MAX_EXACT_BLACK:
-        raise ValueError(f"exact path capped at {MAX_EXACT_BLACK} free vertices")
+    require_exact_1d(p, L)
     if p.kind is Kind.ZERO:
         return 0.0 if g.n_edges > 0 else 1.0
     box = (-L / 2.0, L / 2.0)
-    prefactor, eb, ev, _ = _edge_terms(g, p, (0.0,), shifts=(-L, 0.0, L), box=box)
+    prefactor, eb, ev, n_free = _edge_terms(g, p, (0.0,), shifts=(-L, 0.0, L), box=box)
     total = _sum_branch_combinations(prefactor, eb, ev, n_free, box=box)
     return total / L ** n_free
 
@@ -382,12 +382,7 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
     the sum runs graph by graph over polytopes (``graph_weight_exact_1d``
     or ``graph_weight_periodic_1d``).
     """
-    if not p.piecewise_constant_f:
-        raise ValueError("use MC path: f is not piecewise constant")
-    if p.dimension != 1:
-        raise ValueError("exact path is one-dimensional")
-    if L is not None and p.interaction_range >= L / 2:
-        raise ValueError("interaction range must be < L/2 for image expansion")
+    require_exact_1d(p, L)
     n_roots = len(root_positions)
     k = m - n_roots
     if n_roots < 1 or k < 0:
@@ -454,14 +449,16 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
     return float(total * (h ** k if L is None else Fraction(1, Lam ** k)))
 
 
-def resolve_method(p: Potential, method: str) -> str:
+def resolve_method(p: Potential, method: str, covered: bool = True) -> str:
     """The weight path that ``method`` selects: "exact1d" or "mc".
 
     "auto" takes the exact path for a piecewise-constant f in one dimension
-    and Monte Carlo otherwise; a name other than the three raises.
+    when ``covered``, the caller's word that its exact path takes this
+    input, and Monte Carlo otherwise; a name other than the three raises.
     """
     if method == "auto":
-        return "exact1d" if (p.piecewise_constant_f and p.dimension == 1) else "mc"
+        return "exact1d" if (p.piecewise_constant_f and p.dimension == 1
+                             and covered) else "mc"
     if method not in ("exact1d", "mc"):
         raise ValueError(f"unknown method {method!r}; "
                          "expected 'auto', 'exact1d' or 'mc'")
@@ -494,16 +491,21 @@ class CoefficientEstimate:
         return abs(self.value - other_value) <= tol
 
 
+# Bins of the gridded Lennard-Jones proposal.
+PROPOSAL_BINS = 2048
+
+
 class RadialProposal:
     """Piecewise-constant radial density proportional to |f|.
 
     Exact for hard-core / square-well potentials; for Lennard-Jones the
-    density is |f| gridded at bin midpoints and truncated at ``r_max`` (the
-    tree-edge displacement never exceeds r_max, a documented tail
-    truncation).  For hard cores |f| = fbar = 1 on the core.
+    density is |f| gridded at the midpoints of ``PROPOSAL_BINS`` bins and
+    truncated at r_max, the cutoff or else 50 sigma (the tree-edge
+    displacement never exceeds r_max, a documented tail truncation).  For
+    hard cores |f| = fbar = 1 on the core.
     """
 
-    def __init__(self, p: Potential, d: int, n_bins: int = 2048, r_max: float | None = None):
+    def __init__(self, p: Potential, d: int):
         self.d = d
         if p.piecewise_constant_f:
             edges, vals = [0.0], []
@@ -514,9 +516,8 @@ class RadialProposal:
                 edges.append(r_hi)
                 vals.append(abs(val))
         else:
-            if r_max is None:
-                r_max = 50.0 * p.sigma if p.cutoff is None else p.cutoff
-            grid = np.linspace(0.0, r_max, n_bins + 1)
+            r_max = 50.0 * p.sigma if p.cutoff is None else p.cutoff
+            grid = np.linspace(0.0, r_max, PROPOSAL_BINS + 1)
             mids = 0.5 * (grid[:-1] + grid[1:])
             edges = list(grid)
             vals = list(np.abs(p.mayer_f(mids)))
@@ -551,6 +552,26 @@ def _random_directions(rng, size, d):
         return rng.choice([-1.0, 1.0], size=(size, 1))
     v = rng.normal(size=(size, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def torus_boltzmann_mc(p: Potential, L: float, fixed, N: int,
+                       n_samples: int,
+                       rng: np.random.Generator) -> tuple[float, float]:
+    """Mean and standard error of e^{-beta H} over configurations of the 1D
+    points ``fixed`` and N points drawn uniformly on the length-L torus,
+    with minimum-image distances.  With N = 0 nothing is drawn and the
+    value is exact."""
+    rows = n_samples if N else 1
+    x = np.concatenate([np.broadcast_to(np.asarray(fixed, dtype=float),
+                                        (rows, len(fixed))),
+                        rng.uniform(0.0, L, size=(rows, N))], axis=1)
+    boltz = np.ones(rows)
+    for i, j in itertools.combinations(range(x.shape[1]), 2):
+        dx = np.abs(x[:, i] - x[:, j]) % L
+        boltz *= p.boltzmann(np.minimum(dx, L - dx))
+    if not N:
+        return float(boltz[0]), 0.0
+    return float(boltz.mean()), float(boltz.std(ddof=1) / math.sqrt(rows))
 
 
 def graph_weight_mc(g: Graph, p: Potential, n_samples: int,

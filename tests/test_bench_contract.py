@@ -1,6 +1,10 @@
-"""The benchmark's tracer replaces functions by name in clusterexp's
-modules (bench/tracing.py, TARGETS).  A renamed or removed name would stop
-``bench/run.py --trace 1`` at install; this test catches it first."""
+"""What the benchmark needs of clusterexp, checked before a bench run.
+
+The tracer replaces functions by name in clusterexp's modules
+(bench/tracing.py, TARGETS); a renamed or removed name would stop
+``bench/run.py --trace 1`` at install.  One pass of each workload
+(bench/workloads.py) runs here too, so that an operation that the program
+breaks fails a test rather than a bench run."""
 
 import importlib
 import importlib.util
@@ -21,3 +25,20 @@ def _targets():
 @pytest.mark.parametrize("module,name", _targets())
 def test_trace_target_resolves(module, name):
     assert hasattr(importlib.import_module(f"clusterexp.{module}"), name)
+
+
+# The one operation that fails at every pass: the PY solver stalls for hard
+# spheres at rho = 0.8 (ROADMAP item 1).
+KNOWN_FAILURES = {("py-sweep", "ozpy hard_spheres rho=0.8")}
+
+
+@pytest.mark.parametrize("name", ["exact-1d", "mc-3d", "py-sweep",
+                                  "combinatorics"])
+def test_one_pass_of_each_workload_runs(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    workloads = importlib.import_module("workloads")
+    res = workloads.run_pass(workloads.build(name, str(tmp_path), 1))
+    assert res.attempted > 0
+    failed = {(name, f.op): f"{f.kind}: {f.reason}" for f in res.failures}
+    assert {op: why for op, why in failed.items()
+            if op not in KNOWN_FAILURES} == {}

@@ -8,6 +8,7 @@ from clusterexp.canonical import (
     canonical_B_k,
     canonical_free_energy,
     direct_logZ_oracle,
+    oracle_method,
     prefactor,
     tonks_logZ,
     zeta,
@@ -189,6 +190,35 @@ class TestExpansionAgainstOracles:
         est = direct_logZ_oracle(P, 2, 10.0)
         assert est.method != "mc"
         assert est.value == pytest.approx(math.log(40.0), abs=1e-12)
+
+    def test_exact_oracle_is_minus_inf_when_no_configuration_fits(self):
+        est = direct_logZ_oracle(P, 3, 2.5)
+        assert est.method == "exact1d"
+        assert est.value == -math.inf == tonks_logZ(3, 2.5)
+
+    def test_mc_oracle_with_no_nonzero_sample_raises(self):
+        with pytest.raises(ValueError, match="no sample had nonzero weight"):
+            direct_logZ_oracle(P, 6, 6.5, method="mc", n_samples=2000, seed=1)
+
+    @pytest.mark.parametrize("N,method,want", [
+        (1, "auto", "exact1d"), (4, "auto", "exact1d"), (5, "auto", "mc"),
+        (5, "exact1d", "exact1d"), (2, "mc", "mc")])
+    def test_oracle_method(self, N, method, want):
+        assert oracle_method(P, N, method) == want
+        assert oracle_method(SQUARE_WELL, N, method) == want
+
+    # (value, std_error).hex() of the uniform-torus pair loop that
+    # weights.torus_boltzmann_mc replaced, at L = 20, 5000 samples, seed 1
+    @pytest.mark.parametrize("p,N,value,std_error", [
+        (P, 5, "0x1.21557bcb28b2bp+3", "0x1.544c59fcdaf06p-6"),
+        (P, 6, "0x1.34c277950385dp+3", "0x1.f82f601c2ed13p-6"),
+        (SQUARE_WELL, 5, "0x1.3eecea2207ec3p+3", "0x1.07051219bc9f7p-5"),
+        (SQUARE_WELL, 6, "0x1.61be2a933b732p+3", "0x1.a089a27e0f17bp-5"),
+    ], ids=["rods-5", "rods-6", "well-5", "well-6"])
+    def test_mc_oracle_values_unchanged(self, p, N, value, std_error):
+        est = direct_logZ_oracle(p, N, 20.0, method="mc", n_samples=5000,
+                                 seed=1)
+        assert (est.value.hex(), est.std_error.hex()) == (value, std_error)
 
     def test_direct_oracle_method_names(self):
         est = direct_logZ_oracle(P, 2, 10.0, method="exact1d")

@@ -276,6 +276,14 @@ class TestCanonical:
         assert code == EXIT_SCHEMA
         assert "--seed required" in err
 
+    def test_exact_oracle_prints_minus_inf_when_rods_do_not_fit(
+            self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "can.json", {"N": 3, "L": 2.5, "K": 1})
+        code, out, _ = run_cli(capsys, ["canonical", "--config", cfg])
+        assert code == EXIT_OK
+        oracle = json.loads(out)["results"]["oracle"]
+        assert (oracle["value"], oracle["method"]) == ("-inf", "exact1d")
+
     def test_any_truncation_runs(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "can.json", {"N": 6, "L": 20.0, "K": 2,
                                                   "truncation": 20,

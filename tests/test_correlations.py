@@ -202,6 +202,28 @@ class TestGrandCanonicalOracle:
         assert after[[0, 2]] != pytest.approx(before[[0, 2]], rel=1e-3)
         assert after[[1, 3]] == pytest.approx(before[[1, 3]], rel=1e-8)
 
+    # values of the per-N sampling loops that weights.torus_boltzmann_mc
+    # replaced, at z = 0.3, L = 10, N_max = 3, 4000 samples, seed 2.  The
+    # square well's fixed pair now enters each sample rather than the mean,
+    # which may move the last bits.
+    @pytest.mark.parametrize("p,n,positions,value", [
+        (P, 1, [0.0], 0.20067417167711396),
+        (P, 2, [0.0, 1.7], 0.04152836267694962),
+        (P, 2, [0.0, 8.7], 0.04485387386473186),
+        (P, 2, [0.0, 11.3], 0.045347049571261865),
+        (SQUARE_WELL, 1, [0.0], 0.2683586992190315),
+        (SQUARE_WELL, 2, [0.0, 1.7], 0.056839548429991775),
+        (SQUARE_WELL, 2, [0.0, 8.7], 0.16443680788753492),
+        (SQUARE_WELL, 2, [0.0, 11.3], 0.1671478409179809),
+    ])
+    def test_mc_values_unchanged(self, p, n, positions, value):
+        est = gc_correlation_oracle(p, n, positions, z=0.3, L=10.0, N_max=3,
+                                    method="mc", n_samples=4000, seed=2)
+        if p is P:
+            assert est.value == value
+        else:
+            assert est.value == pytest.approx(value, rel=1e-15, abs=0.0)
+
     def test_mc_fallback_agrees(self):
         est = gc_correlation_oracle(P, 1, [0.0], z=0.05, L=20.0,
                                     method="mc", n_samples=150_000, seed=9)

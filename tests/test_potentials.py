@@ -105,6 +105,17 @@ class TestPieces:
         with pytest.raises(ValueError):
             lennard_jones().f_pieces()
 
+    def test_jumps_from_pieces(self):
+        # a hard core steps e^{-beta V} from 0 to exactly 1
+        assert hard_rods().f_jumps() == [(1.0, 1.0)]
+        assert hard_spheres(sigma=2.0).f_jumps() == [(2.0, 1.0)]
+        e = math.exp(0.5)
+        jumps = square_well(sigma=1.0, lam=1.5, epsilon=0.5, beta=1.0).f_jumps()
+        assert [r for r, _ in jumps] == [1.0, 1.5]
+        assert [j for _, j in jumps] == pytest.approx([e, 1.0 - e], rel=1e-15)
+        assert zero_potential().f_jumps() == []
+        assert lennard_jones(cutoff=2.5).f_jumps() == []
+
 
 class TestStability:
     def test_nonnegative_potentials(self):

@@ -151,6 +151,15 @@ class TestExact1D:
         with pytest.raises(ValueError, match="unbounded integration region"):
             graph_weight_exact_1d(Graph.from_edges(2, []), p)
 
+    @pytest.mark.parametrize("weight", [
+        graph_weight_exact_1d,
+        lambda g, p: graph_weight_periodic_1d(g, p, 20.0)], ids=["line", "torus"])
+    def test_cap_raises_enumeration_too_large(self, weight):
+        n = weights.MAX_EXACT_BLACK + 2
+        path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        with pytest.raises(EnumerationTooLarge):
+            weight(path, hard_rods())
+
     def test_zero_potential(self):
         p = zero_potential()
         pinned = Graph.from_edges(2, [], 2)
@@ -525,6 +534,42 @@ class TestEstimatorPolicy:
                 if names & {"default_rng", "SeedSequence"}:
                     makers.add((path.stem, getattr(node, "name", None)))
         assert makers == {("weights", "stream")}
+
+    @pytest.mark.parametrize("p,covered,auto", [
+        (hard_rods(), True, "exact1d"),
+        (hard_rods(), False, "mc"),
+        (square_well(dimension=1), True, "exact1d"),
+        (zero_potential(), True, "exact1d"),
+        (hard_spheres(dimension=1), True, "exact1d"),
+        (hard_spheres(), True, "mc"),
+        (square_well(), True, "mc"),
+        (lennard_jones(cutoff=2.5, dimension=1), True, "mc"),
+    ], ids=["rods", "rods-uncovered", "well-1d", "zero", "spheres-1d",
+            "spheres-3d", "well-3d", "lj-1d"])
+    def test_auto_rule(self, p, covered, auto):
+        assert weights.resolve_method(p, "auto", covered) == auto
+        for method in ("exact1d", "mc"):
+            assert weights.resolve_method(p, method, covered) == method
+        with pytest.raises(ValueError, match="unknown method"):
+            weights.resolve_method(p, "exact", covered)
+
+    @pytest.mark.parametrize("p,L,message", [
+        (lennard_jones(cutoff=2.5, dimension=1), None, "not piecewise constant"),
+        (hard_spheres(), None, "one-dimensional"),
+        (hard_rods(), 2.0, "L/2"),
+    ])
+    def test_exact_1d_domain(self, p, L, message):
+        with pytest.raises(ValueError, match=message):
+            weights.require_exact_1d(p, L)
+        weights.require_exact_1d(hard_rods(), 2.5)
+
+    def test_torus_sampler_draws_nothing_without_free_points(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        p = square_well(dimension=1)
+        assert weights.torus_boltzmann_mc(p, 10.0, (0.0, 8.7), 0, 100, rng) \
+            == (float(p.boltzmann(1.3)), 0.0)
+        assert rng.bit_generator.state == state
 
     def test_stream_tags(self):
         assert len(set(STREAMS.values())) == len(STREAMS)
