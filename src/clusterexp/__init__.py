@@ -35,7 +35,6 @@ from .coefficients import mayer_b_n, irreducible_beta_n, a_kernel, beta_table
 from .catalog import CatalogKey, CoefficientTable
 from .series import (
     TruncatedSeries,
-    series_from_coefficients,
     lagrange_invert,
     enriched_tree_invert,
     eos_and_free_energy,
@@ -44,7 +43,6 @@ from .series import (
 )
 from .convergence import (
     ConvergenceCertificate,
-    tree_graph_check,
     activity_radius,
     canonical_radius,
     rooted_tree_fixpoint,
@@ -73,10 +71,10 @@ __all__ = [
     "graph_weight_periodic_1d", "graph_weight_mc",
     "mayer_b_n", "irreducible_beta_n", "a_kernel", "beta_table",
     "CatalogKey", "CoefficientTable",
-    "TruncatedSeries", "series_from_coefficients", "lagrange_invert",
+    "TruncatedSeries", "lagrange_invert",
     "enriched_tree_invert", "eos_and_free_energy", "dissymmetry_residual",
     "density_from_activity",
-    "ConvergenceCertificate", "tree_graph_check", "activity_radius",
+    "ConvergenceCertificate", "activity_radius",
     "canonical_radius", "rooted_tree_fixpoint",
     "canonical_B_k", "canonical_free_energy", "direct_logZ_oracle",
     "CorrelationSeries", "u_n_activity", "rho_n_activity", "h_n_density",

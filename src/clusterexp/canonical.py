@@ -96,19 +96,20 @@ def _packing_partition_functions(k: int, zetas: dict) -> list:
     return xi
 
 
-def _covering_sum(k: int, zetas: dict, log):
+def _covering_sum(xi: list, log):
     """sum_n (1/n!) sum over tuples (V_1..V_n) with union [k+1] of
-    phi^T * prod zeta, summed in closed form.
+    phi^T * prod zeta, summed in closed form from the packing partition
+    functions ``xi`` = Xi_0..Xi_{k+1}.
 
     Dropping the covering constraint turns the connected sum into
     log Xi_{[S]} over any ground set S (the basic exp/log expansion of the
     hard-core polymer gas); the union constraint is restored by
     inclusion-exclusion over S.  ``log`` is the logarithm of the ring of
-    ``zetas``: ``math.log`` or ``series.series_log``.
+    ``xi``: ``math.log`` or ``series.series_log``.
     """
-    xi = _packing_partition_functions(k, zetas)
-    terms = [(-1) ** (k + 1 - m) * math.comb(k + 1, m) * log(xi[m])
-             for m in range(k + 2)]
+    labels = len(xi) - 1
+    terms = [(-1) ** (labels - m) * math.comb(labels, m) * log(xi[m])
+             for m in range(labels + 1)]
     return sum(terms[1:], terms[0])
 
 
@@ -140,11 +141,18 @@ def canonical_B_k(p: Potential, k: int, L: float,
                                   k + 1, 5, 2 ** (k * (k + 1) // 2))
     zetas = {m: zeta(p, m, L) for m in range(1, k + 2)}
     order = k if truncation is None else max(k, truncation)
-    graded = _covering_sum(
-        k, {m: _graded(z, m - 1, order) for m, z in zetas.items()}, series_log)
+    graded = _covering_sum(_packing_partition_functions(
+        k, {m: _graded(z, m - 1, order) for m, z in zetas.items()}), series_log)
 
     if truncation is None:
-        total = _covering_sum(k, zetas, math.log)
+        xi = _packing_partition_functions(k, zetas)
+        # Xi_m is the chance that m uniform particles do not overlap: 0,
+        # up to rounding, once m of them do not fit
+        bad = [m for m, x in enumerate(xi) if x <= 0]
+        if bad:
+            raise ValueError(f"{k + 1} particles do not fit in L = {L}: "
+                             f"Xi_{bad[0]} = {xi[bad[0]]!r} has no logarithm")
+        total = _covering_sum(xi, math.log)
     else:
         total = sum(graded[j] for j in range(k, truncation + 1))
     scale = L ** k / math.factorial(k)

@@ -138,8 +138,8 @@ def iter_records(path: str):
                 continue
 
 
-def gc(path: str, keep_version: str = CODE_VERSION) -> dict:
-    """Rewrite the catalog keeping only records of ``keep_version``.
+def gc(path: str) -> dict:
+    """Rewrite the catalog keeping only records of ``CODE_VERSION``.
 
     Corrupt lines go to ``path + '.quarantine'``.  Later records win on
     duplicate keys only if consistent; inconsistent later duplicates are
@@ -161,7 +161,7 @@ def gc(path: str, keep_version: str = CODE_VERSION) -> dict:
                 stats["corrupt"] += 1
                 quarantine.append(raw)
                 continue
-            if key.version != keep_version:
+            if key.version != CODE_VERSION:
                 stats["stale"] += 1
                 continue
             prior = kept.get(key)

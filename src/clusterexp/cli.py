@@ -54,10 +54,7 @@ class SchemaError(ValueError):
 # serialization: every float as %.17g for round-trip fidelity
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
+    """17 significant digits; nan, inf and -inf as those words."""
     return format(x, ".17g")
 
 
@@ -67,7 +64,9 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        text = _fmt_float(float(obj))
+        # JSON has no literal for nan or inf: those go as strings
+        return text if math.isfinite(obj) else json.dumps(text)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, Fraction):
@@ -95,14 +94,7 @@ def dumps(obj, indent: int = 0) -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        x = float(v)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
-    return str(v)
+    return _fmt_float(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
 def to_csv(columns: dict[str, list]) -> str:
@@ -253,22 +245,18 @@ def _cmd_graphs(cfg: dict, args) -> _Result:
     return payload, None, None
 
 
-def _coefficient_tables(p, K: int, mc: dict, method: str,
-                        cat: CoefficientTable) -> tuple[dict, dict]:
-    """b_n for n <= K and beta_k for k <= K-1, through the catalog."""
+def _coefficient_table(p, kind: str, orders: range, mc: dict, method: str,
+                       cat: CoefficientTable) -> dict:
+    """The coefficients ``kind`` ("b_n" or "beta_n") at ``orders``,
+    through the catalog."""
     seed = _require_seed(mc, p, method)
     estimator = estimator_name(resolve_method(p, method), mc["samples"], seed)
     ph = potential_hash(p)
-    bs, betas = {}, {}
-    for n in range(1, K + 1):
-        key = CatalogKey(ph, p.beta, n, "b_n", estimator)
-        bs[n] = cat.get_or_compute(
-            key, lambda n=n: mayer_b_n(p, n, method, mc["samples"], seed))
-    for k in range(1, K):
-        key = CatalogKey(ph, p.beta, k, "beta_n", estimator)
-        betas[k] = cat.get_or_compute(
-            key, lambda k=k: irreducible_beta_n(p, k, method, mc["samples"], seed))
-    return bs, betas
+    compute = mayer_b_n if kind == "b_n" else irreducible_beta_n
+    return {n: cat.get_or_compute(
+                CatalogKey(ph, p.beta, n, kind, estimator),
+                lambda n=n: compute(p, n, method, mc["samples"], seed))
+            for n in orders}
 
 
 def _cmd_virial(cfg: dict, args) -> _Result:
@@ -280,7 +268,8 @@ def _cmd_virial(cfg: dict, args) -> _Result:
     method = cfg.get("method", "auto")
     mc = _mc_section(cfg, args.seed)
     cat = CoefficientTable(cfg.get("catalog", {}).get("path"))
-    bs, betas = _coefficient_tables(p, K, mc, method, cat)
+    bs = _coefficient_table(p, "b_n", range(1, K + 1), mc, method, cat)
+    betas = _coefficient_table(p, "beta_n", range(1, K), mc, method, cat)
     eos = eos_and_free_energy({k: est.value for k, est in betas.items()}, K)
     payload = {
         "potential": p.label(),
@@ -302,7 +291,7 @@ def _cmd_eos(cfg: dict, args) -> _Result:
     method = cfg.get("method", "auto")
     mc = _mc_section(cfg, args.seed)
     cat = CoefficientTable(cfg.get("catalog", {}).get("path"))
-    _, betas = _coefficient_tables(p, K, mc, method, cat)
+    betas = _coefficient_table(p, "beta_n", range(1, K), mc, method, cat)
     eos = eos_and_free_energy({k: est.value for k, est in betas.items()}, K)
     logz = log_activity_of_density({k: est.value for k, est in betas.items()}, K)
     payload = {

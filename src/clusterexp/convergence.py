@@ -29,14 +29,6 @@ class ConvergenceCertificate:
             raise ValueError("certificate must be positive")
 
 
-def tree_graph_check(p: Potential, points) -> dict:
-    """Check |sum over connected graphs of prod f| <= e^{n beta B} * sum
-    over trees of prod fbar at one configuration."""
-    res = tree_graph_check_batch(p, np.asarray(points, dtype=float)[None, ...])
-    return {"lhs": float(res["lhs"][0]), "rhs": float(res["rhs"][0]),
-            "holds": bool(res["holds"][0])}
-
-
 def tree_graph_check_batch(p: Potential, points) -> dict:
     """Vectorized inequality check over a batch of configurations
     (B, n, d) or (B, n).
@@ -65,14 +57,13 @@ def tree_graph_check_batch(p: Potential, points) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-12) + 1e-12}
 
 
-def activity_radius(p: Potential, d: int | None = None) -> ConvergenceCertificate:
+def activity_radius(p: Potential) -> ConvergenceCertificate:
     """Largest activity with a scalar convergence certificate.
 
     The condition Cbar * z * e^{a + beta B} <= a is best at a = 1, giving
     z_max = 1 / (e * Cbar * e^{beta B}).
     """
-    d = p.dimension if d is None else d
-    cbar = cbar_integral(p, d)
+    cbar = cbar_integral(p, p.dimension)
     stab = stability_profile(p)
     if cbar == 0.0:
         return ConvergenceCertificate(math.inf, 1.0, "activity_scalar",
@@ -102,18 +93,17 @@ def _canonical_lhs(x: float, cs: np.ndarray, bb: float) -> np.ndarray:
     return out
 
 
-def canonical_radius(p: Potential, d: int | None = None,
-                     c_grid: int = 200) -> ConvergenceCertificate:
+def canonical_radius(p: Potential) -> ConvergenceCertificate:
     """Largest x = rho * C admitting a constant c > 0 with
     e^{c + beta B} * sum_n (n^{n-2}/(n-1)!) (x e^{c + beta B})^{n-1} <= c.
 
     The certificate value is x itself (dimensionless); divide by
-    C = int |f| for the density bound.
+    C = int |f| for the density bound.  The constant c is searched on 200
+    points of [1e-3, 3].
     """
-    d = p.dimension if d is None else d
     stab = stability_profile(p)
     bb = p.beta * stab.B
-    cs = np.linspace(1e-3, 3.0, c_grid)
+    cs = np.linspace(1e-3, 3.0, 200)
 
     def admissible(x: float) -> bool:
         return bool(np.any(_canonical_lhs(x, cs, bb) <= cs))
@@ -132,23 +122,21 @@ def canonical_radius(p: Potential, d: int | None = None,
     return ConvergenceCertificate(lo, best_c, "canonical_density", p.label())
 
 
-def rooted_tree_fixpoint(p: Potential, z: float, d: int | None = None,
-                         tol: float = 1e-14, max_iter: int = 100_000) -> float:
+def rooted_tree_fixpoint(p: Potential, z: float) -> float:
     """Smallest positive solution of T = exp(Cbar * z * e^{beta B} * T) by
     monotone iteration from T = 1.  Raises when z is past the boundary
     (iterates exceeding e, where x = e^{w x} stops being solvable)."""
     if z < 0:
         raise ValueError("z must be nonnegative")
-    d = p.dimension if d is None else d
-    w = cbar_integral(p, d) * z * math.exp(p.beta * stability_profile(p).B)
+    w = cbar_integral(p, p.dimension) * z * math.exp(p.beta * stability_profile(p).B)
     if abs(w - 1.0 / math.e) <= 1e-12:
         return math.e  # tangency point: T = e^{T/e} has the double root T = e
     t = 1.0
-    for _ in range(max_iter):
+    for _ in range(100_000):
         t_next = math.exp(w * t)
         if t_next > math.e * (1.0 + 1e-9):
             raise ValueError("fixed point does not exist: activity beyond radius")
-        if abs(t_next - t) < tol:
+        if abs(t_next - t) < 1e-14:
             return t_next
         t = t_next
     return t

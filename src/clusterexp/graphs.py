@@ -9,17 +9,19 @@ vertices are "white" (root / fixed) vertices, the rest are "black"
 
 Enumeration walks the edge masks over the n(n-1)/2 unordered pairs (bit k
 is the k-th pair in lexicographic order) in increasing order, which gives
-every enumeration a reproducible order.  The walk keeps one running list of
+every enumeration a reproducible order.  Trees are the exception: every
+tree class comes from ``prufer_trees``, in the lexicographic order of the
+Prufer sequences, at every n.  The walk keeps one running list of
 neighbor masks: going from mask - 1 to mask flips only the pairs in
 mask ^ (mask - 1), about two on average, so each step toggles those pairs
 instead of rebuilding the graph.  Every class predicate is a reachability
 question, and ``_reach`` is the one routine that answers it.
 
-Exhaustive class filtering is capped at n = 7 (2^21 edge subsets); trees
-are generated by Prufer sequences up to n = 12; enriched trees are capped
-at n = 8.  ``series.enriched_tree_invert`` solves the enriched trees'
-species equation instead of listing them, so ``enumerate_enriched_trees``
-is kept as the explicit oracle the tests check it against.
+Exhaustive class filtering is capped at n = 7 (2^21 edge subsets), trees
+at n = 12 and enriched trees at n = 8.  ``series.enriched_tree_invert``
+solves the enriched trees' species equation instead of listing them, so
+``enumerate_enriched_trees`` is kept as the explicit oracle the tests
+check it against.
 """
 
 from __future__ import annotations
@@ -101,10 +103,6 @@ class Graph:
         return sum(nbrs.bit_count() for nbrs in self.adj) // 2
 
     @property
-    def whites(self) -> range:
-        return range(self.white_count)
-
-    @property
     def blacks(self) -> range:
         return range(self.white_count, self.n_vertices)
 
@@ -155,11 +153,6 @@ def _biconnected(adj: Sequence[int]) -> bool:
             and not any(_is_cut(adj, v) for v in range(len(adj))))
 
 
-def _tree(adj: Sequence[int]) -> bool:
-    n_edges = sum(nbrs.bit_count() for nbrs in adj) // 2
-    return n_edges == len(adj) - 1 and _connected(adj)
-
-
 def _black_to_white_connected(adj: Sequence[int], white_count: int) -> bool:
     full = (1 << len(adj)) - 1
     return _reach(adj, (1 << white_count) - 1, full) == full
@@ -178,96 +171,6 @@ def _articulation_free(adj: Sequence[int], white_count: int) -> bool:
         if blacks & rest & ~_reach(adj, whites & rest, rest):
             return False
     return True
-
-
-def is_connected(g: Graph) -> bool:
-    return _connected(g.adj)
-
-
-def cutpoints(g: Graph) -> set[int]:
-    """Vertices whose removal increases the number of components."""
-    return {v for v in range(g.n_vertices) if _is_cut(g.adj, v)}
-
-
-def is_biconnected(g: Graph) -> bool:
-    """Connected with no cutpoint; the single edge on 2 vertices counts."""
-    return _biconnected(g.adj)
-
-
-def is_articulation_free(g: Graph) -> bool:
-    """Connected, and every black vertex reaches two distinct white
-    vertices by two paths that share no vertex besides the black one."""
-    return _articulation_free(g.adj, g.white_count)
-
-
-def nodal_vertices(g: Graph) -> set[int]:
-    """Vertices v through which every path between some pair of white
-    vertices (both != v) is forced to pass."""
-    if g.white_count < 2:
-        raise ValueError("need at least 2 white vertices")
-    adj = g.adj
-    full = (1 << g.n_vertices) - 1
-    whites = (1 << g.white_count) - 1
-    comp = [_reach(adj, 1 << w, full) for w in g.whites]
-    nodal = set()
-    for v in range(g.n_vertices):
-        rest = full & ~(1 << v)
-        for w in _bits(whites & rest):
-            if comp[w] & whites & rest & ~_reach(adj, 1 << w, rest):
-                nodal.add(v)
-                break
-    return nodal
-
-
-def blocks(g: Graph) -> list[Graph]:
-    """Maximal 2-connected subgraphs (blocks), by the standard DFS stack."""
-    adj = g.adj
-    n = g.n_vertices
-    disc = [-1] * n
-    low = [0] * n
-    timer = itertools.count()
-    edge_stack: list[tuple[int, int]] = []
-    out: list[Graph] = []
-
-    def pop_block(i, j):
-        blk = []
-        while edge_stack:
-            e = edge_stack.pop()
-            blk.append(tuple(sorted(e)))
-            if e == (i, j) or e == (j, i):
-                break
-        out.append(Graph.from_edges(n, blk, g.white_count))
-
-    def dfs(root):
-        stack = [(root, -1, _bits(adj[root]))]
-        disc[root] = low[root] = next(timer)
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u == parent:
-                    continue
-                if disc[u] == -1:
-                    disc[u] = low[u] = next(timer)
-                    edge_stack.append((v, u))
-                    stack.append((u, v, _bits(adj[u])))
-                    advanced = True
-                    break
-                elif disc[u] < disc[v]:
-                    edge_stack.append((v, u))
-                    low[v] = min(low[v], disc[u])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] >= disc[pv]:
-                        pop_block(pv, v)
-
-    for r in range(n):
-        if disc[r] == -1 and adj[r]:
-            dfs(r)
-    return out
 
 
 def bfs_tree(g: Graph, n_roots: int) -> list[tuple[int, int]]:
@@ -298,31 +201,30 @@ def _check_cap(what: str, n: int, cap: int, count_bound: int):
 
 
 def prufer_trees(n: int) -> Iterator[Graph]:
-    """All labeled trees on n vertices via Prufer sequences (n <= 12)."""
+    """All labeled trees on n vertices via Prufer sequences (n <= 12), in
+    the lexicographic order of the sequences."""
     _check_cap("trees", n, MAX_TREE_N, n ** max(n - 2, 0))
     if n == 1:
-        yield Graph.from_edges(1, ())
-        return
-    if n == 2:
-        yield Graph.from_edges(2, [(0, 1)])
+        yield Graph(1, (0,))
         return
     for seq in itertools.product(range(n), repeat=n - 2):
         degree = [1] * n
         for v in seq:
             degree[v] += 1
-        edges = []
-        avail = [v for v in range(n) if degree[v] == 1]
-        deg = degree[:]
-        heapq.heapify(avail)
+        # ascending, so already a heap
+        leaves = [v for v in range(n) if degree[v] == 1]
+        adj = [0] * n
         for v in seq:
-            leaf = heapq.heappop(avail)
-            edges.append(tuple(sorted((leaf, v))))
-            deg[v] -= 1
-            if deg[v] == 1:
-                heapq.heappush(avail, v)
-        u, w = heapq.heappop(avail), heapq.heappop(avail)
-        edges.append(tuple(sorted((u, w))))
-        yield Graph.from_edges(n, edges)
+            leaf = heapq.heappop(leaves)
+            adj[leaf] |= 1 << v
+            adj[v] |= 1 << leaf
+            degree[v] -= 1
+            if degree[v] == 1:
+                heapq.heappush(leaves, v)
+        u, w = leaves
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+        yield Graph(n, tuple(adj))
 
 
 def _class_filter(adj: Sequence[int], white_count: int, cls: GraphClass) -> bool:
@@ -332,8 +234,6 @@ def _class_filter(adj: Sequence[int], white_count: int, cls: GraphClass) -> bool
         return _connected(adj)
     if cls is GraphClass.BICONNECTED:
         return _biconnected(adj)
-    if cls is GraphClass.TREE:
-        return _tree(adj)
     if cls is GraphClass.BLACK_TO_WHITE_CONNECTED:
         return _black_to_white_connected(adj, white_count)
     if cls is GraphClass.ARTICULATION_FREE:
@@ -355,25 +255,32 @@ def _enumerate(n: int, white_count: int, cls: GraphClass) -> Iterator[Graph]:
             yield Graph(n, g, white_count)
 
 
+def _graphs_of_class(what: str, n: int, white_count: int,
+                     cls: GraphClass) -> Iterator[Graph]:
+    if cls is GraphClass.TREE:
+        for tree in prufer_trees(n):
+            yield Graph(n, tree.adj, white_count)
+        return
+    _check_cap(what, n, MAX_EXHAUSTIVE_N, 2 ** (n * (n - 1) // 2))
+    yield from _enumerate(n, white_count, cls)
+
+
 def enumerate_graphs(n: int, cls: GraphClass) -> Iterator[Graph]:
-    """Stream every graph of the class on {0..n-1}, lexicographic by edge
-    bitmask.  Trees fall back to Prufer generation for 7 < n <= 12."""
+    """Stream every graph of the class on {0..n-1}: trees in Prufer
+    sequence order (n <= 12), every other class lexicographic by edge
+    bitmask (n <= 7)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if cls is GraphClass.TREE and n > MAX_EXHAUSTIVE_N:
-        yield from prufer_trees(n)
-        return
-    _check_cap("graphs", n, MAX_EXHAUSTIVE_N, 2 ** (n * (n - 1) // 2))
-    yield from _enumerate(n, 0, cls)
+    yield from _graphs_of_class("graphs", n, 0, cls)
 
 
 def enumerate_bicolored(n_white: int, n_black: int, cls: GraphClass) -> Iterator[Graph]:
-    """Stream graphs with ``n_white`` white then ``n_black`` black vertices."""
+    """Stream graphs with ``n_white`` white then ``n_black`` black vertices,
+    in the order of ``enumerate_graphs``."""
     if n_white < 1:
         raise ValueError("need at least one white vertex")
-    n = n_white + n_black
-    _check_cap("bicolored graphs", n, MAX_EXHAUSTIVE_N, 2 ** (n * (n - 1) // 2))
-    yield from _enumerate(n, n_white, cls)
+    yield from _graphs_of_class("bicolored graphs", n_white + n_black,
+                                n_white, cls)
 
 
 def set_partitions(items: Sequence[int]) -> Iterator[tuple[frozenset[int], ...]]:

@@ -84,10 +84,6 @@ class TruncatedSeries:
         return acc
 
 
-def series_from_coefficients(coeffs, variable="z") -> TruncatedSeries:
-    return TruncatedSeries(tuple(coeffs), variable)
-
-
 def zero_series(K: int, variable="z") -> TruncatedSeries:
     return TruncatedSeries((0,) * (K + 1), variable)
 

@@ -505,8 +505,8 @@ class RadialProposal:
     hard cores |f| = fbar = 1 on the core.
     """
 
-    def __init__(self, p: Potential, d: int):
-        self.d = d
+    def __init__(self, p: Potential):
+        self.d = d = p.dimension
         if p.piecewise_constant_f:
             edges, vals = [0.0], []
             for r_lo, r_hi, val in p.f_pieces():
@@ -600,12 +600,6 @@ def pair_f_matrix(p: Potential, points) -> np.ndarray:
     f = np.asarray(p.mayer_f(r))
     np.fill_diagonal(f, 0.0)
     return f
-
-
-def phi_t_value(p: Potential, points) -> float:
-    """phi^T = sum over connected graphs of the f-bond product."""
-    f = pair_f_matrix(p, points)
-    return float(phi_t_batch(f[None, :, :])[0])
 
 
 def _subset_phis(f: np.ndarray) -> np.ndarray:
@@ -807,7 +801,7 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
         raise ValueError("need m >= the pinned vertices and n_samples >= 1")
     if k == 0:
         return float(score(pair_f_matrix(p, roots)[None])[0]), 0.0
-    proposal = RadialProposal(p, d)
+    proposal = RadialProposal(p)
     trees = _spanning_trees(k + 1)
     i, j = np.triu_indices(m, 1)
     count, mean, sq = 0, 0.0, 0.0

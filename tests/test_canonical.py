@@ -176,6 +176,21 @@ class TestCanonicalCoefficients:
         got = canonical_B_k(P, 4, 10.0, truncation=8)["B"]
         assert abs(got - exact["B"]) < abs(exact["B_star"] - exact["B"])
 
+    # Xi_3 rounds to -2.2e-16 at L = 2.5 and Xi_4 is 0.0 at L = 4
+    @pytest.mark.parametrize("call,fits", [
+        (lambda: canonical_free_energy(P, 3, 2.5, 2), 3),
+        (lambda: canonical_free_energy(P, 4, 4.0, 3), 4),
+        (lambda: canonical_B_k(P, 2, 2.5), 3),
+    ], ids=["N3_L2.5_K2", "N4_L4_K3", "B2_L2.5"])
+    def test_rods_that_do_not_fit_raise(self, call, fits):
+        with pytest.raises(ValueError, match=f"^{fits} particles do not fit"):
+            call()
+
+    def test_truncated_path_runs_when_rods_do_not_fit(self):
+        got = canonical_B_k(P, 2, 2.5, truncation=3)
+        assert math.isfinite(got["B"])
+        assert got["B_star_polymer"] == pytest.approx(got["B_star"], abs=1e-12)
+
     def test_prefactor(self):
         assert prefactor(5, 10.0, 2) == pytest.approx(4 * 3 / 100.0)
         assert prefactor(3, 10.0, 3) == 0.0  # (N-3) factor vanishes

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from clusterexp.canonical import EXACT_ORACLE_MAX_N, canonical_B_k, prefactor
@@ -42,6 +43,11 @@ class TestSerialization:
         assert lines[0] == "r,g"
         assert lines[1] == "1,0.5"
 
+    def test_csv_nonfinite_and_seventeen_digits(self):
+        text = to_csv({"x": [math.nan, math.inf, -math.inf, np.float64(0.1)]})
+        assert text.splitlines()[1:] == ["nan", "inf", "-inf",
+                                         "0.10000000000000001"]
+
 
 class TestGraphsCommand:
     def test_count(self, capsys):
@@ -55,6 +61,13 @@ class TestGraphsCommand:
         res = json.loads(out)["results"]
         # uncolored enumeration carries white_count = 0
         assert res["graphs"] == ["2 1 0-1 whites=0"]
+
+    @pytest.mark.parametrize("n,count", [(6, 1296), (7, 16807)])
+    def test_tree_count(self, capsys, n, count):
+        code, out, _ = run_cli(capsys, ["graphs", "--n", str(n),
+                                        "--class", "tree", "--count"])
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["count"] == count
 
     def test_cap_exit_code(self, capsys):
         code, _, err = run_cli(capsys, ["graphs", "--n", "9", "--count"])
@@ -83,6 +96,16 @@ class TestVirialAndEos:
         code, out, _ = run_cli(capsys, ["eos", "--config", cfg])
         res = json.loads(out)["results"]
         assert res["pressure_of_density"][1:] == pytest.approx([1.0] * 4, abs=1e-9)
+
+    def test_eos_computes_only_the_betas(self, capsys, tmp_path):
+        cat = {"path": str(tmp_path / "cat.jsonl")}
+        cfg = write_config(tmp_path, "eos.json", {"order": 3, "catalog": cat})
+        fresh = json.loads(run_cli(capsys, ["eos", "--config", cfg])[1])
+        assert fresh["provenance"]["catalog_misses"] == 2
+        run_cli(capsys, ["virial", "--config", cfg])
+        again = json.loads(run_cli(capsys, ["eos", "--config", cfg])[1])
+        assert again["provenance"]["catalog_misses"] == 0
+        assert again["results"] == fresh["results"]
 
     def test_mc_requires_seed(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "hs.json",
@@ -307,6 +330,8 @@ class TestLibraryValueErrors:
         ("virial", {"potential": {"kind": "hard_spheres"}, "order": 2,
                     "method": "exact1d"}, "one-dimensional"),
         ("canonical", {"N": 2, "L": 1.5, "K": 1}, "L/2"),
+        ("canonical", {"N": 3, "L": 2.5, "K": 2},
+         "3 particles do not fit in L = 2.5"),
     ])
     def test_exit_schema(self, capsys, tmp_path, command, cfg, message):
         path = write_config(tmp_path, "cfg.json", cfg)

@@ -8,7 +8,6 @@ from clusterexp.convergence import (
     activity_radius,
     canonical_radius,
     rooted_tree_fixpoint,
-    tree_graph_check,
     tree_graph_check_batch,
 )
 from clusterexp.potentials import (
@@ -39,18 +38,13 @@ class TestTreeGraphInequality:
         res = tree_graph_check_batch(p, pts)
         assert bool(np.all(res["holds"]))
 
-    def test_single_configuration_api(self):
-        res = tree_graph_check(square_well(epsilon=0.5), [[0.0, 0, 0], [0.5, 0, 0], [0, 0.7, 0]])
-        assert set(res) == {"lhs", "rhs", "holds"}
-        assert res["holds"]
-
     def test_rhs_scaling_with_stability(self):
         # for a nonnegative potential the bound is exactly the tree sum
         p = hard_rods()
-        pts = np.array([[0.0], [0.4], [0.9]])
-        res = tree_graph_check(p, pts)
+        pts = np.array([[[0.0], [0.4], [0.9]]])
+        res = tree_graph_check_batch(p, pts)
         assert stability_profile(p).B == 0.0
-        assert res["lhs"] <= res["rhs"] + 1e-12
+        assert res["lhs"][0] <= res["rhs"][0] + 1e-12
 
 
 class TestActivityRadius:

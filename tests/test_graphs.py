@@ -8,30 +8,42 @@ from clusterexp.graphs import (
     Graph,
     GraphClass,
     _enumerate,
-    blocks,
-    cutpoints,
     enumerate_bicolored,
     enumerate_enriched_trees,
     enumerate_graphs,
-    is_articulation_free,
-    is_biconnected,
-    is_connected,
-    nodal_vertices,
-    prufer_trees,
     set_partitions,
 )
+
+
+def connected(vertices, edges):
+    """Union-find connectivity of the graph on ``vertices``, independent
+    of the bitmask predicates."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for i, j in edges:
+        root[find(i)] = find(j)
+    return len({find(v) for v in vertices}) <= 1
+
+
+def biconnected(vertices, edges):
+    """At least two vertices, connected, and still connected without any
+    one vertex."""
+    return len(vertices) >= 2 and connected(vertices, edges) and all(
+        connected([u for u in vertices if u != v],
+                  [e for e in edges if v not in e]) for v in vertices)
 
 
 def brute_force_count(n, predicate):
     """Independent census: loop over all edge subsets directly."""
     pairs = list(itertools.combinations(range(n), 2))
-    count = 0
-    for r in range(len(pairs) + 1):
-        for sub in itertools.combinations(pairs, r):
-            g = Graph.from_edges(n, sub, n)
-            if predicate(g):
-                count += 1
-    return count
+    return sum(1 for r in range(len(pairs) + 1)
+               for sub in itertools.combinations(pairs, r)
+               if predicate(range(n), sub))
 
 
 # connected labeled graphs, OEIS A001187
@@ -46,26 +58,35 @@ class TestCensus:
     def test_connected_counts_match_brute_force(self, n, expected):
         got = sum(1 for _ in enumerate_graphs(n, GraphClass.CONNECTED))
         assert got == expected
-        assert got == brute_force_count(n, is_connected)
+        assert got == brute_force_count(n, connected)
 
     @pytest.mark.parametrize("n,expected", BICONNECTED_COUNTS,
                              ids=[str(n) for n, _ in BICONNECTED_COUNTS])
     def test_biconnected_counts_match_brute_force(self, n, expected):
         got = sum(1 for _ in enumerate_graphs(n, GraphClass.BICONNECTED))
         assert got == expected
-        assert got == brute_force_count(n, is_biconnected)
+        assert got == brute_force_count(n, biconnected)
 
     @pytest.mark.parametrize("n,total", [(1, 1), (2, 2), (3, 8), (4, 64)])
     def test_all_counts(self, n, total):
         assert sum(1 for _ in enumerate_graphs(n, GraphClass.ALL)) == total
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_trees_are_the_connected_graphs_with_n_minus_1_edges(self, n):
+        trees = {g.edges for g in enumerate_graphs(n, GraphClass.TREE)}
+        assert trees == {g.edges for g in enumerate_graphs(n, GraphClass.CONNECTED)
+                         if g.n_edges == n - 1}
+
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_cayley_tree_counts(self, n):
-        trees = list(prufer_trees(n))
-        assert len(trees) == n ** (n - 2)
-        assert len({t.edges for t in trees}) == len(trees)
-        for t in trees:
-            assert len(t.edges) == n - 1 and is_connected(t)
+        trees = [g.edges for g in enumerate_graphs(n, GraphClass.TREE)]
+        assert len(trees) == len(set(trees)) == n ** max(n - 2, 0)
+
+    def test_bicolored_trees_carry_the_whites(self):
+        trees = list(enumerate_bicolored(2, 3, GraphClass.TREE))
+        assert [g.edges for g in trees] == [
+            g.edges for g in enumerate_graphs(5, GraphClass.TREE)]
+        assert {g.white_count for g in trees} == {2}
 
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationTooLarge):
@@ -119,41 +140,25 @@ class TestBicolored:
         assert af <= con
 
 
-class TestBlocksAndNodal:
-    def test_path_blocks(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], 4)
-        bl = blocks(g)
-        assert len(bl) == 3
-        assert cutpoints(g) == {1, 2}
+class TestArticulationFree:
+    @staticmethod
+    def articulation_free(g):
+        n_black = g.n_vertices - g.white_count
+        return g in set(enumerate_bicolored(g.white_count, n_black,
+                                            GraphClass.ARTICULATION_FREE))
 
-    def test_triangle_with_pendant(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)], 4)
-        bl = blocks(g)
-        sizes = sorted(len(b.edges) for b in bl)
-        assert sizes == [1, 3]
-        assert cutpoints(g) == {2}
-
-    def test_nodal_vertex_on_white_path(self):
+    def test_black_on_white_path(self):
         # white-black-white path: the middle black vertex separates whites
         # but still has two vertex-disjoint routes to distinct whites
-        g = Graph.from_edges(3, [(0, 2), (1, 2)], 2)
-        assert 2 in nodal_vertices(g)
-        assert is_articulation_free(g)
+        assert self.articulation_free(Graph.from_edges(3, [(0, 2), (1, 2)], 2))
 
     def test_dangling_black_is_articulated(self):
         # black 3 reaches a white only through black 2
         g = Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)], 2)
-        assert not is_articulation_free(g)
-
-    def test_nodal_census(self):
-        # recorded with the earlier component-listing nodal_vertices
-        got = sum(1 for g in enumerate_bicolored(2, 3, GraphClass.CONNECTED)
-                  if nodal_vertices(g))
-        assert got == 216
+        assert not self.articulation_free(g)
 
     def test_direct_edge_graph_articulation_free(self):
-        g = Graph.from_edges(2, [(0, 1)], 2)
-        assert is_articulation_free(g)
+        assert self.articulation_free(Graph.from_edges(2, [(0, 1)], 2))
 
 
 class TestEdgeMaskWalk:
@@ -182,8 +187,9 @@ class TestPartitionsAndEnrichedTrees:
     def test_enriched_tree_invariants(self):
         for et in enumerate_enriched_trees(3):
             assert isinstance(et, EnrichedTree)
-            assert is_connected(et.tree)
-            assert len(et.tree.edges) == et.tree.n_vertices - 1
+            tree = et.tree
+            assert connected(range(tree.n_vertices), tree.edges)
+            assert len(tree.edges) == tree.n_vertices - 1
             # every child sits in exactly one clique of its parent
             for v, parts in enumerate(et.child_partitions):
                 seen = set()

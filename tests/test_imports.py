@@ -1,7 +1,12 @@
 """Every name a clusterexp module imports at module level is used in it,
-and ``import clusterexp`` loads no scipy module.
+every top-level function and class of a module is used somewhere, and
+``import clusterexp`` loads no scipy module.
 
-The only exceptions to the first are ``annotations`` (the ``from
+"Used somewhere" means loaded by name (bare, as an attribute or imported
+under another name) in src/, tests/, bench/ or demos/, outside the
+definition itself; the re-exports of ``__init__.py`` do not count.
+
+The only exceptions to the first two are ``annotations`` (the ``from
 __future__`` switch) and the names that the benchmark's tracer wraps in a
 module (bench/tracing.py, TARGETS): those must resolve there even when
 nothing calls them, which tests/test_bench_contract.py checks.
@@ -17,6 +22,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,6 +67,50 @@ def test_no_unused_imports(module):
                                 if mod == module}
     source = (PACKAGE / f"{module}.py").read_text()
     assert unused_imports(source) - exempt == set()
+
+
+def _loads(node: ast.AST) -> Counter:
+    """How often each name is loaded under ``node``, bare, as an attribute
+    or imported under another name."""
+    loads = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            loads[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            loads[n.attr] += 1
+        elif isinstance(n, ast.alias) and n.asname:
+            loads[n.name] += 1
+    return loads
+
+
+def orphan_definitions(package: dict[str, str], others: list[str]) -> set:
+    """(module, name) of every top-level function or class of the
+    ``package`` sources (module name -> source) that neither those sources
+    nor ``others`` load outside the definition itself."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    loads += sum((_loads(ast.parse(source)) for source in others), Counter())
+    return {(module, node.name) for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and loads[node.name] == _loads(node)[node.name]}
+
+
+def test_orphan_detector_ignores_self_loads():
+    package = {"m": "def used():\n    pass\n\n"
+                    "def rec(n):\n    return rec(n - 1)\n\n"
+                    "class K:\n    pass\n"}
+    others = ["import m\nm.used()\n", "from m import K as L\n"]
+    assert orphan_definitions(package, others) == {("m", "rec")}
+    assert orphan_definitions(package, others[:1]) == {("m", "rec"), ("m", "K")}
+
+
+def test_no_orphan_definitions():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")
+               if p.name != "__init__.py"}
+    others = [p.read_text() for d in ("tests", "bench", "demos")
+              for p in (ROOT / d).rglob("*.py")]
+    assert orphan_definitions(package, others) - _traced_names() == set()
 
 
 def _fresh_python(code: str) -> str:

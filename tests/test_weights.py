@@ -29,7 +29,6 @@ from clusterexp.weights import (
     pair_f_matrix,
     phi_batch,
     phi_t_batch,
-    phi_t_value,
 )
 
 EDGE = Graph.from_edges(2, [(0, 1)], 1)
@@ -281,10 +280,6 @@ class TestPartitionIdentities:
         got = phi_t_batch(self.f)
         expect = self.graph_sum(GraphClass.CONNECTED)
         assert np.allclose(got, expect, atol=1e-12)
-
-    def test_phi_t_value_matches_batch(self):
-        v = phi_t_value(self.p, self.points[0])
-        assert v == pytest.approx(phi_t_batch(self.f)[0], abs=1e-12)
 
     def test_matrix_tree_equals_explicit_tree_sum(self):
         got = fbar_tree_sum_batch(self.fbar)
