@@ -27,6 +27,7 @@ from .potentials import (
 )
 from .weights import (
     CoefficientEstimate,
+    count_graphs,
     graph_weight_exact_1d,
     graph_weight_periodic_1d,
     graph_weight_mc,
@@ -67,7 +68,7 @@ __all__ = [
     "prufer_trees",
     "Kind", "Potential", "StabilityProfile", "hard_rods", "hard_spheres",
     "square_well", "lennard_jones", "zero_potential", "stability_profile",
-    "CoefficientEstimate", "graph_weight_exact_1d",
+    "CoefficientEstimate", "count_graphs", "graph_weight_exact_1d",
     "graph_weight_periodic_1d", "graph_weight_mc",
     "mayer_b_n", "irreducible_beta_n", "a_kernel", "beta_table",
     "CatalogKey", "CoefficientTable",

@@ -30,6 +30,7 @@ polytopes when no lattice fits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,11 @@ def zeta_scaling_bound(p: Potential, v_size: int, L: float) -> float:
 # ---------------------------------------------------------------------------
 # polymer covering sums
 # ---------------------------------------------------------------------------
+
+# Xi_m at most this fraction of the sum of its terms' sizes is 0 up to
+# rounding.
+XI_ROUNDING = 64 * sys.float_info.epsilon
+
 
 def _packing_partition_functions(k: int, zetas: dict) -> list:
     """Xi_m = sum over sets of pairwise-disjoint polymers inside [m] of
@@ -146,12 +152,17 @@ def canonical_B_k(p: Potential, k: int, L: float,
 
     if truncation is None:
         xi = _packing_partition_functions(k, zetas)
-        # Xi_m is the chance that m uniform particles do not overlap: 0,
-        # up to rounding, once m of them do not fit
-        bad = [m for m, x in enumerate(xi) if x <= 0]
+        # Xi_m is the chance that m uniform particles do not overlap: 0 once
+        # m of them do not fit, which rounding leaves within a few ulps of
+        # the sum of its terms' sizes, Xi_m at the activities |zeta|
+        size = _packing_partition_functions(
+            k, {m: abs(z) for m, z in zetas.items()})
+        bad = [m for m, (x, s) in enumerate(zip(xi, size))
+               if x <= XI_ROUNDING * s]
         if bad:
             raise ValueError(f"{k + 1} particles do not fit in L = {L}: "
-                             f"Xi_{bad[0]} = {xi[bad[0]]!r} has no logarithm")
+                             f"Xi_{bad[0]} = {xi[bad[0]]!r} is within "
+                             "rounding of 0 and has no logarithm")
         total = _covering_sum(xi, math.log)
     else:
         total = sum(graded[j] for j in range(k, truncation + 1))
@@ -194,9 +205,11 @@ def canonical_free_energy(p: Potential, N: int, L: float, K: int,
     """Truncated expansion of log Z:
     log(L^N/N!) + N sum_{k<=K} (1/(k+1)) P_{N,L}(k) B(k).
 
-    The remainder estimate fits C e^{-ck} to the last two retained terms
-    (empirical constants; the decay itself is the certified property).
-    Densities beyond the canonical certificate only set a warning flag.
+    The remainder estimate fits C e^{-ck} to the last two retained terms.
+    It is a heuristic, not a bound: for the square well (sigma 1, lambda
+    1.5, beta epsilon 1) at N = 10, L = 20, K = 3 it is 0.0065 against a
+    true error of 0.139.  Densities beyond the canonical certificate only
+    set a warning flag.
     """
     require_exact_1d(p, L)
     if not 1 <= K < N:

@@ -38,7 +38,7 @@ from .ozpy import (NonConvergence, RadialGrid, oz_selfconsistency, solve_py,
 from .potentials import (hard_rods, hard_spheres, lennard_jones, square_well,
                          zero_potential)
 from .series import eos_and_free_energy, log_activity_of_density
-from .weights import resolve_method
+from .weights import count_graphs, resolve_method
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -234,14 +234,13 @@ def _cmd_graphs(cfg: dict, args) -> _Result:
     n = _int_field(n, "n", 1)
     if cls_name not in _GRAPH_CLASSES:
         raise SchemaError(f"unknown graph class {cls_name!r}")
-    count, lines = 0, []
-    for g in enumerate_graphs(n, _GRAPH_CLASSES[cls_name]):
-        count += 1
-        if not count_only:
-            lines.append(g.dump_line())
-    payload: dict = {"n": n, "class": cls_name, "count": count}
-    if not count_only:
-        payload["graphs"] = lines
+    cls = _GRAPH_CLASSES[cls_name]
+    payload: dict = {"n": n, "class": cls_name}
+    if count_only:
+        payload["count"] = count_graphs(n, cls)
+    else:
+        lines = [g.dump_line() for g in enumerate_graphs(n, cls)]
+        payload.update(count=len(lines), graphs=lines)
     return payload, None, None
 
 

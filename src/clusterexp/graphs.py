@@ -17,8 +17,11 @@ mask ^ (mask - 1), about two on average, so each step toggles those pairs
 instead of rebuilding the graph.  Every class predicate is a reachability
 question, and ``_reach`` is the one routine that answers it.
 
-Exhaustive class filtering is capped at n = 7 (2^21 edge subsets), trees
-at n = 12 and enriched trees at n = 8.  ``series.enriched_tree_invert``
+The walk lists graphs; it does not count them.  The number of graphs of
+a class comes from its class sum at f = 1 on every pair
+(``weights.count_graphs``, up to n = 10), and the walk is that count's
+test oracle.  Listing by the walk is capped at n = 7 (2^21 edge subsets),
+trees at n = 12 and enriched trees at n = 8.  ``series.enriched_tree_invert``
 solves the enriched trees' species equation instead of listing them, so
 ``enumerate_enriched_trees`` is kept as the explicit oracle the tests
 check it against.
@@ -160,8 +163,11 @@ def _black_to_white_connected(adj: Sequence[int], white_count: int) -> bool:
 
 def _articulation_free(adj: Sequence[int], white_count: int) -> bool:
     # Menger: black b has two paths to distinct whites sharing only b iff
-    # no single other vertex v cuts b off from every white other than v
-    if white_count < 1 or not _connected(adj):
+    # no single other vertex v cuts b off from every white other than v;
+    # a black with one neighbor is cut off by it
+    if white_count < 1 or any(nbrs.bit_count() < 2
+                              for nbrs in adj[white_count:]) \
+            or not _connected(adj):
         return False
     full = (1 << len(adj)) - 1
     whites = (1 << white_count) - 1

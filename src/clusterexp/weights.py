@@ -40,8 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import (MAX_EXHAUSTIVE_N, EnumerationTooLarge, Graph, bfs_tree,
-                     prufer_trees)
+from .graphs import (MAX_EXHAUSTIVE_N, EnumerationTooLarge, Graph, GraphClass,
+                     bfs_tree, prufer_trees)
 from .potentials import SURFACE_AREA, Kind, Potential
 
 
@@ -605,8 +605,8 @@ def pair_f_matrix(p: Potential, points) -> np.ndarray:
 def _subset_phis(f: np.ndarray) -> np.ndarray:
     """(2^n, B): subset S -> product of (1 + f) over the pairs in S."""
     B, n, _ = f.shape
-    g = 1.0 + np.moveaxis(f, 0, -1)
-    out = np.ones((1 << n, B))
+    g = 1 + np.moveaxis(f, 0, -1)
+    out = np.ones((1 << n, B), dtype=f.dtype)
     for s in range(1, 1 << n):
         top = s.bit_length() - 1
         rest = s & ~(1 << top)
@@ -678,7 +678,7 @@ def biconnected_sum_batch(f: np.ndarray) -> np.ndarray:
       branches A_u hanging from the other vertices of the block.
     """
     C = connected_sums(f)
-    one = np.ones(f.shape[0])
+    one = np.ones(f.shape[0], dtype=f.dtype)
     memo: dict[tuple[int, int], np.ndarray] = {}
 
     def H(U: int, R: int) -> np.ndarray:
@@ -743,6 +743,30 @@ def fbar_tree_sum_batch(fbar: np.ndarray) -> np.ndarray:
     lap = -w
     lap[:, idx, idx] = w.sum(axis=2)
     return np.linalg.det(lap[:, 1:, 1:])
+
+
+MAX_COUNT_N = 10
+
+
+def count_graphs(n: int, cls: GraphClass) -> int:
+    """Number of labeled graphs of the class on {0..n-1} (n <= 10): its
+    class sum at f = 1 on every pair, in Python integers (the tree sum is
+    a float determinant, rounded)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    # the subset recursions visit about 3^n (subset, submask) pairs
+    if n > MAX_COUNT_N:
+        raise EnumerationTooLarge("graph counts", n, MAX_COUNT_N, 3 ** n)
+    if cls is GraphClass.ALL:
+        return 2 ** (n * (n - 1) // 2)
+    ones = np.ones((1, n, n), dtype=object)
+    if cls is GraphClass.CONNECTED:
+        return int(phi_t_batch(ones)[0])
+    if cls is GraphClass.BICONNECTED:
+        return int(biconnected_sum_batch(ones)[0]) if n >= 2 else 0
+    if cls is GraphClass.TREE:
+        return round(fbar_tree_sum_batch(ones.astype(float))[0])
+    raise ValueError(f"no count for class {cls}")
 
 
 # ---------------------------------------------------------------------------

@@ -176,15 +176,23 @@ class TestCanonicalCoefficients:
         got = canonical_B_k(P, 4, 10.0, truncation=8)["B"]
         assert abs(got - exact["B"]) < abs(exact["B_star"] - exact["B"])
 
-    # Xi_3 rounds to -2.2e-16 at L = 2.5 and Xi_4 is 0.0 at L = 4
+    # Xi_3 rounds to -2.2e-16 at L = 2.5, Xi_4 is 0.0 at L = 4 and +2.2e-16
+    # at L = 3.5
     @pytest.mark.parametrize("call,fits", [
         (lambda: canonical_free_energy(P, 3, 2.5, 2), 3),
         (lambda: canonical_free_energy(P, 4, 4.0, 3), 4),
         (lambda: canonical_B_k(P, 2, 2.5), 3),
-    ], ids=["N3_L2.5_K2", "N4_L4_K3", "B2_L2.5"])
+        (lambda: canonical_B_k(P, 3, 3.5), 4),
+        (lambda: canonical_free_energy(P, 4, 3.5, 3), 4),
+    ], ids=["N3_L2.5_K2", "N4_L4_K3", "B2_L2.5", "B3_L3.5", "N4_L3.5_K3"])
     def test_rods_that_do_not_fit_raise(self, call, fits):
-        with pytest.raises(ValueError, match=f"^{fits} particles do not fit"):
+        with pytest.raises(ValueError, match=f"^{fits} particles do not fit"
+                           ".* within rounding of 0"):
             call()
+
+    def test_rods_that_barely_fit_keep_a_logarithm(self):
+        # 4 rods in L = 4.01: Xi_4 = 1.6e-8, 2e-9 of the sum of its terms
+        assert math.isfinite(canonical_B_k(P, 3, 4.01)["B"])
 
     def test_truncated_path_runs_when_rods_do_not_fit(self):
         got = canonical_B_k(P, 2, 2.5, truncation=3)

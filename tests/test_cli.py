@@ -69,10 +69,18 @@ class TestGraphsCommand:
         assert code == EXIT_OK
         assert json.loads(out)["results"]["count"] == count
 
+    def test_count_from_class_sums(self, capsys):
+        code, out, _ = run_cli(capsys, ["graphs", "--n", "10",
+                                        "--class", "connected", "--count"])
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["count"] == 34496488594816
+
     def test_cap_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, ["graphs", "--n", "9", "--count"])
-        assert code == EXIT_CAP
-        assert "cap" in err
+        # listing walks the edge masks up to n = 7; counting stops at n = 10
+        for argv in (["--n", "8"], ["--n", "11", "--count"]):
+            code, _, err = run_cli(capsys, ["graphs", *argv])
+            assert code == EXIT_CAP
+            assert "cap" in err
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_n_is_schema_error(self, capsys, n):

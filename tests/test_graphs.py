@@ -7,12 +7,14 @@ from clusterexp.graphs import (
     EnumerationTooLarge,
     Graph,
     GraphClass,
+    _class_filter,
     _enumerate,
     enumerate_bicolored,
     enumerate_enriched_trees,
     enumerate_graphs,
     set_partitions,
 )
+from clusterexp.weights import MAX_COUNT_N, count_graphs
 
 
 def connected(vertices, edges):
@@ -46,10 +48,23 @@ def brute_force_count(n, predicate):
                if predicate(range(n), sub))
 
 
-# connected labeled graphs, OEIS A001187
-CONNECTED_COUNTS = [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)]
-# 2-connected labeled graphs, OEIS A013922
-BICONNECTED_COUNTS = [(2, 1), (3, 1), (4, 10), (5, 238), (6, 11368)]
+# labeled graphs on n = 1..10 vertices: all (OEIS A006125), connected
+# (A001187), 2-connected (A013922, with 0 at n = 1) and trees (A000272)
+OEIS_COUNTS = {
+    GraphClass.ALL: [1, 2, 8, 64, 1024, 32768, 2097152, 268435456,
+                     68719476736, 35184372088832],
+    GraphClass.CONNECTED: [1, 1, 4, 38, 728, 26704, 1866256, 251548592,
+                           66296291072, 34496488594816],
+    GraphClass.BICONNECTED: [0, 1, 1, 10, 238, 11368, 1014888, 166537616,
+                             50680432112, 29107809374336],
+    GraphClass.TREE: [1, 1, 3, 16, 125, 1296, 16807, 262144, 4782969,
+                      100000000],
+}
+CONNECTED_COUNTS = [(n, OEIS_COUNTS[GraphClass.CONNECTED][n - 1])
+                    for n in range(1, 7)]
+BICONNECTED_COUNTS = [(n, OEIS_COUNTS[GraphClass.BICONNECTED][n - 1])
+                      for n in range(2, 7)]
+COUNTED = list(OEIS_COUNTS)
 
 
 class TestCensus:
@@ -91,6 +106,44 @@ class TestCensus:
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationTooLarge):
             list(enumerate_graphs(9, GraphClass.CONNECTED))
+
+
+class TestCounts:
+    @pytest.mark.parametrize("cls", COUNTED, ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_count_equals_the_walk(self, n, cls):
+        assert count_graphs(n, cls) == sum(1 for _ in enumerate_graphs(n, cls))
+
+    def test_count_equals_the_walk_at_seven(self):
+        # one walk over the 2^21 masks serves the classes it filters
+        walked = {cls: 0 for cls in COUNTED}
+        for g in _enumerate(7, 0, GraphClass.ALL):
+            walked[GraphClass.ALL] += 1
+            if _class_filter(g.adj, 0, GraphClass.CONNECTED):
+                walked[GraphClass.CONNECTED] += 1
+                walked[GraphClass.BICONNECTED] += _class_filter(
+                    g.adj, 0, GraphClass.BICONNECTED)
+        walked[GraphClass.TREE] = sum(
+            1 for _ in enumerate_graphs(7, GraphClass.TREE))
+        assert {cls: count_graphs(7, cls) for cls in COUNTED} == walked
+
+    @pytest.mark.parametrize("cls", COUNTED, ids=lambda c: c.value)
+    def test_counts_match_oeis(self, cls):
+        got = [count_graphs(n, cls) for n in range(1, MAX_COUNT_N + 1)]
+        assert got == OEIS_COUNTS[cls]
+        assert all(type(c) is int for c in got)
+
+    def test_count_cap(self):
+        with pytest.raises(EnumerationTooLarge):
+            count_graphs(MAX_COUNT_N + 1, GraphClass.CONNECTED)
+
+    @pytest.mark.parametrize("n,cls", [
+        (0, GraphClass.CONNECTED),
+        (3, GraphClass.ARTICULATION_FREE),
+    ])
+    def test_count_rejects(self, n, cls):
+        with pytest.raises(ValueError):
+            count_graphs(n, cls)
 
 
 class TestBicolored:

@@ -311,6 +311,23 @@ class TestClassSums:
         expect = edge_product_sum(f, kernel_graphs(n))
         assert np.allclose(kernel_sum_batch(f), expect, rtol=0.0, atol=1e-12)
 
+    def test_float_sums_unchanged_by_the_integer_path(self):
+        # values of the float-only subset recursions, before they kept the
+        # dtype of f so that Python integers give exact counts
+        f = random_pair_matrices(np.random.default_rng(17), 3, 5)
+        expect = {
+            phi_t_batch: ["-0x1.ffccc4b3769c6p-3", "-0x1.d27d927e41cb5p-6",
+                          "0x1.6f629ee62abf2p-3"],
+            biconnected_sum_batch: ["-0x1.cf1ece913f127p-4",
+                                    "-0x1.2173562f75e07p-5",
+                                    "0x1.aa02ece2fc151p-5"],
+            lambda f: phi_batch(f)[:, -1]: ["0x1.e7fca830aeb28p-8",
+                                            "0x1.836793340bf6cp-7",
+                                            "0x1.536d2d99ef5efp-5"],
+        }
+        for score, values in expect.items():
+            assert score(f).tolist() == [float.fromhex(v) for v in values]
+
     def test_connected_sums_cover_every_subset(self):
         f = random_pair_matrices(np.random.default_rng(7), 8, 4)
         sums = connected_sums(f)
