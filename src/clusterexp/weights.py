@@ -18,7 +18,10 @@ class sum (connected, 2-connected, kernel or bicolored, from subset
 recursions at each configuration) under a mixture over all spanning trees
 on a root, which stands for the pinned vertices, and the free ones, with
 tree edges drawn from a radial density proportional to |f|;
-``graph_weight_mc`` scores one graph's bond product the same way.
+``graph_weight_mc`` scores one graph's bond product the same way.  At
+f = 1 on every pair a class sum counts the labeled graphs of its class;
+the subset recursions keep the dtype of f, so ``count_graphs`` runs them
+in Python integers.
 
 ``class_integral`` is the estimator of every coefficient and correlation
 order: it picks the path, gives 0 for f = 0, and draws Monte Carlo
@@ -661,6 +664,30 @@ def phi_t_batch(f: np.ndarray) -> np.ndarray:
     return connected_sums(f)[-1]
 
 
+def _branch_sums(C: np.ndarray, one: np.ndarray,
+                 memo: dict[tuple[int, int], np.ndarray],
+                 U: int, R: int) -> np.ndarray:
+    """H(U, R) of ``biconnected_sum_batch``, memoized in ``memo``.  A
+    module-level function, so that no closure cycle keeps the memo alive
+    after the sum returns."""
+    if R == 0:
+        return one
+    if (U, R) not in memo:
+        u = U & -U
+        others = U & ~u
+        if not others:
+            val = C[u | R]
+        else:
+            # the branch of u is empty
+            val = _branch_sums(C, one, memo, others, R).copy()
+            a = R
+            while a:
+                val += C[u | a] * _branch_sums(C, one, memo, others, R & ~a)
+                a = (a - 1) & R
+        memo[U, R] = val
+    return memo[U, R]
+
+
 def biconnected_sum_batch(f: np.ndarray) -> np.ndarray:
     """Sum over 2-connected graphs on all n >= 2 vertices of the f-bond
     product (one edge counts as 2-connected), for a batch (B, n, n).
@@ -678,26 +705,8 @@ def biconnected_sum_batch(f: np.ndarray) -> np.ndarray:
       branches A_u hanging from the other vertices of the block.
     """
     C = connected_sums(f)
-    one = np.ones(f.shape[0], dtype=f.dtype)
-    memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def H(U: int, R: int) -> np.ndarray:
-        if R == 0:
-            return one
-        if (U, R) not in memo:
-            u = U & -U
-            others = U & ~u
-            if not others:
-                val = C[u | R]
-            else:
-                val = H(others, R).copy()    # the branch of u is empty
-                a = R
-                while a:
-                    val += C[u | a] * H(others, R & ~a)
-                    a = (a - 1) & R
-            memo[U, R] = val
-        return memo[U, R]
-
+    H = functools.partial(_branch_sums, C, np.ones(f.shape[0], dtype=f.dtype),
+                          {})
     D: dict[int, np.ndarray] = {}
     bic: dict[int, np.ndarray] = {}
     for s in range(3, len(C), 2):         # odd masks contain vertex 0
