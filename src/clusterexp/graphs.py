@@ -11,11 +11,14 @@ Enumeration walks the edge masks over the n(n-1)/2 unordered pairs (bit k
 is the k-th pair in lexicographic order) in increasing order, which gives
 every enumeration a reproducible order.  Trees are the exception: every
 tree class comes from ``prufer_trees``, in the lexicographic order of the
-Prufer sequences, at every n.  The walk keeps one running list of
-neighbor masks: going from mask - 1 to mask flips only the pairs in
-mask ^ (mask - 1), about two on average, so each step toggles those pairs
-instead of rebuilding the graph.  Every class predicate is a reachability
-question, and ``_reach`` is the one routine that answers it.
+Prufer sequences, at every n.  The walk takes the masks in blocks of
+``MASK_BLOCK`` = 2^14: the low 14 pairs run over the block and the higher
+pairs are fixed within it, so a block is an (n, 2^14) ``uint8`` array of
+neighbor masks (n <= 7, so a mask fits in 8 bits), built once per walk
+and ORed with the fixed pairs.  The class predicates answer for a whole
+block at once with numpy bit operations.  Each is a reachability
+question, and ``_reach`` is the one routine that answers it, for every
+graph of the block together.
 
 The walk lists graphs; it does not count them.  The number of graphs of
 a class comes from its class sum at f = 1 on every pair
@@ -35,9 +38,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 MAX_EXHAUSTIVE_N = 7
 MAX_TREE_N = 12
 MAX_ENRICHED_N = 8
+# edge masks per block of the walk, and graphs per slice converted to
+# Python ints while yielding a block
+MASK_BLOCK = 1 << 14
+_YIELD_SLICE = 256
 
 
 class EnumerationTooLarge(ValueError):
@@ -119,64 +128,77 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# reachability and the class predicates built on it
+# reachability and the class predicates built on it, over blocks of graphs
+#
+# ``adj`` is an (n, M) uint8 array: row v holds vertex v's neighbor mask in
+# each of M graphs on the same n <= 7 vertices.  Every predicate returns a
+# boolean array of length M.
 # ---------------------------------------------------------------------------
 
-def _reach(adj: Sequence[int], start: int, allowed: int) -> int:
-    """Mask of the vertices that the vertex set ``start`` (a mask inside
-    ``allowed``) reaches along paths that stay inside ``allowed``."""
-    seen = frontier = start
-    while frontier:
-        nbrs = 0
-        while frontier:
-            low = frontier & -frontier
-            nbrs |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nbrs & allowed & ~seen
-        seen |= frontier
+# _POPCOUNT[mask] is the number of set bits of an 8-bit mask
+_POPCOUNT = np.array([bin(m).count("1") for m in range(256)], np.uint8)
+
+
+def _reach(adj: np.ndarray, start: int | np.ndarray,
+           allowed: int | np.ndarray) -> np.ndarray:
+    """Per graph, the mask of the vertices that the vertex set ``start`` (a
+    mask inside ``allowed``) reaches along paths that stay inside
+    ``allowed``; ``start`` and ``allowed`` are masks or arrays of M masks."""
+    seen = np.zeros(adj.shape[1], np.uint8) | start
+    # a path inside n vertices has at most n - 1 edges
+    for _ in range(len(adj) - 1):
+        grown = seen.copy()
+        for v, nbrs in enumerate(adj):
+            grown |= nbrs & -((seen >> v) & 1)
+        grown &= allowed
+        if np.array_equal(grown, seen):
+            break
+        seen = grown
     return seen
 
 
-def _connected(adj: Sequence[int]) -> bool:
+def _connected(adj: np.ndarray) -> np.ndarray:
     full = (1 << len(adj)) - 1
-    return not adj or _reach(adj, 1, full) == full
+    return _reach(adj, 1, full) == full
 
 
-def _is_cut(adj: Sequence[int], v: int) -> bool:
-    """Removing v splits its neighbors into more than one component."""
+def _is_cut(adj: np.ndarray, v: int) -> np.ndarray:
+    """Removing v splits its neighbors into more than one component (False
+    where v has no neighbor)."""
     nbrs = adj[v]
-    if not nbrs:
-        return False
     rest = ((1 << len(adj)) - 1) & ~(1 << v)
-    return bool(nbrs & ~_reach(adj, nbrs & -nbrs, rest))
+    return (nbrs & ~_reach(adj, nbrs & -nbrs, rest)) != 0
 
 
-def _biconnected(adj: Sequence[int]) -> bool:
-    return (len(adj) >= 2 and _connected(adj)
-            and not any(_is_cut(adj, v) for v in range(len(adj))))
+def _biconnected(adj: np.ndarray) -> np.ndarray:
+    if len(adj) < 2:
+        return np.zeros(adj.shape[1], bool)
+    keep = _connected(adj)
+    for v in range(len(adj)):
+        keep &= ~_is_cut(adj, v)
+    return keep
 
 
-def _black_to_white_connected(adj: Sequence[int], white_count: int) -> bool:
+def _black_to_white_connected(adj: np.ndarray, white_count: int) -> np.ndarray:
     full = (1 << len(adj)) - 1
     return _reach(adj, (1 << white_count) - 1, full) == full
 
 
-def _articulation_free(adj: Sequence[int], white_count: int) -> bool:
+def _articulation_free(adj: np.ndarray, white_count: int) -> np.ndarray:
     # Menger: black b has two paths to distinct whites sharing only b iff
     # no single other vertex v cuts b off from every white other than v;
     # a black with one neighbor is cut off by it
-    if white_count < 1 or any(nbrs.bit_count() < 2
-                              for nbrs in adj[white_count:]) \
-            or not _connected(adj):
-        return False
+    if white_count < 1:
+        return np.zeros(adj.shape[1], bool)
+    keep = np.logical_and.reduce(_POPCOUNT[adj[white_count:]] >= 2, axis=0)
+    keep &= _connected(adj)
     full = (1 << len(adj)) - 1
     whites = (1 << white_count) - 1
     blacks = full & ~whites
     for v in range(len(adj)):
         rest = full & ~(1 << v)
-        if blacks & rest & ~_reach(adj, whites & rest, rest):
-            return False
-    return True
+        keep &= (blacks & rest & ~_reach(adj, whites & rest, rest)) == 0
+    return keep
 
 
 def bfs_tree(g: Graph, n_roots: int) -> list[tuple[int, int]]:
@@ -233,9 +255,12 @@ def prufer_trees(n: int) -> Iterator[Graph]:
         yield Graph(n, tuple(adj))
 
 
-def _class_filter(adj: Sequence[int], white_count: int, cls: GraphClass) -> bool:
+def _class_filter(adj: np.ndarray, white_count: int,
+                  cls: GraphClass) -> np.ndarray:
+    """Which of the M graphs in the (n, M) neighbor-mask block ``adj``
+    belong to the class, as a boolean array of length M."""
     if cls is GraphClass.ALL:
-        return True
+        return np.ones(adj.shape[1], bool)
     if cls is GraphClass.CONNECTED:
         return _connected(adj)
     if cls is GraphClass.BICONNECTED:
@@ -248,17 +273,30 @@ def _class_filter(adj: Sequence[int], white_count: int, cls: GraphClass) -> bool
 
 
 def _enumerate(n: int, white_count: int, cls: GraphClass) -> Iterator[Graph]:
+    """The graphs of the class in ascending edge-mask order.  The masks go
+    through ``_class_filter`` in blocks of MASK_BLOCK: the low pairs run
+    over the block and the high pairs are fixed within it."""
     pairs = list(itertools.combinations(range(n), 2))
-    adj = [0] * n
-    for mask in range(1 << len(pairs)):
-        # mask - 1 -> mask flips the pairs up to the lowest set bit of mask
-        for k in range((mask & -mask).bit_length()):
-            i, j = pairs[k]
-            adj[i] ^= 1 << j
-            adj[j] ^= 1 << i
-        g = tuple(adj)
-        if _class_filter(g, white_count, cls):
-            yield Graph(n, g, white_count)
+    low = min(len(pairs), MASK_BLOCK.bit_length() - 1)
+    masks = np.arange(1 << low)
+    low_adj = np.zeros((n, 1 << low), np.uint8)
+    for k, (i, j) in enumerate(pairs[:low]):
+        bit = (masks >> k & 1).astype(np.uint8)
+        low_adj[i] |= bit << j
+        low_adj[j] |= bit << i
+    for high in range(1 << (len(pairs) - low)):
+        high_adj = [0] * n
+        for k in _bits(high):
+            i, j = pairs[low + k]
+            high_adj[i] |= 1 << j
+            high_adj[j] |= 1 << i
+        adj = low_adj | np.array(high_adj, np.uint8)[:, None]
+        kept = np.flatnonzero(_class_filter(adj, white_count, cls))
+        # tolist() gives Python ints, which Graph.edges needs
+        for first in range(0, len(kept), _YIELD_SLICE):
+            cols = adj[:, kept[first:first + _YIELD_SLICE]].tolist()
+            for g in zip(*cols):
+                yield Graph(n, g, white_count)
 
 
 def _graphs_of_class(what: str, n: int, white_count: int,

@@ -1,13 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from clusterexp.graphs import (
+    MASK_BLOCK,
     EnrichedTree,
     EnumerationTooLarge,
     Graph,
     GraphClass,
-    _class_filter,
     _enumerate,
     enumerate_bicolored,
     enumerate_enriched_trees,
@@ -38,6 +39,55 @@ def biconnected(vertices, edges):
     return len(vertices) >= 2 and connected(vertices, edges) and all(
         connected([u for u in vertices if u != v],
                   [e for e in edges if v not in e]) for v in vertices)
+
+
+def black_to_white_connected(vertices, edges, whites):
+    """Every vertex shares a component with a white (union-find with the
+    whites tied together)."""
+    return whites >= 1 and connected(
+        vertices, list(edges) + [(0, w) for w in range(1, whites)])
+
+
+def articulation_free(vertices, edges, whites):
+    """Connected, at least one white, and every black has two paths to
+    distinct whites that share only that black (listed path by path)."""
+    nbrs = {v: set() for v in vertices}
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+
+    def paths_to_whites(path):
+        # simple paths from path[0] that stop at the first white they reach
+        for u in nbrs[path[-1]] - set(path):
+            if u < whites:
+                yield path + [u]
+            else:
+                yield from paths_to_whites(path + [u])
+
+    def fanned(b):
+        paths = [set(p) for p in paths_to_whites([b])]
+        return any(p & q == {b} for p, q in itertools.combinations(paths, 2))
+
+    return whites >= 1 and connected(vertices, edges) and all(
+        fanned(b) for b in vertices if b >= whites)
+
+
+# independent predicates for every class the edge-mask walk lists
+ORACLES = {
+    GraphClass.ALL: lambda vertices, edges, whites: True,
+    GraphClass.CONNECTED: lambda vertices, edges, whites: connected(
+        vertices, edges),
+    GraphClass.BICONNECTED: lambda vertices, edges, whites: biconnected(
+        vertices, edges),
+    GraphClass.BLACK_TO_WHITE_CONNECTED: black_to_white_connected,
+    GraphClass.ARTICULATION_FREE: articulation_free,
+}
+
+
+def edges_of_mask(n, mask):
+    """The edges of edge mask ``mask``: bit k is the k-th pair (i, j)."""
+    pairs = itertools.combinations(range(n), 2)
+    return [p for k, p in enumerate(pairs) if mask >> k & 1]
 
 
 def brute_force_count(n, predicate):
@@ -115,16 +165,8 @@ class TestCounts:
         assert count_graphs(n, cls) == sum(1 for _ in enumerate_graphs(n, cls))
 
     def test_count_equals_the_walk_at_seven(self):
-        # one walk over the 2^21 masks serves the classes it filters
-        walked = {cls: 0 for cls in COUNTED}
-        for g in _enumerate(7, 0, GraphClass.ALL):
-            walked[GraphClass.ALL] += 1
-            if _class_filter(g.adj, 0, GraphClass.CONNECTED):
-                walked[GraphClass.CONNECTED] += 1
-                walked[GraphClass.BICONNECTED] += _class_filter(
-                    g.adj, 0, GraphClass.BICONNECTED)
-        walked[GraphClass.TREE] = sum(
-            1 for _ in enumerate_graphs(7, GraphClass.TREE))
+        walked = {cls: sum(1 for _ in enumerate_graphs(7, cls))
+                  for cls in COUNTED}
         assert {cls: count_graphs(7, cls) for cls in COUNTED} == walked
 
     @pytest.mark.parametrize("cls", COUNTED, ids=lambda c: c.value)
@@ -222,8 +264,45 @@ class TestEdgeMaskWalk:
             got = list(_enumerate(n, whites, GraphClass.ALL))
             assert len(got) == 2 ** len(pairs)
             for mask, g in enumerate(got):
-                edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
-                assert g == Graph.from_edges(n, edges, whites)
+                assert g == Graph.from_edges(n, edges_of_mask(n, mask), whites)
+
+    @pytest.mark.parametrize("cls", list(ORACLES), ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_listing_matches_oracle(self, n, cls):
+        for whites in range(min(n, 3) + 1):
+            want = []
+            for mask in range(2 ** (n * (n - 1) // 2)):
+                edges = edges_of_mask(n, mask)
+                if ORACLES[cls](range(n), edges, whites):
+                    want.append(Graph.from_edges(n, edges, whites))
+            got = list(_enumerate(n, whites, cls))
+            assert got == want
+            # a numpy integer has no bit_length, which Graph.edges needs
+            assert all(type(nbrs) is int for g in got for nbrs in g.adj)
+
+    def test_block_boundaries_at_seven(self):
+        # the walk takes the 2^21 masks in blocks of MASK_BLOCK: check the
+        # last graph of each block and the first of the next
+        blocks = 2 ** 21 // MASK_BLOCK
+        assert blocks > 1
+        edges = {m: edges_of_mask(7, m) for j in range(1, blocks)
+                 for m in (MASK_BLOCK * j - 1, MASK_BLOCK * j)}
+        seen = 0
+        for mask, g in enumerate(_enumerate(7, 0, GraphClass.ALL)):
+            if mask in edges:
+                assert g == Graph.from_edges(7, edges[mask])
+                seen += 1
+        assert seen == len(edges) == 2 * (blocks - 1)
+
+    def test_connected_listing_ascends_at_seven(self):
+        adj = np.fromiter(itertools.chain.from_iterable(
+            g.adj for g in _enumerate(7, 0, GraphClass.CONNECTED)),
+            np.uint8).reshape(-1, 7).astype(np.int64)
+        masks = np.zeros(len(adj), np.int64)
+        for k, (i, j) in enumerate(itertools.combinations(range(7), 2)):
+            masks |= (adj[:, i] >> j & 1) << k
+        assert len(masks) == 1866256
+        assert np.all(np.diff(masks) > 0)
 
 
 class TestPartitionsAndEnrichedTrees:
