@@ -18,7 +18,9 @@ neighbor masks (n <= 7, so a mask fits in 8 bits), built once per walk
 and ORed with the fixed pairs.  The class predicates answer for a whole
 block at once with numpy bit operations.  Each is a reachability
 question, and ``_reach`` is the one routine that answers it, for every
-graph of the block together.
+graph of the block together.  ``dump_lines`` writes the one-line text
+forms of the listed graphs straight from each block's kept edge masks,
+without making the ``Graph``s.
 
 The walk lists graphs; it does not count them.  The number of graphs of
 a class comes from its class sum at f = 1 on every pair
@@ -120,11 +122,8 @@ class Graph:
 
     def dump_line(self) -> str:
         """One-line text form: ``n k <edge list as i-j pairs> whites=<w>``."""
-        es = " ".join(f"{i}-{j}" for i, j in self.edges)
-        body = f"{self.n_vertices} {self.n_edges}"
-        if es:
-            body += " " + es
-        return body + f" whites={self.white_count}"
+        es = "".join(f" {i}-{j}" for i, j in self.edges)
+        return f"{self.n_vertices} {self.n_edges}{es} whites={self.white_count}"
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +271,20 @@ def _class_filter(adj: np.ndarray, white_count: int,
     raise ValueError(f"unknown class {cls}")
 
 
-def _enumerate(n: int, white_count: int, cls: GraphClass) -> Iterator[Graph]:
-    """The graphs of the class in ascending edge-mask order.  The masks go
-    through ``_class_filter`` in blocks of MASK_BLOCK: the low pairs run
-    over the block and the high pairs are fixed within it."""
+def _walk_split(n: int) -> tuple[list[tuple[int, int]], int]:
+    """The pairs of {0..n-1} in edge-mask bit order, and how many of them
+    (the low ones) run over a block of the walk."""
     pairs = list(itertools.combinations(range(n), 2))
-    low = min(len(pairs), MASK_BLOCK.bit_length() - 1)
+    return pairs, min(len(pairs), MASK_BLOCK.bit_length() - 1)
+
+
+def _blocks(n: int, white_count: int,
+            cls: GraphClass) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The walk, one block at a time in ascending edge-mask order.  Per
+    block: the mask of its fixed high pairs (bit k is pair low + k), its
+    (n, M) neighbor masks, and the ascending columns that ``_class_filter``
+    keeps, which are also the low bits of their edge masks."""
+    pairs, low = _walk_split(n)
     masks = np.arange(1 << low)
     low_adj = np.zeros((n, 1 << low), np.uint8)
     for k, (i, j) in enumerate(pairs[:low]):
@@ -291,7 +298,13 @@ def _enumerate(n: int, white_count: int, cls: GraphClass) -> Iterator[Graph]:
             high_adj[i] |= 1 << j
             high_adj[j] |= 1 << i
         adj = low_adj | np.array(high_adj, np.uint8)[:, None]
-        kept = np.flatnonzero(_class_filter(adj, white_count, cls))
+        yield high, adj, np.flatnonzero(_class_filter(adj, white_count, cls))
+
+
+def _enumerate(n: int, white_count: int, cls: GraphClass) -> Iterator[Graph]:
+    """The graphs of the class in ascending edge-mask order, from the
+    columns that ``_blocks`` keeps."""
+    for _high, adj, kept in _blocks(n, white_count, cls):
         # tolist() gives Python ints, which Graph.edges needs
         for first in range(0, len(kept), _YIELD_SLICE):
             cols = adj[:, kept[first:first + _YIELD_SLICE]].tolist()
@@ -316,6 +329,33 @@ def enumerate_graphs(n: int, cls: GraphClass) -> Iterator[Graph]:
     if n < 1:
         raise ValueError("need n >= 1")
     yield from _graphs_of_class("graphs", n, 0, cls)
+
+
+def dump_lines(n: int, cls: GraphClass) -> Iterator[str]:
+    """``g.dump_line()`` for every g of ``enumerate_graphs(n, cls)``, in
+    that order.  The walked classes build their lines a block at a time
+    from the edge masks, without making the graphs: a mask's edge list is
+    that of its low pairs followed by that of its block's high pairs."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if cls is GraphClass.TREE:
+        yield from (g.dump_line() for g in prufer_trees(n))
+        return
+    _check_cap("graphs", n, MAX_EXHAUSTIVE_N, 2 ** (n * (n - 1) // 2))
+    pairs, low = _walk_split(n)
+    texts = [f" {i}-{j}" for i, j in pairs]
+    # edge text and count of every low part: a part whose top bit is k is
+    # the part without that bit, plus pair k
+    low_text, low_count = [""], [0]
+    for k in range(low):
+        low_text += [t + texts[k] for t in low_text]
+        low_count += [c + 1 for c in low_count]
+    for high, _adj, kept in _blocks(n, 0, cls):
+        high_text = "".join(texts[low + k] for k in _bits(high))
+        high_count = high.bit_count()
+        for m in kept.tolist():
+            yield (f"{n} {low_count[m] + high_count}"
+                   f"{low_text[m]}{high_text} whites=0")
 
 
 def enumerate_bicolored(n_white: int, n_black: int, cls: GraphClass) -> Iterator[Graph]:

@@ -33,6 +33,13 @@ class TestSerialization:
         payload = {"a": [1.5, 2, True, None], "b": {"c": "s"}}
         assert json.loads(dumps(payload)) == payload
 
+    def test_string_lists_as_json_writes_them(self):
+        seq = ['a"b', "c\\d", "\u00e9", "e\nf", "g"]
+        text = dumps({"s": seq})
+        assert text == '{\n  "s": [\n' + ",\n".join(
+            "    " + json.dumps(v) for v in seq) + "\n  ]\n}"
+        assert json.loads(text) == {"s": seq}
+
     def test_nonfinite_floats_stay_valid_json(self):
         out = json.loads(dumps({"x": math.inf, "y": math.nan}))
         assert out["x"] == "inf" and out["y"] == "nan"

@@ -10,6 +10,7 @@ from clusterexp.graphs import (
     Graph,
     GraphClass,
     _enumerate,
+    dump_lines,
     enumerate_bicolored,
     enumerate_enriched_trees,
     enumerate_graphs,
@@ -350,7 +351,29 @@ class TestConstruction:
 class TestDump:
     def test_dump_line_format(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)], 2)
-        line = g.dump_line()
-        assert line.startswith("3 2 ")
-        assert "0-1" in line and "1-2" in line
-        assert line.endswith("whites=2")
+        assert g.dump_line() == "3 2 0-1 1-2 whites=2"
+        assert Graph.from_edges(3, []).dump_line() == "3 0 whites=0"
+
+    @pytest.mark.parametrize("cls", [GraphClass.ALL, GraphClass.CONNECTED,
+                                     GraphClass.BICONNECTED, GraphClass.TREE],
+                             ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dump_lines_are_the_graphs_dump_lines(self, n, cls):
+        assert list(dump_lines(n, cls)) == [
+            g.dump_line() for g in enumerate_graphs(n, cls)]
+
+    def test_dump_lines_at_block_boundaries_at_seven(self):
+        # the last line of each block and the first of the next: the low
+        # pairs' text and the high pairs' text both change there
+        want = {m: Graph.from_edges(7, edges_of_mask(7, m)).dump_line()
+                for j in range(1, 2 ** 21 // MASK_BLOCK)
+                for m in (MASK_BLOCK * j - 1, MASK_BLOCK * j)}
+        got = {m: line for m, line in enumerate(dump_lines(7, GraphClass.ALL))
+               if m in want}
+        assert got == want
+
+    def test_dump_lines_caps(self):
+        with pytest.raises(EnumerationTooLarge):
+            next(dump_lines(8, GraphClass.CONNECTED))
+        with pytest.raises(ValueError, match="n >= 1"):
+            next(dump_lines(0, GraphClass.ALL))
