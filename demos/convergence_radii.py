@@ -2,8 +2,8 @@
 
 The activity series converges whenever z <= a / (Cbar e^a) for some a > 0;
 optimizing over a gives z_max = 1 / (e Cbar).  The canonical polymer
-series has its own radius, found by bisection on the rooted-tree
-majorant.  Both bounds are printed next to the quantities they certify.
+series has its own radius, in closed form from the rooted-tree function
+T = y e^T.  Both bounds are printed next to the quantities they certify.
 """
 
 import math

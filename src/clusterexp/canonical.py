@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convergence import canonical_radius
 from .graphs import EnumerationTooLarge
 from .potentials import Potential, abs_f_integral, stability_profile
 from .series import TruncatedSeries, series_log
@@ -214,7 +215,6 @@ def canonical_free_energy(p: Potential, N: int, L: float, K: int,
     require_exact_1d(p, L)
     if not 1 <= K < N:
         raise ValueError("need 1 <= K < N")
-    from .convergence import canonical_radius
     cert = canonical_radius(p)
     C = abs_f_integral(p)
     within = (N / L) * C <= cert.bound_value

@@ -19,7 +19,7 @@ from .weights import CoefficientEstimate
 
 CODE_VERSION = "0.1.0"
 
-KINDS = ("b_n", "beta_n", "B_n_virial", "h_order", "c_order", "a_n")
+KINDS = ("b_n", "beta_n")
 
 
 def potential_hash(p: Potential) -> str:

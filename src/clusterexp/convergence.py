@@ -72,71 +72,56 @@ def activity_radius(p: Potential) -> ConvergenceCertificate:
     return ConvergenceCertificate(z_max, 1.0, "activity_scalar", p.label())
 
 
-# n^{n-2}/(n-1)! for the tree-counting series over genuine polymers
-# (n >= 2: singletons have activity 1 and are resummed into the measure,
-# so they do not enter the overlap sum).  Terms at the divergence boundary
-# y = 1/e decay like n^{-3/2}; 400 terms keep the tail below tolerance.
-_TREE_COEFS = np.array([math.exp((n - 2) * math.log(n) - math.lgamma(n))
-                        for n in range(2, 400)])
-_TREE_POWERS = np.arange(1, len(_TREE_COEFS) + 1)
-
-
-def _canonical_lhs(x: float, cs: np.ndarray, bb: float) -> np.ndarray:
-    """e^{c+bb} * sum_{n>=2} n^{n-2}/(n-1)! (x e^{c+bb})^{n-1} on a grid of
-    c; inf where the series diverges (argument >= 1/e)."""
-    y = x * np.exp(cs + bb)
-    out = np.full_like(cs, np.inf)
-    ok = y < 1.0 / math.e
-    if np.any(ok):
-        sums = (_TREE_COEFS[None, :] * y[ok, None] ** _TREE_POWERS[None, :]).sum(axis=1)
-        out[ok] = np.exp(cs[ok] + bb) * sums
-    return out
+def _tree_function(y: float) -> float:
+    """The rooted-tree function T(y) = sum_n n^{n-1} y^n / n! for
+    0 <= y <= 1/e: the root in [0, 1] of T e^{-T} = y (T = y e^T), by
+    bisection until the midpoint repeats.  T(1/e) = 1."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if mid * math.exp(-mid) <= y:
+            lo = mid
+        else:
+            hi = mid
 
 
 def canonical_radius(p: Potential) -> ConvergenceCertificate:
     """Largest x = rho * C admitting a constant c > 0 with
-    e^{c + beta B} * sum_n (n^{n-2}/(n-1)!) (x e^{c + beta B})^{n-1} <= c.
+    e^{c + beta B} * sum_{n>=2} (n^{n-2}/(n-1)!) y^{n-1} <= c,
+    y = x e^{c + beta B}.  The sum runs over genuine polymers, n >= 2:
+    singletons have activity 1 and are resummed into the measure.
 
-    The certificate value is x itself (dimensionless); divide by
-    C = int |f| for the density bound.  The constant c is searched on 200
-    points of [1e-3, 3].
+    Since n^{n-2}/(n-1)! = n^{n-1}/n!, the sum is (T(y) - y)/y = T/y - 1
+    = e^{T(y)} - 1, with T the rooted-tree function, T = y e^T (it
+    diverges past y = 1/e).
+    The condition therefore reads T(y) <= tau = log(1 + c e^{-c - beta B}),
+    and as T increases with inverse tau e^{-tau} (tau < 1, because
+    c e^{-c} <= 1/e), the largest admissible x at c is
+    tau e^{-tau - c - beta B}.  The certificate value is its maximum over
+    200 points c of [1e-3, 3] (dimensionless; divide by C = int |f| for the
+    density bound), and ``weight_a`` is the c that attains it.
     """
-    stab = stability_profile(p)
-    bb = p.beta * stab.B
     cs = np.linspace(1e-3, 3.0, 200)
-
-    def admissible(x: float) -> bool:
-        return bool(np.any(_canonical_lhs(x, cs, bb) <= cs))
-
-    lo, hi = 0.0, 1.0
-    if not admissible(1e-12):
-        raise ValueError("no admissible canonical certificate at x -> 0")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    mask = _canonical_lhs(lo, cs, bb) <= cs
-    best_c = float(cs[np.argmax(mask)])
-    return ConvergenceCertificate(lo, best_c, "canonical_density", p.label())
+    g = np.exp(-cs - p.beta * stability_profile(p).B)
+    tau = np.log1p(cs * g)
+    xs = tau * np.exp(-tau) * g
+    best = int(np.argmax(xs))
+    return ConvergenceCertificate(float(xs[best]), float(cs[best]),
+                                  "canonical_density", p.label())
 
 
 def rooted_tree_fixpoint(p: Potential, z: float) -> float:
-    """Smallest positive solution of T = exp(Cbar * z * e^{beta B} * T) by
-    monotone iteration from T = 1.  Raises when z is past the boundary
-    (iterates exceeding e, where x = e^{w x} stops being solvable)."""
+    """Smallest positive solution t of t = exp(w t), w = Cbar * z * e^{beta B}:
+    t = e^{T(w)}, since T(w) = w e^{T(w)}.  Raises when w > 1/e, where
+    there is no solution; within 1e-12 of 1/e (z = z_max up to rounding)
+    it returns the double root t = e."""
     if z < 0:
         raise ValueError("z must be nonnegative")
     w = cbar_integral(p, p.dimension) * z * math.exp(p.beta * stability_profile(p).B)
     if abs(w - 1.0 / math.e) <= 1e-12:
-        return math.e  # tangency point: T = e^{T/e} has the double root T = e
-    t = 1.0
-    for _ in range(100_000):
-        t_next = math.exp(w * t)
-        if t_next > math.e * (1.0 + 1e-9):
-            raise ValueError("fixed point does not exist: activity beyond radius")
-        if abs(t_next - t) < 1e-14:
-            return t_next
-        t = t_next
-    return t
+        return math.e  # tangency point: t = e^{t/e} has the double root t = e
+    if w > 1.0 / math.e:
+        raise ValueError("fixed point does not exist: activity beyond radius")
+    return math.exp(_tree_function(w))

@@ -478,7 +478,7 @@ class CoefficientEstimate:
 
     value: float
     std_error: float
-    method: str  # "exact1d" | "mc" | "quadrature"
+    method: str  # "exact1d" | "mc"
     samples: int = 0
     seed: int = 0
 

@@ -26,9 +26,10 @@ class TestKeys:
         assert potential_hash(hard_rods()) != potential_hash(hard_spheres())
         assert potential_hash(hard_rods()) == potential_hash(hard_rods())
 
-    def test_kind_validated(self):
+    @pytest.mark.parametrize("kind", ["nonsense", "a_n"])
+    def test_kind_validated(self, kind):
         with pytest.raises(ValueError):
-            CatalogKey("aa", 1.0, 2, "nonsense", "exact1d")
+            CatalogKey("aa", 1.0, 2, kind, "exact1d")
 
     def test_estimator_names_the_request(self):
         assert estimator_name("exact1d", 100_000, 4) == "exact1d"

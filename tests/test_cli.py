@@ -267,6 +267,18 @@ class TestRadius:
         res = json.loads(out)["results"]
         assert float(res["z_max"]) == pytest.approx(1.0 / (2.0 * math.e), abs=1e-12)
 
+    # beta B = 23 and 40: the canonical certificates are about 1.9e-21 and
+    # 3.3e-36
+    @pytest.mark.parametrize("potential", [
+        {"kind": "lennard_jones", "cutoff": 2.5},
+        {"kind": "square_well", "epsilon": 5.0, "dimension": 3}],
+        ids=["lennard_jones", "square_well"])
+    def test_strong_attraction_certified(self, capsys, tmp_path, potential):
+        cfg = write_config(tmp_path, "radius.json", {"potential": potential})
+        code, out, _ = run_cli(capsys, ["radius", "--config", cfg])
+        assert code == EXIT_OK
+        assert float(json.loads(out)["results"]["rho_C_max"]) > 0.0
+
 
 class TestCanonical:
     def test_n2_exact(self, capsys, tmp_path):

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from clusterexp.convergence import (
     ConvergenceCertificate,
+    _tree_function,
     activity_radius,
     canonical_radius,
     rooted_tree_fixpoint,
@@ -86,14 +88,21 @@ class TestCanonicalRadius:
         # x = rho*C bound; frozen from the bisection at default settings
         assert cert.bound_value == pytest.approx(0.12556152458244099, abs=1e-9)
 
-    def test_certificate_is_admissible(self):
+    # a strong attraction (beta B = 23 and 40) puts the certificate far
+    # below 1e-12
+    @pytest.mark.parametrize("p", POTENTIALS + [
+        lennard_jones(cutoff=2.5),
+        square_well(sigma=1.0, lam=1.5, epsilon=5.0, beta=1.0, dimension=3)],
+        ids=lambda p: f"{p.kind.value}-bB{p.beta * stability_profile(p).B:g}")
+    def test_certificate_is_admissible(self, p):
         # verify directly: at the certified x some c satisfies the condition
-        cert = canonical_radius(hard_rods())
+        cert = canonical_radius(p)
         x, c = cert.bound_value, cert.weight_a
-        y = x * math.exp(c)
+        growth = math.exp(c + p.beta * stability_profile(p).B)
+        y = x * growth
         total = sum(n ** (n - 2) / math.factorial(n - 1) * y ** (n - 1)
                     for n in range(2, 200))
-        assert math.exp(c) * total <= c * (1.0 + 1e-9)
+        assert growth * total <= c * (1.0 + 1e-9)
 
     def test_beyond_radius_inadmissible(self):
         cert = canonical_radius(hard_rods())
@@ -134,6 +143,33 @@ class TestRootedTreeFixpoint:
         with pytest.raises(ValueError, match="does not exist"):
             rooted_tree_fixpoint(p, z)
 
+    def test_near_boundary_solves_equation(self):
+        p = hard_rods()
+        z = activity_radius(p).bound_value * (1.0 - 1e-9)
+        t = rooted_tree_fixpoint(p, z)
+        w = cbar_integral(p) * z
+        assert abs(t - math.exp(w * t)) <= 1e-13
+        assert t < math.e
+
+    def test_just_beyond_boundary_raises(self):
+        p = hard_rods()
+        z = activity_radius(p).bound_value * (1.0 + 1e-11)
+        with pytest.raises(ValueError, match="does not exist"):
+            rooted_tree_fixpoint(p, z)
+
     def test_negative_activity_rejected(self):
         with pytest.raises(ValueError):
             rooted_tree_fixpoint(hard_rods(), -0.1)
+
+
+class TestTreeFunction:
+    @pytest.mark.parametrize("y", [0.0, 0.05, 0.2, 0.3])
+    def test_matches_cayley_series(self, y):
+        # sum_n n^{n-1} y^n / n!, each term rounded once from exact rationals
+        exact_y = Fraction(y)
+        series = math.fsum(float(Fraction(n ** (n - 1), math.factorial(n))
+                                 * exact_y ** n) for n in range(1, 250))
+        assert math.isclose(_tree_function(y), series, rel_tol=1e-15)
+
+    def test_one_at_the_branch_point(self):
+        assert _tree_function(1.0 / math.e) == 1.0
