@@ -325,6 +325,8 @@ def _cmd_radius(cfg: dict, args) -> _Result:
         "canonical": asdict(can),
         "z_max": act.bound_value,
         "rho_C_max": can.bound_value,
+        "log_z_max": act.log_bound,
+        "log_rho_C_max": can.log_bound,
     }
     return payload, None, None
 

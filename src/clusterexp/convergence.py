@@ -3,6 +3,9 @@
 Everything is the scalar, translation-invariant specialization: the weight
 function a(x) of the general criterion is a constant, which is optimal for
 radial potentials in a homogeneous box.
+
+The stability factor e^{beta B} leaves the float range at strong
+attraction (beta B > 709), so every bound is formed in logs.
 """
 
 from __future__ import annotations
@@ -23,9 +26,16 @@ class ConvergenceCertificate:
     condition_kind: str  # "activity_scalar" | "canonical_density"
     potential: dict
     unbounded: bool = False
+    # log of the bound; it stays finite where bound_value underflows to 0.0
+    # (about e^{-beta B} and e^{-2 beta B} at strong attraction).  Left
+    # out, it is log(bound_value).
+    log_bound: float | None = None
 
     def __post_init__(self):
-        if not self.unbounded and self.bound_value <= 0:
+        if self.log_bound is None:
+            object.__setattr__(self, "log_bound", math.log(self.bound_value)
+                               if self.bound_value > 0 else -math.inf)
+        if not self.unbounded and not self.log_bound > -math.inf:
             raise ValueError("certificate must be positive")
 
 
@@ -53,7 +63,9 @@ def tree_graph_check_batch(p: Potential, points) -> dict:
     stab = stability_profile(p)
     # the tree sum is nonnegative; the determinant may return -1e-15 noise
     tree_sum = np.maximum(fbar_tree_sum_batch(fbar), 0.0)
-    rhs = math.exp(n * p.beta * stab.B) * tree_sum
+    # a zero tree sum gives 0, a bound past the float range inf
+    with np.errstate(divide="ignore", over="ignore"):
+        rhs = np.exp(n * p.beta * stab.B + np.log(tree_sum))
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-12) + 1e-12}
 
 
@@ -61,15 +73,16 @@ def activity_radius(p: Potential) -> ConvergenceCertificate:
     """Largest activity with a scalar convergence certificate.
 
     The condition Cbar * z * e^{a + beta B} <= a is best at a = 1, giving
-    z_max = 1 / (e * Cbar * e^{beta B}).
+    z_max = 1 / (e * Cbar * e^{beta B}), log z_max = -1 - log Cbar - beta B.
     """
     cbar = cbar_integral(p, p.dimension)
     stab = stability_profile(p)
     if cbar == 0.0:
         return ConvergenceCertificate(math.inf, 1.0, "activity_scalar",
                                       p.label(), unbounded=True)
-    z_max = 1.0 / (math.e * cbar * math.exp(p.beta * stab.B))
-    return ConvergenceCertificate(z_max, 1.0, "activity_scalar", p.label())
+    log_z = -1.0 - math.log(cbar) - p.beta * stab.B
+    return ConvergenceCertificate(math.exp(log_z), 1.0, "activity_scalar",
+                                  p.label(), log_bound=log_z)
 
 
 def _tree_function(y: float) -> float:
@@ -101,15 +114,21 @@ def canonical_radius(p: Potential) -> ConvergenceCertificate:
     c e^{-c} <= 1/e), the largest admissible x at c is
     tau e^{-tau - c - beta B}.  The certificate value is its maximum over
     200 points c of [1e-3, 3] (dimensionless; divide by C = int |f| for the
-    density bound), and ``weight_a`` is the c that attains it.
+    density bound), and ``weight_a`` is the c that attains it.  The
+    maximum is taken over log x = log tau - tau - c - beta B.
     """
     cs = np.linspace(1e-3, 3.0, 200)
-    g = np.exp(-cs - p.beta * stability_profile(p).B)
-    tau = np.log1p(cs * g)
-    xs = tau * np.exp(-tau) * g
-    best = int(np.argmax(xs))
-    return ConvergenceCertificate(float(xs[best]), float(cs[best]),
-                                  "canonical_density", p.label())
+    log_g = -cs - p.beta * stability_profile(p).B
+    u = cs * np.exp(log_g)
+    tau = np.log1p(u)
+    # log tau = log u + log(tau / u); tau / u -> 1 where u underflows
+    log_tau = np.log(cs) + log_g + np.log(
+        np.divide(tau, u, out=np.ones_like(u), where=u > 0.0))
+    log_xs = log_tau - tau + log_g
+    best = int(np.argmax(log_xs))
+    return ConvergenceCertificate(math.exp(log_xs[best]), float(cs[best]),
+                                  "canonical_density", p.label(),
+                                  log_bound=float(log_xs[best]))
 
 
 def rooted_tree_fixpoint(p: Potential, z: float) -> float:
@@ -119,7 +138,10 @@ def rooted_tree_fixpoint(p: Potential, z: float) -> float:
     it returns the double root t = e."""
     if z < 0:
         raise ValueError("z must be nonnegative")
-    w = cbar_integral(p, p.dimension) * z * math.exp(p.beta * stability_profile(p).B)
+    cz = cbar_integral(p, p.dimension) * z
+    # w = Cbar z e^{beta B} from its log, capped at w = 1 (past 1/e anyway)
+    w = (math.exp(min(math.log(cz) + p.beta * stability_profile(p).B, 0.0))
+         if cz > 0.0 else 0.0)
     if abs(w - 1.0 / math.e) <= 1e-12:
         return math.e  # tangency point: t = e^{t/e} has the double root t = e
     if w > 1.0 / math.e:

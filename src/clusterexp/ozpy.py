@@ -2,11 +2,14 @@
 grid, plus thermodynamic output.
 
 The closure is iterated in the y-form (y = 1 + t is continuous across hard
-cores): c = f y, g = e^{-beta V} y, h = g - 1, and the OZ relation
-t = rho (c * h) closes the loop.  Radial convolutions go through the fast
-sine transform in d = 3 (Fourier-Bessel reduces to a sine transform of
-r phi(r)) and, in d = 1, through a real FFT of the even extensions to the
-full line.
+cores): c = f y, g = e^{-beta V} y, h = g - 1 = c + t, and the OZ relation
+t = rho (c * h) closes the loop.  In d = 3 the radial transform is a fast
+sine transform (Fourier-Bessel reduces to a sine transform of r phi(r)),
+and each step solves OZ for t in Fourier space, t^ = rho c^2 / (1 - rho c^)
+(M. J. Gillan, Mol. Phys. 38, 1781, 1979): two sine transforms per step.
+In d = 1 each step evaluates the convolution rho (c * h) through a real FFT
+of the even extensions to the full line.  Both maps have the fixed points
+of the discrete OZ equation, which oz_selfconsistency checks in real space.
 
 In the convolutions and the compressibility quadrature, a grid point that
 sits on a jump of e^{-beta V} (a hard-core diameter, a square-well edge)
@@ -130,11 +133,13 @@ class NonConvergence(RuntimeError):
 ANDERSON_DEPTH = 6
 # A solve is given up as stalled when STALL_WINDOW iterations pass without
 # a residual below STALL_RATIO times the best so far.  Converging hard-core
-# runs up to hard spheres rho = 0.7 go at most 21 iterations between such
-# improvements.  Without the ratio, a run that drifts without converging
-# keeps setting marginal new bests, and where it stops depends on rounding:
-# hard spheres at rho = 0.8 stopped anywhere from 189 to 1182 iterations
-# under algebraically equal forms of the update.
+# runs go at most 8 iterations between such improvements: hard spheres up
+# to rho = 0.95 at most 7, hard rods up to rho = 0.75 at most 8 (densities
+# in steps of 0.05, default grid).  Without the ratio, a run that drifts
+# without converging keeps setting marginal new bests, and where it stops
+# depends on rounding: with the real-space convolution as the 3D map, hard
+# spheres at rho = 0.8 stopped anywhere from 189 to 1182 iterations under
+# algebraically equal forms of the update.
 STALL_WINDOW = 50
 STALL_RATIO = 0.9
 
@@ -142,17 +147,25 @@ STALL_RATIO = 0.9
 def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
              alpha: float = 0.5, tol: float = 1e-10,
              max_iter: int = 20_000) -> RadialFunctions:
-    """Percus-Yevick fixed point t = G(t) = rho [f y] * [e^{-beta V} y - 1],
-    y = 1 + t, solved by Anderson mixing (D. G. Anderson, J. ACM 12, 547,
-    1965) from t = 0.
+    """Percus-Yevick fixed point t = G(t), y = 1 + t, solved by Anderson
+    mixing (D. G. Anderson, J. ACM 12, 547, 1965) from t = 0.
+
+    With c = f y and h = e^{-beta V} y - 1 = c + t, the map G is
+    - in d = 3, OZ solved for t in Fourier space:
+      G(t)^ = rho c^^2 / (1 - rho c^), two sine transforms;
+    - in d = 1, the OZ convolution G(t) = rho c * h.
+    The two maps share their fixed points, the solutions of the discrete
+    OZ equation h - c = rho c * h; oz_selfconsistency measures that in
+    real space in both dimensions.
 
     Each iteration evaluates G once.  The next t is the least-squares
     combination of the last ANDERSON_DEPTH + 1 iterates that minimizes the
     linearized residual, followed by a step of alpha along that combined
     residual; with no history yet it is the Picard step t + alpha (G(t) - t).
-    The residual is max |G(t) - t|; the solve returns once it is below tol,
-    with the profiles built from G(t).  It raises NonConvergence, with the
-    reason, as soon as it can no longer succeed:
+    The residual is max |G(t) - t| of the dimension's map G; the solve
+    returns once it is below tol, with the profiles built from G(t).  It
+    raises NonConvergence, with the reason, as soon as it can no longer
+    succeed:
 
     - "non-finite": the residual is inf or nan;
     - "stalled": STALL_WINDOW iterations passed without a residual below
@@ -177,7 +190,15 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             y = 1.0 + t
-            image = rho * conv.convolve(f * y, boltz * y - 1.0)
+            if grid.dimension == 3:
+                # x = rho c^, and t^ = x^2 / (rho (1 - x)), which is 0
+                # where x is, at rho = 0 too
+                x = rho * conv.forward(f * y)
+                image = conv.inverse(np.divide(x * x, rho * (1.0 - x),
+                                               out=np.zeros_like(x),
+                                               where=x != 0.0))
+            else:
+                image = rho * conv.convolve(f * y, boltz * y - 1.0)
             res = image - t
             residual = float(np.max(np.abs(res)))
             history.append(residual)

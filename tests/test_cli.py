@@ -8,6 +8,7 @@ from clusterexp.canonical import EXACT_ORACLE_MAX_N, canonical_B_k, prefactor
 from clusterexp.catalog import CatalogKey, append_record, potential_hash
 from clusterexp.cli import EXIT_CAP, EXIT_NONCONV, EXIT_OK, EXIT_SCHEMA, dumps, main, to_csv
 from clusterexp.coefficients import irreducible_beta_n, mayer_b_n
+from clusterexp.convergence import activity_radius, canonical_radius
 from clusterexp.potentials import hard_rods, hard_spheres, square_well
 from clusterexp.weights import CoefficientEstimate
 
@@ -279,6 +280,22 @@ class TestRadius:
         assert code == EXIT_OK
         assert float(json.loads(out)["results"]["rho_C_max"]) > 0.0
 
+    # beta B = 400, 800 and 1600: z_max and rho_C_max underflow from
+    # epsilon = 100 and 50 on, and the logs carry the bounds
+    @pytest.mark.parametrize("epsilon", [50, 100, 200])
+    def test_bounds_past_the_float_range(self, capsys, tmp_path, epsilon):
+        cfg = write_config(tmp_path, "radius.json",
+                           {"potential": {"kind": "square_well",
+                                          "epsilon": epsilon}})
+        code, out, _ = run_cli(capsys, ["radius", "--config", cfg])
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        p = square_well(epsilon=float(epsilon))
+        assert res["log_z_max"] == activity_radius(p).log_bound
+        assert res["log_rho_C_max"] == canonical_radius(p).log_bound
+        assert math.isfinite(res["log_z_max"])
+        assert math.isfinite(res["log_rho_C_max"])
+
 
 class TestCanonical:
     def test_n2_exact(self, capsys, tmp_path):
@@ -392,6 +409,15 @@ class TestOzpy:
         assert float(run["thermodynamics"]["pressure_virial"]) == pytest.approx(
             0.25, rel=0.01)
         assert len(run["residual_history"]) == run["iterations"]
+
+    def test_dense_hard_spheres_exit_ok(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "oz.json",
+                           {"potential": {"kind": "hard_spheres"}, "rho": 0.8})
+        code, out, _ = run_cli(capsys, ["ozpy", "--config", cfg])
+        assert code == EXIT_OK
+        run = json.loads(out)["results"]["runs"][0]
+        assert not run["negative_g"]
+        assert float(run["oz_selfconsistency"]) < 1e-8
 
     def test_nonconvergence_exit(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "oz.json",

@@ -173,3 +173,49 @@ class TestTreeFunction:
 
     def test_one_at_the_branch_point(self):
         assert _tree_function(1.0 / math.e) == 1.0
+
+
+# beta B = 400, 800 and 1600: the bounds lie far below the float range
+STRONG = [square_well(sigma=1.0, lam=1.5, epsilon=eps, beta=1.0, dimension=3)
+          for eps in (50.0, 100.0, 200.0)]
+
+
+@pytest.mark.parametrize("p", STRONG, ids=lambda p: f"eps{p.epsilon:g}")
+class TestStrongAttraction:
+    def test_activity_radius_in_logs(self, p):
+        cert = activity_radius(p)
+        beta_b = p.beta * stability_profile(p).B
+        assert cert.log_bound == pytest.approx(
+            -1.0 - math.log(cbar_integral(p)) - beta_b, rel=1e-15)
+        assert cert.bound_value == math.exp(cert.log_bound)
+
+    def test_canonical_radius_in_logs(self, p):
+        # tau -> c e^{-c - beta B}, so log x -> log c - 2c - 2 beta B, which
+        # is largest at c = 1/2
+        cert = canonical_radius(p)
+        c = cert.weight_a
+        beta_b = p.beta * stability_profile(p).B
+        assert math.isfinite(cert.log_bound)
+        assert cert.log_bound == pytest.approx(
+            math.log(c) - 2.0 * c - 2.0 * beta_b, abs=1e-9)
+        assert c == pytest.approx(0.5, abs=0.01)
+        assert cert.bound_value == math.exp(cert.log_bound)
+
+    def test_rooted_tree_fixpoint_stays_in_range(self, p):
+        assert rooted_tree_fixpoint(p, 0.0) == 1.0
+        z_max = activity_radius(p).bound_value
+        if z_max > 0.0:
+            # half the radius: w = 1/(2e)
+            t = rooted_tree_fixpoint(p, 0.5 * z_max)
+            assert t == pytest.approx(math.exp(t / (2.0 * math.e)), rel=1e-12)
+        with pytest.raises(ValueError, match="does not exist"):
+            rooted_tree_fixpoint(p, 1e-300 + 2.0 * z_max)
+
+    def test_tree_graph_check_stays_in_range(self, p):
+        # e^{3 beta B} is past the float range: the bound is inf on a
+        # triangle inside the well, and 0 where a vertex has no bond
+        pts = np.array([[[0.0, 0.0, 0.0], [1.2, 0.0, 0.0], [0.6, 1.0, 0.0]],
+                        [[0.0, 0.0, 0.0], [1.2, 0.0, 0.0], [9.0, 0.0, 0.0]]])
+        res = tree_graph_check_batch(p, pts)
+        assert res["rhs"].tolist() == [math.inf, 0.0]
+        assert bool(res["holds"][0])

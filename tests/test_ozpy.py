@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from clusterexp.potentials import hard_rods, hard_spheres, square_well, zero_pot
 
 GRID_1D = RadialGrid(dr=0.005, n_points=4096, dimension=1)
 FLUIDS = {"hard_spheres": hard_spheres(), "hard_rods": hard_rods()}
+# residual histories of hard-rod solves on the default 1D grid, from ee23e05
+PINNED_1D = json.loads((Path(__file__).parent / "data"
+                        / "py_hard_rods_residual_history.json").read_text())
 
 
 def py_closed_forms(p, rho):
@@ -138,6 +143,12 @@ class TestSolver:
         assert info.value.iterations <= 5
         assert not math.isfinite(info.value.residual)
 
+    def test_zero_density_is_the_dilute_limit(self):
+        for p in (hard_spheres(), hard_rods()):
+            sol = solve_py(p, 0.0)
+            assert sol.iterations == 1 and sol.residual == 0.0
+            assert np.array_equal(sol.g, 1.0 + np.asarray(p.mayer_f(sol.grid.r)))
+
     def test_square_well_converges(self):
         p = square_well(sigma=1.0, lam=1.5, epsilon=0.5, beta=1.0, dimension=3)
         sol = solve_py(p, 0.1)
@@ -146,6 +157,59 @@ class TestSolver:
         # attraction lowers pressure below hard-sphere at equal density
         hs = thermodynamics(hard_spheres(), solve_py(hard_spheres(), 0.1))
         assert th["pressure_virial"] < hs["pressure_virial"]
+
+
+class TestDenseHardSpheres:
+    """The 3D step solves OZ in Fourier space, which reaches the PY root
+    with defaults up to eta = 0.45."""
+
+    @pytest.mark.parametrize("rho", [0.7, 0.8, 0.86])
+    def test_converges_to_the_py_closed_forms(self, rho):
+        p = hard_spheres()
+        sol = solve_py(p, rho)
+        assert sol.converged and not sol.negative_g
+        assert sol.iterations <= 60
+        assert oz_selfconsistency(p, sol) < 1e-8
+        th = thermodynamics(p, sol)
+        z_ref, dp_ref = py_closed_forms(p, rho)
+        assert th["pressure_virial"] / rho == pytest.approx(z_ref, rel=5e-4)
+        assert th["compressibility_factor"] == pytest.approx(dp_ref, rel=5e-4)
+        eta = math.pi * rho / 6.0
+        contact = float(np.interp(1.0, sol.grid.r, sol.g))
+        assert contact == pytest.approx((1.0 + eta / 2.0) / (1.0 - eta) ** 2,
+                                        abs=1e-3)
+
+
+class TestPinnedSolves:
+    """Results the Fourier-space 3D step must not move, and the 1D map it
+    leaves as it is."""
+
+    # (pressure_virial, compressibility_factor, B2_effective) of hard
+    # spheres on the default grid, from the real-space map at ee23e05
+    THERMO_3D = {
+        0.3: (0.5861291805009072, 3.420959212978167, 3.1792131166767477),
+        0.6: (2.4546308306443363, 11.982683265066166, 5.151752307345379),
+    }
+
+    @pytest.mark.parametrize("rho", sorted(THERMO_3D))
+    def test_hard_sphere_thermodynamics(self, rho):
+        th = thermodynamics(hard_spheres(), solve_py(hard_spheres(), rho))
+        got = (th["pressure_virial"], th["compressibility_factor"],
+               th["B2_effective"])
+        assert got == pytest.approx(self.THERMO_3D[rho], rel=1e-9)
+
+    @pytest.mark.parametrize("rho,iterations", [(0.3, 19), (0.5, 36),
+                                                (0.7, 153)])
+    def test_hard_rod_iterations_are_the_same(self, rho, iterations):
+        sol = solve_py(hard_rods(), rho)
+        assert sol.iterations == iterations
+        assert sol.residual_history == PINNED_1D["residual_history"][str(rho)]
+
+    def test_hard_rods_beyond_close_packing_stall_as_before(self):
+        with pytest.raises(NonConvergence, match="stalled") as info:
+            solve_py(hard_rods(), 1.2)
+        assert info.value.iterations == 94
+        assert info.value.residual == 0.0825308208904066
 
 
 class TestThermodynamics:
