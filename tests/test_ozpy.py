@@ -135,6 +135,9 @@ class TestSolver:
         assert info.value.reason == "stalled"
         assert info.value.iterations < 1000
         assert math.isfinite(info.value.residual)
+        # the 1D map is pinned: the same stop as at ee23e05
+        assert info.value.iterations == 94
+        assert info.value.residual == 0.0825308208904066
 
     def test_overflow_stops_at_once(self):
         with pytest.raises(NonConvergence, match="non-finite") as info:
@@ -204,12 +207,6 @@ class TestPinnedSolves:
         sol = solve_py(hard_rods(), rho)
         assert sol.iterations == iterations
         assert sol.residual_history == PINNED_1D["residual_history"][str(rho)]
-
-    def test_hard_rods_beyond_close_packing_stall_as_before(self):
-        with pytest.raises(NonConvergence, match="stalled") as info:
-            solve_py(hard_rods(), 1.2)
-        assert info.value.iterations == 94
-        assert info.value.residual == 0.0825308208904066
 
 
 class TestThermodynamics:
