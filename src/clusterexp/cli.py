@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Iterable
 from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -105,7 +106,7 @@ def _csv_cell(v) -> str:
     return _fmt_float(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
-def to_csv(columns: dict[str, list]) -> str:
+def to_csv(columns: dict[str, Iterable]) -> str:
     names = list(columns)
     rows = zip(*(columns[n] for n in names))
     lines = [",".join(names)]
@@ -418,15 +419,17 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
             (cfg["rho"] if isinstance(cfg["rho"], list) else [cfg["rho"]])]
     gcfg = cfg.get("grid", {})
     _check_keys(gcfg, {"dr", "n_points", "dimension"}, "ozpy grid")
-    grid = RadialGrid(dr=_float_field(gcfg.get("dr", 0.005), "grid.dr"),
-                      n_points=_int_field(gcfg.get("n_points", 4096), "grid.n_points"),
+    default = RadialGrid()
+    grid = RadialGrid(dr=_float_field(gcfg.get("dr", default.dr), "grid.dr"),
+                      n_points=_int_field(gcfg.get("n_points", default.n_points),
+                                          "grid.n_points"),
                       dimension=_int_field(gcfg.get("dimension", p.dimension),
                                            "grid.dimension"))
     tol = _float_field(cfg.get("tol", 1e-10), "tol")
     alpha = _float_field(cfg.get("alpha", 0.5), "alpha")
     max_iter = _int_field(cfg.get("max_iter", 20_000), "max_iter", 1)
     runs = []
-    columns = None
+    sol = None
     for rho in rhos:
         try:
             sol = solve_py(p, rho, grid=grid, alpha=alpha, tol=tol,
@@ -443,9 +446,9 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
             "oz_selfconsistency": oz_selfconsistency(p, sol),
             "thermodynamics": thermodynamics(p, sol),
         })
-        # CSV carries the profile of the last density
-        columns = {"r": list(grid.r), "g": list(sol.g), "h": list(sol.h),
-                   "c": list(sol.c), "t": list(sol.t), "y": list(sol.y)}
+    # CSV carries the profile of the last density
+    columns = None if sol is None else {"r": grid.r, "g": sol.g, "h": sol.h,
+                                        "c": sol.c, "t": sol.t, "y": sol.y}
     payload = {"potential": p.label(),
                "grid": {"dr": grid.dr, "n_points": grid.n_points,
                         "dimension": grid.dimension},

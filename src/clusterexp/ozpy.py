@@ -30,8 +30,14 @@ from .potentials import Kind, Potential, SURFACE_AREA
 
 @dataclass(frozen=True)
 class RadialGrid:
+    """Points r = dr, 2 dr, ..., n_points dr.
+
+    The 3D sine transform (DST-I) of n points runs an FFT of length
+    2 (n + 1), so the default n_points = 4095 makes that length 2^13; at
+    4096 it would be 8194 = 2 * 17 * 241, about four times slower."""
+
     dr: float = 0.005
-    n_points: int = 4096
+    n_points: int = 4095
     dimension: int = 3
 
     def __post_init__(self):
@@ -162,12 +168,18 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
     combination of the last ANDERSON_DEPTH + 1 iterates that minimizes the
     linearized residual, followed by a step of alpha along that combined
     residual; with no history yet it is the Picard step t + alpha (G(t) - t).
+    The differences of successive residuals and of successive steps live in
+    two (ANDERSON_DEPTH, n) ring buffers, and the least squares is solved
+    from the ANDERSON_DEPTH x ANDERSON_DEPTH Gram matrix of the residual
+    differences, which each iteration updates by one row and column
+    (H. F. Walker and P. Ni, SIAM J. Numer. Anal. 49, 1715, 2011).
     The residual is max |G(t) - t| of the dimension's map G; the solve
     returns once it is below tol, with the profiles built from G(t).  It
     raises NonConvergence, with the reason, as soon as it can no longer
     succeed:
 
-    - "non-finite": the residual is inf or nan;
+    - "non-finite": the residual is inf or nan, or the least-squares system
+      is not finite (its squares overflow from residuals near 1e154 on);
     - "stalled": STALL_WINDOW iterations passed without a residual below
       STALL_RATIO times the best one so far;
     - "max_iter": max_iter iterations ran without reaching tol.
@@ -182,8 +194,12 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
     f = boltz - 1.0
     conv = _Convolver(grid)
 
-    t = np.zeros(grid.n_points)
-    d_images, d_residuals = [], []
+    n = grid.n_points
+    t = np.zeros(n)
+    d_res = np.empty((ANDERSON_DEPTH, n))
+    d_step = np.empty((ANDERSON_DEPTH, n))
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    stored = 0
     last = None
     history = []
     best, best_it = math.inf, 0
@@ -211,20 +227,28 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
                 best, best_it = residual, it
             elif it - best_it >= STALL_WINDOW:
                 raise NonConvergence(residual, it, "stalled")
-            if last is not None:
-                d_images.append(image - last[0])
-                d_residuals.append(res - last[1])
-                if len(d_residuals) > ANDERSON_DEPTH:
-                    del d_images[0], d_residuals[0]
-            last = (image, res)
-            if not d_residuals:
+            if last is None:
+                last = (image, res)
                 t = t + alpha * res
                 continue
-            dres = np.column_stack(d_residuals)
-            dimg = np.column_stack(d_images)
-            gamma = np.linalg.lstsq(dres, res, rcond=None)[0]
-            # iterate and residual combinations; dimg - dres are the steps in t
-            t = t - (dimg - dres) @ gamma + alpha * (res - dres @ gamma)
+            # the oldest slot gives way; the step in t is the difference
+            # of the images less that of the residuals
+            slot = stored % ANDERSON_DEPTH
+            np.subtract(res, last[1], out=d_res[slot])
+            np.subtract(image - last[0], d_res[slot], out=d_step[slot])
+            stored += 1
+            k = min(stored, ANDERSON_DEPTH)
+            row = d_res[:k] @ d_res[slot]
+            gram[slot, :k] = row
+            gram[:k, slot] = row
+            rhs = d_res[:k] @ res
+            if not (np.isfinite(row).all() and np.isfinite(rhs).all()):
+                raise NonConvergence(residual, it, "non-finite")
+            # min |res - gamma @ d_res| through its normal equations;
+            # lstsq's rank cutoff drops directions the history repeats
+            gamma = np.linalg.lstsq(gram[:k, :k], rhs, rcond=None)[0]
+            last = (image, res)
+            t = t - gamma @ d_step[:k] + alpha * (res - gamma @ d_res[:k])
         else:
             raise NonConvergence(residual, max_iter, "max_iter")
 

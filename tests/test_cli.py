@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -9,6 +10,7 @@ from clusterexp.catalog import CatalogKey, append_record, potential_hash
 from clusterexp.cli import EXIT_CAP, EXIT_NONCONV, EXIT_OK, EXIT_SCHEMA, dumps, main, to_csv
 from clusterexp.coefficients import irreducible_beta_n, mayer_b_n
 from clusterexp.convergence import activity_radius, canonical_radius
+from clusterexp.ozpy import RadialGrid
 from clusterexp.potentials import hard_rods, hard_spheres, square_well
 from clusterexp.weights import CoefficientEstimate
 
@@ -418,6 +420,30 @@ class TestOzpy:
         run = json.loads(out)["results"]["runs"][0]
         assert not run["negative_g"]
         assert float(run["oz_selfconsistency"]) < 1e-8
+
+    def test_default_grid_is_radial_grids(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "oz.json",
+                           {"potential": {"kind": "hard_spheres"}, "rho": 0.1})
+        code, out, _ = run_cli(capsys, ["ozpy", "--config", cfg])
+        assert code == EXIT_OK
+        grid = json.loads(out)["results"]["grid"]
+        assert (grid["dr"], grid["n_points"]) == (RadialGrid().dr,
+                                                  RadialGrid().n_points)
+
+    def test_csv_is_the_last_profile(self, capsys, tmp_path):
+        # tol stops both solves before the first Anderson step, so the
+        # profiles do not depend on how the least squares is solved; the
+        # digest is of the output of c8500e0
+        cfg = write_config(tmp_path, "oz.json",
+                           {"potential": {"kind": "hard_rods"},
+                            "rho": [0.05, 0.1], "tol": 0.15,
+                            "grid": {"dr": 0.01, "n_points": 1024}})
+        code, out, _ = run_cli(capsys, ["ozpy", "--config", cfg,
+                                        "--format", "csv"])
+        assert code == EXIT_OK
+        assert out.startswith("r,g,h,c,t,y\n0.01,0,-1,")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0b5188d7b03921857d923b43ec83d60729c1abfd4ed956e4e2cdcdd53629f45d")
 
     def test_nonconvergence_exit(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "oz.json",

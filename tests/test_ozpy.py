@@ -20,7 +20,7 @@ from clusterexp.potentials import hard_rods, hard_spheres, square_well, zero_pot
 
 GRID_1D = RadialGrid(dr=0.005, n_points=4096, dimension=1)
 FLUIDS = {"hard_spheres": hard_spheres(), "hard_rods": hard_rods()}
-# residual histories of hard-rod solves on the default 1D grid, from ee23e05
+# residual histories of hard-rod solves on GRID_1D (see source_commit)
 PINNED_1D = json.loads((Path(__file__).parent / "data"
                         / "py_hard_rods_residual_history.json").read_text())
 
@@ -47,6 +47,12 @@ class TestGrid:
             RadialGrid(dr=-0.1, n_points=100)
         with pytest.raises(ValueError):
             RadialGrid(dimension=2)
+
+    def test_default_sine_transform_is_a_fast_length(self):
+        # the 3D DST-I of n points is an FFT of length 2 (n + 1)
+        from scipy.fft import next_fast_len
+        m = 2 * (RadialGrid().n_points + 1)
+        assert next_fast_len(m) == m
 
     def test_solver_requires_long_grid(self):
         with pytest.raises(ValueError, match="10 sigma"):
@@ -131,13 +137,14 @@ class TestSolver:
 
     def test_beyond_close_packing_stalls(self):
         with pytest.raises(NonConvergence, match="stalled") as info:
-            solve_py(hard_rods(), 1.2)
+            solve_py(hard_rods(), 1.2, grid=GRID_1D)
         assert info.value.reason == "stalled"
         assert info.value.iterations < 1000
         assert math.isfinite(info.value.residual)
-        # the 1D map is pinned: the same stop as at ee23e05
+        # the 1D map is pinned: the same stop iteration as at ee23e05, whose
+        # residual 0.0825308208904066 moved with the Gram-matrix least squares
         assert info.value.iterations == 94
-        assert info.value.residual == 0.0825308208904066
+        assert info.value.residual == 0.08235776836379632
 
     def test_overflow_stops_at_once(self):
         with pytest.raises(NonConvergence, match="non-finite") as info:
@@ -145,6 +152,17 @@ class TestSolver:
         assert info.value.reason == "non-finite"
         assert info.value.iterations <= 5
         assert not math.isfinite(info.value.residual)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho", [30.0, 1e3, 1e10, 1e100])
+    def test_overflowing_least_squares_stops(self, capfd, rho):
+        # the squares in the Anderson system overflow while the residual
+        # is still finite; the solve stops there without a LinAlgError
+        with pytest.raises(NonConvergence, match="non-finite") as info:
+            solve_py(hard_rods(), rho)
+        assert info.value.reason == "non-finite"
+        assert math.isfinite(info.value.residual)
+        assert capfd.readouterr() == ("", "")
 
     def test_zero_density_is_the_dilute_limit(self):
         for p in (hard_spheres(), hard_rods()):
@@ -187,6 +205,14 @@ class TestPinnedSolves:
     """Results the Fourier-space 3D step must not move, and the 1D map it
     leaves as it is."""
 
+    # (pressure_virial, compressibility_factor, B2_effective) of hard rods
+    # on GRID_1D, from c8500e0, where Anderson solved the tall least squares
+    THERMO_1D = {
+        0.3: (0.4285713546161025, 2.0408163240262764, 1.4285706068455837),
+        0.5: (0.9999984297016322, 3.999999937489267, 1.9999937188065289),
+        0.7: (2.3333052211949292, 11.111108905394154, 3.333275961622305),
+    }
+
     # (pressure_virial, compressibility_factor, B2_effective) of hard
     # spheres on the default grid, from the real-space map at ee23e05
     THERMO_3D = {
@@ -204,9 +230,16 @@ class TestPinnedSolves:
     @pytest.mark.parametrize("rho,iterations", [(0.3, 19), (0.5, 36),
                                                 (0.7, 153)])
     def test_hard_rod_iterations_are_the_same(self, rho, iterations):
-        sol = solve_py(hard_rods(), rho)
+        sol = solve_py(hard_rods(), rho, grid=GRID_1D)
         assert sol.iterations == iterations
         assert sol.residual_history == PINNED_1D["residual_history"][str(rho)]
+
+    @pytest.mark.parametrize("rho", sorted(THERMO_1D))
+    def test_hard_rod_thermodynamics(self, rho):
+        th = thermodynamics(hard_rods(), solve_py(hard_rods(), rho, grid=GRID_1D))
+        got = (th["pressure_virial"], th["compressibility_factor"],
+               th["B2_effective"])
+        assert got == pytest.approx(self.THERMO_1D[rho], rel=1e-11)
 
 
 class TestThermodynamics:
