@@ -141,8 +141,8 @@ class TestSolver:
         assert info.value.reason == "stalled"
         assert info.value.iterations < 1000
         assert math.isfinite(info.value.residual)
-        # the 1D map is pinned: the same stop iteration as at ee23e05, whose
-        # residual 0.0825308208904066 moved with the Gram-matrix least squares
+        # the 1D map is pinned: the stop iteration of ee23e05, and the
+        # residual of 6442466 (the Gram-matrix least squares rounds apart)
         assert info.value.iterations == 94
         assert info.value.residual == 0.08235776836379632
 
@@ -206,7 +206,8 @@ class TestPinnedSolves:
     leaves as it is."""
 
     # (pressure_virial, compressibility_factor, B2_effective) of hard rods
-    # on GRID_1D, from c8500e0, where Anderson solved the tall least squares
+    # on GRID_1D, from c8500e0: the Gram-matrix least squares after it must
+    # reach the same fixed points
     THERMO_1D = {
         0.3: (0.4285713546161025, 2.0408163240262764, 1.4285706068455837),
         0.5: (0.9999984297016322, 3.999999937489267, 1.9999937188065289),
@@ -214,7 +215,8 @@ class TestPinnedSolves:
     }
 
     # (pressure_virial, compressibility_factor, B2_effective) of hard
-    # spheres on the default grid, from the real-space map at ee23e05
+    # spheres from the real-space map at ee23e05, on its 4096-point default
+    # grid; the 4095-point default reproduces them
     THERMO_3D = {
         0.3: (0.5861291805009072, 3.420959212978167, 3.1792131166767477),
         0.6: (2.4546308306443363, 11.982683265066166, 5.151752307345379),
