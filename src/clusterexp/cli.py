@@ -13,6 +13,7 @@ exceeded, 4 nonconvergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -481,7 +482,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves no state in the parser
     parser = argparse.ArgumentParser(
         prog="clusterexp",
         description="Cluster/virial expansion toolkit")

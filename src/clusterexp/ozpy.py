@@ -55,51 +55,89 @@ class RadialGrid:
         return self.dr * self.n_points
 
 
+def _fast_length(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m, a length numpy.fft transforms fast."""
+    best = 1 << (m - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            length = odd
+            while length < m:
+                length *= 2
+            best = min(best, length)
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 class _Convolver:
     """d-dimensional radial convolution by forward transform, pointwise
-    product, inverse transform."""
+    product, inverse transform.
+
+    The transforms run on numpy.fft into buffers allocated once per
+    convolver; every array a method returns is a fresh one."""
 
     def __init__(self, grid: RadialGrid):
-        # scipy.fft loads with the first solve, not with clusterexp
-        from scipy import fft
-        self.fft = fft
         self.grid = grid
         n, dr = grid.n_points, grid.dr
         self.r = grid.r
         self.dq = math.pi / ((n + 1) * dr)
         self.q = self.dq * np.arange(1, n + 1)
+        if grid.dimension == 3:
+            # the odd extension [0, x_1..x_n, 0, -x_n..-x_1] of the DST-I;
+            # its two zeros are never written
+            self._odd = np.zeros(2 * (n + 1))
+            self._odd_hat = np.empty(n + 2, dtype=complex)
+        else:
+            # a period of 3n+1 or more keeps wrap-around off the outputs
+            self.size = _fast_length(3 * n + 1)
+            self._even = np.zeros((2, self.size))
+            self._even_hat = np.empty((2, self.size // 2 + 1), dtype=complex)
+            self._line = np.empty(self.size)
+
+    def _dst1(self, x: np.ndarray) -> np.ndarray:
+        # y_k = 2 sum_j x_j sin(pi k j / (n + 1)), the imaginary part of the
+        # rfft of the odd extension with its sign turned
+        n = self.grid.n_points
+        self._odd[1:n + 1] = x
+        np.negative(x[::-1], out=self._odd[n + 2:])
+        np.fft.rfft(self._odd, out=self._odd_hat)
+        return -self._odd_hat.imag[1:n + 1]
 
     def forward(self, phi: np.ndarray) -> np.ndarray:
         # hat(phi)(q) = (4 pi / q) int r phi sin(qr) dr
         dr = self.grid.dr
-        return 2.0 * math.pi * dr * self.fft.dst(self.r * phi, type=1) / self.q
+        return 2.0 * math.pi * dr * self._dst1(self.r * phi) / self.q
 
     def inverse(self, phi_hat: np.ndarray) -> np.ndarray:
         return (self.dq / (4.0 * math.pi ** 2 * self.r)
-                * self.fft.dst(self.q * phi_hat, type=1))
+                * self._dst1(self.q * phi_hat))
 
-    def _even_extension(self, phi: np.ndarray) -> np.ndarray:
-        """Samples on m = -n..n times dr; the missing r = 0 value is filled
-        by linear extrapolation."""
+    def _even_extension(self, phi: np.ndarray, row: int) -> None:
+        """Samples on m = -n..n times dr into the zero-padded row; the
+        missing r = 0 value is filled by linear extrapolation."""
         n = self.grid.n_points
-        full = np.empty(2 * n + 1)
-        full[n + 1:] = phi
+        full = self._even[row]
+        full[n + 1:2 * n + 1] = phi
         full[:n] = phi[::-1]
         full[n] = 2.0 * phi[0] - phi[1]
-        return full
 
     def convolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.grid.dimension == 3:
             return self.inverse(self.forward(a) * self.forward(b))
         # d = 1: convolution of the even extensions (m = -n..n) on the full
         # line.  The outputs m = 1..n sit at indices 2n+1..3n of the linear
-        # convolution; a period of 3n+1 or more keeps wrap-around off them.
+        # convolution.
         n = self.grid.n_points
-        fft = self.fft
-        size = fft.next_fast_len(3 * n + 1, real=True)
-        out = fft.irfft(fft.rfft(self._even_extension(a), size)
-                        * fft.rfft(self._even_extension(b), size), size)
-        return self.grid.dr * out[2 * n + 1:3 * n + 1]
+        spec = self._even_hat
+        self._even_extension(a, 0)
+        self._even_extension(b, 1)
+        np.fft.rfft(self._even[0], out=spec[0])
+        np.fft.rfft(self._even[1], out=spec[1])
+        np.multiply(spec[0], spec[1], out=spec[0])
+        np.fft.irfft(spec[0], self.size, out=self._line)
+        return self.grid.dr * self._line[2 * n + 1:3 * n + 1]
 
 
 @dataclass

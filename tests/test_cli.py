@@ -7,7 +7,8 @@ import pytest
 
 from clusterexp.canonical import EXACT_ORACLE_MAX_N, canonical_B_k, prefactor
 from clusterexp.catalog import CatalogKey, append_record, potential_hash
-from clusterexp.cli import EXIT_CAP, EXIT_NONCONV, EXIT_OK, EXIT_SCHEMA, dumps, main, to_csv
+from clusterexp.cli import (EXIT_CAP, EXIT_NONCONV, EXIT_OK, EXIT_SCHEMA,
+                            build_parser, dumps, main, to_csv)
 from clusterexp.coefficients import irreducible_beta_n, mayer_b_n
 from clusterexp.convergence import activity_radius, canonical_radius
 from clusterexp.ozpy import RadialGrid
@@ -25,6 +26,41 @@ def write_config(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_prints_what_a_fresh_one_prints(self, capsys,
+                                                            tmp_path):
+        cfg = write_config(tmp_path, "oz.json",
+                           {"potential": {"kind": "hard_rods"}, "rho": 0.05,
+                            "tol": 0.15, "grid": {"dr": 0.01, "n_points": 1024}})
+        argvs = [["graphs", "--n", "4", "--count"], ["graphs", "--n", "x"],
+                 ["ozpy", "--config", cfg]]
+
+        def outputs(fresh):
+            got = []
+            for argv in argvs:
+                if fresh:
+                    build_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+                if out:
+                    report = json.loads(out)
+                    del report["provenance"]["wall_time_s"]
+                    out = report
+                got.append((code, out, err))
+            return got
+
+        reused = outputs(fresh=False)
+        assert [code for code, _, _ in reused] == [EXIT_OK, 2, EXIT_OK]
+        assert "invalid int value: 'x'" in reused[1][2]
+        assert reused == outputs(fresh=True)
 
 
 class TestSerialization:

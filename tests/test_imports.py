@@ -11,9 +11,10 @@ __future__`` switch) and the names that the benchmark's tracer wraps in a
 module (bench/tracing.py, TARGETS): those must resolve there even when
 nothing calls them, which tests/test_bench_contract.py checks.
 
-scipy is imported where it is used: by the PY solver's transforms, the
-Lennard-Jones radial integrals and the Qhull polytope volumes.  Those
-paths run here in a fresh interpreter, where no test has loaded scipy.
+scipy is imported where it is used: by the Lennard-Jones radial integrals
+and the Qhull polytope volumes.  Those paths run here in a fresh
+interpreter, where no test has loaded scipy; the PY solver runs on numpy
+alone and loads none.
 """
 
 import ast
@@ -147,3 +148,19 @@ def test_lazy_scipy_paths_in_a_fresh_interpreter():
     # json round-trips floats exactly
     assert json.loads(_fresh_python(code)) == json.loads(
         json.dumps(lazy_path_values()))
+
+
+def test_py_path_loads_no_scipy(tmp_path):
+    config = tmp_path / "oz.json"
+    config.write_text(json.dumps({"potential": {"kind": "hard_rods"},
+                                  "rho": [0.1, 0.3]}))
+    code = ("import sys\n"
+            "from clusterexp import cli\n"
+            "from clusterexp.ozpy import oz_selfconsistency, solve_py\n"
+            "from clusterexp.potentials import hard_rods, hard_spheres\n"
+            "for p in (hard_rods(), hard_spheres()):\n"
+            "    oz_selfconsistency(p, solve_py(p, 0.3))\n"
+            f"assert cli.main(['ozpy', '--config', {str(config)!r}, "
+            f"'--out', {str(tmp_path / 'out.json')!r}]) == 0\n"
+            f"print({LOADED_SCIPY})")
+    assert _fresh_python(code).strip() == "[]"

@@ -10,6 +10,7 @@ from clusterexp.ozpy import (
     NonConvergence,
     RadialGrid,
     _Convolver,
+    _fast_length,
     b2_effective,
     closure_remainder,
     oz_selfconsistency,
@@ -77,6 +78,85 @@ class TestConvolution:
         assert np.max(np.abs(got - exact)) < 1e-4
 
 
+
+
+class TestNumpyTransforms:
+    """The numpy.fft transforms equal, bit for bit, the scipy.fft formulas
+    they replaced; scipy is only the oracle here."""
+
+    @staticmethod
+    def scipy_forward(grid, phi):
+        from scipy.fft import dst
+        q = math.pi / ((grid.n_points + 1) * grid.dr) * np.arange(
+            1, grid.n_points + 1)
+        return 2.0 * math.pi * grid.dr * dst(grid.r * phi, type=1) / q
+
+    @staticmethod
+    def scipy_inverse(grid, phi_hat):
+        from scipy.fft import dst
+        dq = math.pi / ((grid.n_points + 1) * grid.dr)
+        q = dq * np.arange(1, grid.n_points + 1)
+        return dq / (4.0 * math.pi ** 2 * grid.r) * dst(q * phi_hat, type=1)
+
+    @staticmethod
+    def scipy_convolve_1d(grid, a, b):
+        from scipy.fft import irfft, next_fast_len, rfft
+        n = grid.n_points
+
+        def even_extension(phi):
+            full = np.empty(2 * n + 1)
+            full[n + 1:] = phi
+            full[:n] = phi[::-1]
+            full[n] = 2.0 * phi[0] - phi[1]
+            return full
+
+        size = next_fast_len(3 * n + 1, real=True)
+        out = irfft(rfft(even_extension(a), size)
+                    * rfft(even_extension(b), size), size)
+        return grid.dr * out[2 * n + 1:3 * n + 1]
+
+    @pytest.mark.parametrize("n_points", [4095, 100])
+    def test_sine_transforms_are_scipys(self, n_points):
+        grid = RadialGrid(n_points=n_points, dimension=3)
+        conv = _Convolver(grid)
+        a, b = np.random.default_rng(1).standard_normal((2, n_points))
+        assert np.array_equal(conv.forward(a), self.scipy_forward(grid, a))
+        assert np.array_equal(conv.inverse(b), self.scipy_inverse(grid, b))
+        assert np.array_equal(
+            conv.convolve(a, b),
+            self.scipy_inverse(grid, self.scipy_forward(grid, a)
+                               * self.scipy_forward(grid, b)))
+
+    @pytest.mark.parametrize("n_points", [4095, 100])
+    def test_line_convolution_is_scipys(self, n_points):
+        grid = RadialGrid(n_points=n_points, dimension=1)
+        conv = _Convolver(grid)
+        a, b = np.random.default_rng(2).standard_normal((2, n_points))
+        assert np.array_equal(conv.convolve(a, b),
+                              self.scipy_convolve_1d(grid, a, b))
+
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_results_are_not_views_of_the_buffers(self, dimension):
+        conv = _Convolver(RadialGrid(n_points=100, dimension=dimension))
+        a, b, c, d = np.random.default_rng(3).standard_normal((4, 100))
+        calls = [lambda x, y: conv.convolve(x, y)]
+        if dimension == 3:
+            calls += [lambda x, y: conv.forward(x),
+                      lambda x, y: conv.inverse(x)]
+        for call in calls:
+            first = call(a, b)
+            kept = first.copy()
+            call(c, d)
+            assert np.array_equal(first, kept)
+
+    def test_fast_length_is_scipys(self):
+        from scipy.fft import next_fast_len
+        assert [_fast_length(m) for m in range(1, 20001)] == [
+            next_fast_len(m, real=True) for m in range(1, 20001)]
+
+    def test_default_line_period(self):
+        conv = _Convolver(RadialGrid(dimension=1))
+        assert conv.size == _fast_length(3 * 4095 + 1) == 12288
 
 
 class TestSolver:
