@@ -90,7 +90,6 @@ class _Convolver:
             self._odd = np.zeros(2 * (n + 1))
             self._odd_hat = np.empty(n + 2, dtype=complex)
         else:
-            # a period of 3n+1 or more keeps wrap-around off the outputs
             self.size = _fast_length(3 * n + 1)
             self._even = np.zeros((2, self.size))
             self._even_hat = np.empty((2, self.size // 2 + 1), dtype=complex)
@@ -128,7 +127,7 @@ class _Convolver:
             return self.inverse(self.forward(a) * self.forward(b))
         # d = 1: convolution of the even extensions (m = -n..n) on the full
         # line.  The outputs m = 1..n sit at indices 2n+1..3n of the linear
-        # convolution.
+        # convolution; a period of 3n+1 or more keeps wrap-around off them.
         n = self.grid.n_points
         spec = self._even_hat
         self._even_extension(a, 0)
