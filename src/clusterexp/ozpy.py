@@ -20,6 +20,7 @@ pointwise values, so g at a hard-core diameter is the contact value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -187,6 +188,20 @@ STALL_WINDOW = 50
 STALL_RATIO = 0.9
 
 
+# The convolver and the Anderson ring buffers of the last grid and grid
+# size.  Solves on one grid reuse them instead of allocating about 0.5 MB
+# afresh, which the C allocator can hand back to the system after each
+# solve and fault in again at the next.  Solves in concurrent threads
+# would share them, so the solves of one process must run one at a time.
+_convolver = functools.lru_cache(maxsize=1)(_Convolver)
+
+
+@functools.lru_cache(maxsize=1)
+def _anderson_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two (ANDERSON_DEPTH, n) ring buffers of ``solve_py``."""
+    return np.empty((ANDERSON_DEPTH, n)), np.empty((ANDERSON_DEPTH, n))
+
+
 def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
              alpha: float = 0.5, tol: float = 1e-10,
              max_iter: int = 20_000) -> RadialFunctions:
@@ -229,12 +244,11 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
         raise ValueError("grid must extend to at least 10 sigma")
     boltz = _boltzmann_weights(p, grid)
     f = boltz - 1.0
-    conv = _Convolver(grid)
+    conv = _convolver(grid)
 
     n = grid.n_points
     t = np.zeros(n)
-    d_res = np.empty((ANDERSON_DEPTH, n))
-    d_step = np.empty((ANDERSON_DEPTH, n))
+    d_res, d_step = _anderson_buffers(n)
     gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
     stored = 0
     last = None
@@ -311,7 +325,7 @@ def oz_selfconsistency(p: Potential, sol: RadialFunctions) -> float:
     boltz = _boltzmann_weights(p, sol.grid)
     c = (boltz - 1.0) * sol.y
     h = boltz * sol.y - 1.0
-    conv = _Convolver(sol.grid)
+    conv = _convolver(sol.grid)
     return float(np.max(np.abs(h - c - sol.rho * conv.convolve(c, h))))
 
 

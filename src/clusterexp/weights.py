@@ -287,24 +287,25 @@ def _n_polytopes(score, p: Potential, m: int, L: float | None,
     return float(score(f)[0])
 
 
-def _blocks(shape: tuple[int, ...]):
+def _blocks(shape: tuple[int, ...], rows: int):
     """Every multi-index of an array of ``shape``, in C order, as (b, k)
-    integer arrays of at most MC_BLOCK rows."""
+    integer arrays of at most ``rows`` rows."""
     total = math.prod(shape)
-    for start in range(0, total, MC_BLOCK):
-        idx = np.arange(start, min(start + MC_BLOCK, total))
+    for start in range(0, total, rows):
+        idx = np.arange(start, min(start + rows, total))
         yield np.stack(np.unravel_index(idx, shape), axis=1)
 
 
-def _line_cells(allowed: np.ndarray, anchors: np.ndarray, k: int, R: int):
+def _line_cells(allowed: np.ndarray, anchors: np.ndarray, k: int, R: int,
+                rows: int):
     """Integer parts in ``allowed``^k of the cells that can hold a
     configuration in which every free vertex is joined to a pinned one
     (integer parts ``anchors``) by a chain of pairs whose parts differ by
     at most R: sorted together with the anchors, the parts split into runs
     with no step above R, and every run must hold an anchor (with one
-    anchor: there is one run).  Yields blocks of at most MC_BLOCK."""
+    anchor: there is one run).  Yields blocks of at most ``rows``."""
     pending, count = [], 0
-    for idx in _blocks((len(allowed),) * k):
+    for idx in _blocks((len(allowed),) * k, rows):
         n = allowed[idx]
         if len(anchors) == 1:
             s = np.sort(np.concatenate(
@@ -321,10 +322,10 @@ def _line_cells(allowed: np.ndarray, anchors: np.ndarray, k: int, R: int):
             n = n[(np.diff(held, axis=1) > 0).sum(axis=1) == run[:, -1]]
         pending.append(n)
         count += len(n)
-        if count >= MC_BLOCK:
+        if count >= rows:
             n = np.concatenate(pending)
-            yield n[:MC_BLOCK]
-            pending, count = [n[MC_BLOCK:]], len(n) - MC_BLOCK
+            yield n[:rows]
+            pending, count = [n[rows:]], len(n) - rows
     if count:
         yield np.concatenate(pending)
 
@@ -337,7 +338,7 @@ def _graph_terms(score, m: int):
     pairs = list(itertools.combinations(range(m), 2))
     i, j = np.triu_indices(m, 1)
     values = []
-    for masks in _blocks((1 << len(pairs),)):
+    for masks in _blocks((1 << len(pairs),), _batch_rows(m)):
         f = np.zeros((len(masks), m, m))
         f[:, i, j] = f[:, j, i] = (masks >> np.arange(len(pairs))) & 1
         values.append(score(f))
@@ -422,10 +423,11 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
     table[:R] = p.mayer_f((np.arange(R) + 0.5) * float(h))
     i, j = np.triu_indices(m, 1)
     anchors = np.array(parts)
+    rows = _batch_rows(m)
 
     def scores(offsets, M):
-        cells = (_line_cells(np.arange(lo, hi), anchors, k, R) if L is None
-                 else _blocks((Lam,) * k))
+        cells = (_line_cells(np.arange(lo, hi), anchors, k, R, rows)
+                 if L is None else _blocks((Lam,) * k, rows))
         for n in cells:
             # positions in units of h / M: integer part times M plus the
             # rank of the fractional part
@@ -533,11 +535,16 @@ class RadialProposal:
             raise ValueError("zero proposal mass: f vanishes")
         self.cum = np.concatenate([[0.0], np.cumsum(masses)]) / self.norm
 
-    def sample_radii(self, rng, size):
-        u = rng.random(size)
+    @staticmethod
+    def draw(rng, size):
+        """The two uniforms of each radius, in the order of the stream."""
+        return rng.random(size), rng.random(size)
+
+    def radii(self, u, u2):
+        """Radii from the uniforms of ``draw``: u picks the bin by its mass,
+        u2 the radius within it, uniform in r^d."""
         k = np.searchsorted(self.cum, u, side="right") - 1
         k = np.clip(k, 0, len(self.vals) - 1)
-        u2 = rng.random(size)
         lo_d = self.edges[k] ** self.d
         hi_d = self.edges[k + 1] ** self.d
         return (lo_d + u2 * (hi_d - lo_d)) ** (1.0 / self.d)
@@ -550,10 +557,18 @@ class RadialProposal:
         return np.where(inside, self.vals[k], 0.0) / self.norm
 
 
-def _random_directions(rng, size, d):
+def _direction_draws(rng, size, d):
+    """(size, d) draws behind unit directions: signs in d = 1, Gaussian
+    vectors otherwise, which ``_directions`` normalizes."""
     if d == 1:
         return rng.choice([-1.0, 1.0], size=(size, 1))
-    v = rng.normal(size=(size, d))
+    return rng.normal(size=(size, d))
+
+
+def _directions(v):
+    """Unit directions from the rows of ``_direction_draws``."""
+    if v.shape[1] == 1:
+        return v
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
@@ -782,9 +797,20 @@ def count_graphs(n: int, cls: GraphClass) -> int:
 # Mayer sampling of class sums
 # ---------------------------------------------------------------------------
 
-# Configurations drawn and scored together.  Bounds the per-block arrays,
-# such as the (block, pairs, d) differences and the subset tables.
+# Configurations drawn from the generator together: the block of the
+# random stream of ``class_sum_mc``, and of its running mean and variance.
+# A change to it changes every Monte Carlo value.
 MC_BLOCK = 256
+# Subset-table entries (2^m rows per configuration) scored at once.  Sizes
+# the batches of configurations and lattice cells, and so the per-batch
+# arrays, but changes no value.
+BATCH_ENTRIES = 1 << 14
+
+
+def _batch_rows(m: int) -> int:
+    """Configurations, or lattice cells, scored at once on m vertices: the
+    whole draw blocks whose subset tables fill BATCH_ENTRIES, at least one."""
+    return MC_BLOCK * max(1, (BATCH_ENTRIES >> m) // MC_BLOCK)
 
 
 @functools.cache
@@ -794,6 +820,25 @@ def _spanning_trees(m: int) -> np.ndarray:
     trees = np.array([bfs_tree(t, 1) for t in prufer_trees(m)], dtype=np.intp)
     trees.setflags(write=False)
     return trees
+
+
+def _draw_blocks(rng: np.random.Generator, b: int, n_trees: int, k: int,
+                 d: int, n_roots: int) -> list[np.ndarray]:
+    """The raw randoms of b configurations with k free vertices, drawn
+    MC_BLOCK configurations at a time in the order of the stream: the tree
+    index, the two uniforms of each radius (``RadialProposal.draw``), the
+    direction draws (b k rows) and, with several pinned vertices, the
+    pinned row of each edge from the root."""
+    parts = []
+    for start in range(0, b, MC_BLOCK):
+        c = min(MC_BLOCK, b - start)
+        part = [rng.integers(n_trees, size=c),
+                *RadialProposal.draw(rng, (c, k)),
+                _direction_draws(rng, c * k, d)]
+        if n_roots > 1:
+            part.append(rng.integers(n_roots, size=(c, k)))
+        parts.append(part)
+    return [np.concatenate(x) for x in zip(*parts)]
 
 
 def class_sum_mc(score, p: Potential, m: int, n_samples: int,
@@ -817,8 +862,11 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
     trees of prod |f| bounds the hard-core connected weights by
     m^(m-2) norm^(m-1) when one vertex is pinned; with a well, |f| rather
     than fbar keeps the weights from growing by |f| / fbar per well bond.
-    Draws ``n_samples`` configurations in blocks of ``MC_BLOCK``; with no
-    free vertex the score is exact.
+    Draws ``n_samples`` configurations in blocks of ``MC_BLOCK``, which
+    fix the random stream and the blocks of the running mean and variance,
+    and scores them in batches of whole blocks (``_batch_rows``, sized by
+    ``BATCH_ENTRIES``), so the batch size changes no value; with no free
+    vertex the score is exact.
     """
     d = p.dimension
     if d not in SURFACE_AREA or d > 3:
@@ -837,19 +885,21 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
     proposal = RadialProposal(p)
     trees = _spanning_trees(k + 1)
     i, j = np.triu_indices(m, 1)
+    batch = _batch_rows(m)
     count, mean, sq = 0, 0.0, 0.0
-    for start in range(0, n_samples, MC_BLOCK):
-        b = min(MC_BLOCK, n_samples - start)
-        edges = trees[rng.integers(len(trees), size=b)]
-        r = proposal.sample_radii(rng, (b, k))
-        disp = _random_directions(rng, b * k, d).reshape(b, k, d)
-        disp *= r[..., None]
+    for start in range(0, n_samples, batch):
+        b = min(batch, n_samples - start)
+        which, u, u2, v, *picks = _draw_blocks(rng, b, len(trees), k, d,
+                                               n_roots)
+        edges = trees[which]
+        disp = _directions(v).reshape(b, k, d)
+        disp *= proposal.radii(u, u2)[..., None]
         if n_roots > 1:
             # tree vertex v > 0 is row n_roots - 1 + v, and each edge from
             # the root starts at a pinned row drawn uniformly
             edges = edges + (n_roots - 1)
             from_root = edges[:, :, 0] == n_roots - 1
-            edges[:, :, 0][from_root] = rng.integers(n_roots, size=(b, k))[from_root]
+            edges[:, :, 0][from_root] = picks[0][from_root]
         pos = np.zeros((b, m, d))
         pos[:, :n_roots] = roots
         rows = np.arange(b)
@@ -866,13 +916,18 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
             pdf = pdf[:, n_roots - 1:, n_roots - 1:]
             pdf[:, 0, 1:] = pdf[:, 1:, 0] = root_pdf
         w = score(f) * len(trees) / fbar_tree_sum_batch(pdf)
-        # merge the block's mean and sum of squared deviations (Chan et al.)
-        w_mean = float(w.mean())
-        delta = w_mean - mean
-        total = count + b
-        mean += delta * b / total
-        sq += float(((w - w_mean) ** 2).sum()) + delta * delta * count * b / total
-        count = total
+        # merge each draw block's mean and sum of squared deviations
+        # (Chan et al.)
+        for lo in range(0, b, MC_BLOCK):
+            wb = w[lo:lo + MC_BLOCK]
+            c = len(wb)
+            w_mean = float(wb.mean())
+            delta = w_mean - mean
+            total = count + c
+            mean += delta * c / total
+            sq += (float(((wb - w_mean) ** 2).sum())
+                   + delta * delta * count * c / total)
+            count = total
     stderr = math.sqrt(sq / (count - 1) / count) if count > 1 else math.inf
     return mean, stderr
 

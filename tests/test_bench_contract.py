@@ -27,11 +27,6 @@ def test_trace_target_resolves(module, name):
     assert hasattr(importlib.import_module(f"clusterexp.{module}"), name)
 
 
-# The one operation that fails at every pass: the PY solver stalls for hard
-# spheres at rho = 0.8 (ROADMAP item 1).
-KNOWN_FAILURES = {("py-sweep", "ozpy hard_spheres rho=0.8")}
-
-
 @pytest.mark.parametrize("name", ["exact-1d", "mc-3d", "py-sweep",
                                   "combinatorics"])
 def test_one_pass_of_each_workload_runs(name, tmp_path, monkeypatch):
@@ -39,6 +34,4 @@ def test_one_pass_of_each_workload_runs(name, tmp_path, monkeypatch):
     workloads = importlib.import_module("workloads")
     res = workloads.run_pass(workloads.build(name, str(tmp_path), 1))
     assert res.attempted > 0
-    failed = {(name, f.op): f"{f.kind}: {f.reason}" for f in res.failures}
-    assert {op: why for op, why in failed.items()
-            if op not in KNOWN_FAILURES} == {}
+    assert {f.op: f"{f.kind}: {f.reason}" for f in res.failures} == {}

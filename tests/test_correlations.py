@@ -307,6 +307,7 @@ class TestExactAgainstPolytopes:
         # the sum does not depend on the block size
         full = h_n_density(SQUARE_WELL, 2, [0.0, 1.7], 2).values
         monkeypatch.setattr(weights, "MC_BLOCK", 7)
+        monkeypatch.setattr(weights, "BATCH_ENTRIES", 0)
         assert h_n_density(SQUARE_WELL, 2, [0.0, 1.7], 2).values == full
 
     def test_no_per_graph_weights_on_lattice_potentials(self, monkeypatch):

@@ -10,6 +10,8 @@ from clusterexp.ozpy import (
     NonConvergence,
     RadialGrid,
     _Convolver,
+    _anderson_buffers,
+    _convolver,
     _fast_length,
     b2_effective,
     closure_remainder,
@@ -160,6 +162,24 @@ class TestNumpyTransforms:
 
 
 class TestSolver:
+    def test_solves_share_buffers_not_results(self):
+        # the last grid's convolver and ring buffers serve the next solve,
+        # which leaves the last solve's profiles as they were
+        grid = RadialGrid(dimension=1)
+        first = solve_py(hard_rods(), 0.5)
+        kept = {name: getattr(first, name).copy()
+                for name in ("h", "c", "t", "g", "y")}
+        assert _convolver(grid) is _convolver(grid)
+        n = grid.n_points
+        assert _anderson_buffers(n) is _anderson_buffers(n)
+        again = solve_py(hard_rods(), 0.3)
+        for name, values in kept.items():
+            assert np.array_equal(getattr(first, name), values)
+        assert again.residual_history == \
+            solve_py(hard_rods(), 0.3).residual_history
+        assert _convolver.cache_info().maxsize == 1
+        assert _anderson_buffers.cache_info().maxsize == 1
+
     def test_zero_potential_identity(self):
         sol = solve_py(zero_potential(dimension=3), 0.5)
         assert np.all(sol.g == 1.0)

@@ -214,6 +214,47 @@ class TestMonteCarlo:
         assert a.value == b.value and a.std_error == b.std_error
 
 
+def _roots(n_roots, d):
+    pts = np.zeros((n_roots, d))
+    pts[:, 0] = [0.0, 1.2, 2.1][:n_roots]
+    if d > 1:
+        pts[:, 1] = [0.0, 0.3, -0.4][:n_roots]
+    return pts
+
+
+class TestBatches:
+    """Configurations are drawn MC_BLOCK at a time, which fixes the stream,
+    and scored in batches of whole blocks, which must change no value."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("m,n_roots", [(m, n) for m in range(2, 6)
+                                           for n in (1, 2, 3) if n < m])
+    def test_batch_size_changes_no_value(self, monkeypatch, m, n_roots, d):
+        # a well makes two radial bins; 4537 samples end in a part block
+        p = square_well(dimension=d)
+        assert weights._batch_rows(m) > weights.MC_BLOCK
+
+        def estimate():
+            return weights.class_sum_mc(phi_t_batch, p, m, 4537,
+                                        np.random.default_rng(5),
+                                        root_positions=_roots(n_roots, d))
+
+        batched = estimate()
+        monkeypatch.setattr(weights, "BATCH_ENTRIES", 0)
+        assert weights._batch_rows(m) == weights.MC_BLOCK
+        assert estimate() == batched
+
+    def test_hard_sphere_coefficients_as_at_9539195(self):
+        # the values of commit 9539195, which scored one draw block at a time
+        for est, value, err in (
+                (mayer_b_n(hard_spheres(), 4, n_samples=5000, seed=1),
+                 "-0x1.053314519be14p+5", "0x1.376af57e68c6ep-3"),
+                (irreducible_beta_n(hard_spheres(), 3, n_samples=5000, seed=1),
+                 "-0x1.cd98a979362d9p+1", "0x1.237edaa6481d8p-3")):
+            assert (est.value, est.std_error) == \
+                (float.fromhex(value), float.fromhex(err))
+
+
 class TestCoefficientEstimate:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -493,6 +534,8 @@ class TestLatticeClassSum:
         p = SQUARE_WELLS[1.5]
         full = lattice_class_sum(biconnected_sum_batch, p, 4)
         monkeypatch.setattr(weights, "MC_BLOCK", 7)
+        monkeypatch.setattr(weights, "BATCH_ENTRIES", 0)
+        assert weights._batch_rows(4) == 7
         assert lattice_class_sum(biconnected_sum_batch, p, 4) == full
 
     def test_caps(self):
