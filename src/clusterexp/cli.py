@@ -36,8 +36,8 @@ from .coefficients import irreducible_beta_n, mayer_b_n
 from .convergence import activity_radius, canonical_radius
 from .correlations import h_n_density
 from .graphs import EnumerationTooLarge, GraphClass, dump_lines
-from .ozpy import (NonConvergence, RadialGrid, oz_selfconsistency, solve_py,
-                   thermodynamics)
+from .ozpy import (NonConvergence, RadialGrid, check_solve_inputs,
+                   oz_selfconsistency, solve_py, thermodynamics)
 from .potentials import (hard_rods, hard_spheres, lennard_jones, square_well,
                          zero_potential)
 from .series import eos_and_free_energy, log_activity_of_density
@@ -429,6 +429,11 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
     tol = _float_field(cfg.get("tol", 1e-10), "tol")
     alpha = _float_field(cfg.get("alpha", 0.5), "alpha")
     max_iter = _int_field(cfg.get("max_iter", 20_000), "max_iter", 1)
+    for rho in rhos:
+        try:
+            check_solve_inputs(rho, alpha, tol, max_iter)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
     runs = []
     sol = None
     for rho in rhos:

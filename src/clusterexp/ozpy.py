@@ -8,8 +8,11 @@ sine transform (Fourier-Bessel reduces to a sine transform of r phi(r)),
 and each step solves OZ for t in Fourier space, t^ = rho c^2 / (1 - rho c^)
 (M. J. Gillan, Mol. Phys. 38, 1781, 1979): two sine transforms per step.
 In d = 1 each step evaluates the convolution rho (c * h) through a real FFT
-of the even extensions to the full line.  Both maps have the fixed points
-of the discrete OZ equation, which oz_selfconsistency checks in real space.
+of the even extensions to the full line, and the mixing takes the residual
+through the periodic inverse 1 / (1 - rho c^) of the OZ operator with c held
+fixed, one more real FFT pair on the same period: the 1D analogue of the 3D
+step.  Both maps have the fixed points of the discrete OZ equation, which
+oz_selfconsistency checks in real space.
 
 In the convolutions and the compressibility quadrature, a grid point that
 sits on a jump of e^{-beta V} (a hard-core diameter, a square-well edge)
@@ -95,6 +98,11 @@ class _Convolver:
             self._even = np.zeros((2, self.size))
             self._even_hat = np.empty((2, self.size // 2 + 1), dtype=complex)
             self._line = np.empty(self.size)
+            # e^{2 pi i k n / size} turns the spectrum of an even extension,
+            # which sits on indices 0..2n, into that of the same samples
+            # centred on index 0, a real one
+            k = np.arange(self.size // 2 + 1)
+            self._phase = np.exp(2j * math.pi / self.size * (k * n % self.size))
 
     def _dst1(self, x: np.ndarray) -> np.ndarray:
         # y_k = 2 sum_j x_j sin(pi k j / (n + 1)), the imaginary part of the
@@ -135,9 +143,27 @@ class _Convolver:
         self._even_extension(b, 1)
         np.fft.rfft(self._even[0], out=spec[0])
         np.fft.rfft(self._even[1], out=spec[1])
-        np.multiply(spec[0], spec[1], out=spec[0])
-        np.fft.irfft(spec[0], self.size, out=self._line)
+        # the product goes into the second row, so the first keeps a^
+        np.multiply(spec[0], spec[1], out=spec[1])
+        np.fft.irfft(spec[1], self.size, out=self._line)
         return self.grid.dr * self._line[2 * n + 1:3 * n + 1]
+
+    def solve_periodic(self, rho: float, x: np.ndarray) -> np.ndarray | None:
+        """d = 1: u on r = dr..n dr with u - rho a * u = x, where * is the
+        circular convolution of the even extensions on the period (dr times
+        the sum, as in convolve) and a is the first argument of the last
+        convolve: u^ = x^ / (1 - rho a^).  None unless 1 - rho a^ > 0 at
+        every wave number."""
+        n = self.grid.n_points
+        spec = self._even_hat
+        denom = 1.0 - rho * self.grid.dr * (spec[0] * self._phase).real
+        if not denom.min() > 0.0:
+            return None
+        self._even_extension(x, 1)
+        np.fft.rfft(self._even[1], out=spec[1])
+        np.divide(spec[1], denom, out=spec[1])
+        np.fft.irfft(spec[1], self.size, out=self._line)
+        return self._line[n + 1:2 * n + 1].copy()
 
 
 @dataclass
@@ -177,13 +203,13 @@ class NonConvergence(RuntimeError):
 ANDERSON_DEPTH = 6
 # A solve is given up as stalled when STALL_WINDOW iterations pass without
 # a residual below STALL_RATIO times the best so far.  Converging hard-core
-# runs go at most 8 iterations between such improvements: hard spheres up
-# to rho = 0.95 at most 7, hard rods up to rho = 0.75 at most 8 (densities
-# in steps of 0.05, default grid).  Without the ratio, a run that drifts
-# without converging keeps setting marginal new bests, and where it stops
-# depends on rounding: with the real-space convolution as the 3D map, hard
-# spheres at rho = 0.8 stopped anywhere from 189 to 1182 iterations under
-# algebraically equal forms of the update.
+# runs go at most 11 iterations between such improvements: hard spheres up
+# to rho = 0.95 at most 7, hard rods up to rho = 0.85 at most 11, at 0.85
+# (densities in steps of 0.05, default grid).  Without the ratio, a run
+# that drifts without converging keeps setting marginal new bests, and
+# where it stops depends on rounding: with the real-space convolution as
+# the 3D map, hard spheres at rho = 0.8 stopped anywhere from 189 to 1182
+# iterations under algebraically equal forms of the update.
 STALL_WINDOW = 50
 STALL_RATIO = 0.9
 
@@ -202,6 +228,18 @@ def _anderson_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((ANDERSON_DEPTH, n)), np.empty((ANDERSON_DEPTH, n))
 
 
+def check_solve_inputs(rho: float, alpha: float, tol: float,
+                       max_iter: int) -> None:
+    """The ValueError solve_py raises for inputs it cannot solve."""
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise ValueError(f"need a finite rho >= 0, got {rho!r}")
+    for name, value in (("tol", tol), ("alpha", alpha)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"need a finite {name} > 0, got {value!r}")
+    if max_iter < 1:
+        raise ValueError(f"need max_iter >= 1, got {max_iter!r}")
+
+
 def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
              alpha: float = 0.5, tol: float = 1e-10,
              max_iter: int = 20_000) -> RadialFunctions:
@@ -216,19 +254,25 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
     OZ equation h - c = rho c * h; oz_selfconsistency measures that in
     real space in both dimensions.
 
-    Each iteration evaluates G once.  The next t is the least-squares
-    combination of the last ANDERSON_DEPTH + 1 iterates that minimizes the
-    linearized residual, followed by a step of alpha along that combined
-    residual; with no history yet it is the Picard step t + alpha (G(t) - t).
+    Each iteration evaluates G once.  The mixing works on a residual R: in
+    d = 3, R = G(t) - t; in d = 1, R = (1 - rho c^)^{-1} (G(t) - t) on the
+    period of the convolution, the step that would solve OZ for t with c
+    held fixed (two more real FFTs).  An iteration where 1 - rho c^ is not
+    positive at every wave number takes R = G(t) - t.  The next t is the
+    least-squares combination of the last ANDERSON_DEPTH + 1 iterates that
+    minimizes the linearized R, followed by a step of alpha along that
+    combined R; with no history yet it is the Picard step t + alpha R.
     The differences of successive residuals and of successive steps live in
     two (ANDERSON_DEPTH, n) ring buffers, and the least squares is solved
     from the ANDERSON_DEPTH x ANDERSON_DEPTH Gram matrix of the residual
     differences, which each iteration updates by one row and column
     (H. F. Walker and P. Ni, SIAM J. Numer. Anal. 49, 1715, 2011).
-    The residual is max |G(t) - t| of the dimension's map G; the solve
-    returns once it is below tol, with the profiles built from G(t).  It
-    raises NonConvergence, with the reason, as soon as it can no longer
-    succeed:
+    The residual is max |G(t) - t| of the dimension's map G, in d = 1 the
+    raw OZ residual max |rho c * h - t|, whatever R the mixing used; the
+    solve returns once it is below tol, with the profiles built from G(t).
+    It raises ValueError for rho < 0 or not finite, for tol or alpha not
+    finite and > 0, and for max_iter < 1, and NonConvergence, with the
+    reason, as soon as it can no longer succeed:
 
     - "non-finite": the residual is inf or nan, or the least-squares system
       is not finite (its squares overflow from residuals near 1e154 on);
@@ -236,6 +280,7 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
       STALL_RATIO times the best one so far;
     - "max_iter": max_iter iterations ran without reaching tol.
     """
+    check_solve_inputs(rho, alpha, tol, max_iter)
     if grid is None:
         grid = RadialGrid(dimension=p.dimension if p.dimension in (1, 3) else 3)
     if grid.dimension != p.dimension:
@@ -278,6 +323,12 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
                 best, best_it = residual, it
             elif it - best_it >= STALL_WINDOW:
                 raise NonConvergence(residual, it, "stalled")
+            if grid.dimension == 1:
+                # mix the step that solves OZ for t with c held fixed
+                step = conv.solve_periodic(rho, res)
+                if step is not None:
+                    res = step
+                    image = t + step
             if last is None:
                 last = (image, res)
                 t = t + alpha * res

@@ -11,7 +11,7 @@ from clusterexp.cli import (EXIT_CAP, EXIT_NONCONV, EXIT_OK, EXIT_SCHEMA,
                             build_parser, dumps, main, to_csv)
 from clusterexp.coefficients import irreducible_beta_n, mayer_b_n
 from clusterexp.convergence import activity_radius, canonical_radius
-from clusterexp.ozpy import RadialGrid
+from clusterexp.ozpy import RadialGrid, solve_py
 from clusterexp.potentials import hard_rods, hard_spheres, square_well
 from clusterexp.weights import CoefficientEstimate
 
@@ -467,19 +467,47 @@ class TestOzpy:
                                                   RadialGrid().n_points)
 
     def test_csv_is_the_last_profile(self, capsys, tmp_path):
-        # tol stops both solves before the first Anderson step, so the
-        # profiles do not depend on how the least squares is solved; the
-        # digest is of the output of c8500e0
+        # tol stops both solves before the first Anderson step (rho = 0.1
+        # after one preconditioned Picard step), so the profiles do not
+        # depend on how the least squares is solved
+        grid = {"dr": 0.01, "n_points": 1024}
         cfg = write_config(tmp_path, "oz.json",
                            {"potential": {"kind": "hard_rods"},
-                            "rho": [0.05, 0.1], "tol": 0.15,
-                            "grid": {"dr": 0.01, "n_points": 1024}})
+                            "rho": [0.05, 0.1], "tol": 0.15, "grid": grid})
         code, out, _ = run_cli(capsys, ["ozpy", "--config", cfg,
                                         "--format", "csv"])
         assert code == EXIT_OK
         assert out.startswith("r,g,h,c,t,y\n0.01,0,-1,")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0b5188d7b03921857d923b43ec83d60729c1abfd4ed956e4e2cdcdd53629f45d")
+            "b3e22c33abcdad60b6600626fb3177690fa5b9001968e670ee3f8dce76a6055d")
+        # 17 significant digits round-trip, so the g column is the profile
+        # of the last density bit for bit
+        g = np.array([float(line.split(",")[1])
+                      for line in out.splitlines()[1:]])
+        sol = solve_py(hard_rods(), 0.1, grid=RadialGrid(dimension=1, **grid),
+                       tol=0.15)
+        assert np.array_equal(g, sol.g)
+
+    @pytest.mark.parametrize("extra", [
+        {"rho": -0.5}, {"rho": [0.2, -0.5]}, {"rho": math.nan},
+        {"rho": math.inf}, {"tol": 0}, {"tol": -1e-10}, {"tol": math.nan},
+        {"alpha": 0}, {"alpha": -0.5}, {"alpha": math.inf},
+        {"max_iter": 0}])
+    def test_invalid_solver_inputs_are_schema_errors(self, capsys, tmp_path,
+                                                      extra):
+        cfg = write_config(tmp_path, "oz.json",
+                           {"potential": {"kind": "hard_rods"}, "rho": 0.2,
+                            **extra})
+        code, out, err = run_cli(capsys, ["ozpy", "--config", cfg])
+        assert code == EXIT_SCHEMA
+        assert out == "" and "error (schema): SchemaError" in err
+
+    def test_zero_density_is_accepted(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "oz.json",
+                           {"potential": {"kind": "hard_rods"}, "rho": 0})
+        code, out, _ = run_cli(capsys, ["ozpy", "--config", cfg])
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["runs"][0]["iterations"] == 1
 
     def test_nonconvergence_exit(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "oz.json",

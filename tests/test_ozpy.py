@@ -241,10 +241,11 @@ class TestSolver:
         assert info.value.reason == "stalled"
         assert info.value.iterations < 1000
         assert math.isfinite(info.value.residual)
-        # the 1D map is pinned: the stop iteration of ee23e05, and the
-        # residual of 6442466 (the Gram-matrix least squares rounds apart)
-        assert info.value.iterations == 94
-        assert info.value.residual == 0.08235776836379632
+        # the preconditioned 1D step is pinned: no residual after the
+        # first comes below 0.9 of it, so the stall rule stops at
+        # 1 + STALL_WINDOW
+        assert info.value.iterations == 51
+        assert info.value.residual == 8.432869785913855
 
     def test_overflow_stops_at_once(self):
         with pytest.raises(NonConvergence, match="non-finite") as info:
@@ -252,6 +253,37 @@ class TestSolver:
         assert info.value.reason == "non-finite"
         assert info.value.iterations <= 5
         assert not math.isfinite(info.value.residual)
+
+    @pytest.mark.parametrize("rho,iterations,residual", [
+        (30.0, 41, 1.3658814416167507e+278),
+        (1e3, 30, 1.3908790256615157e+265),
+        (1e10, 17, 1.2201791187768799e+206),
+        (1e100, 2, 2.2559389843750003e+299)])
+    def test_dense_hard_rods_take_the_unpreconditioned_step(
+            self, rho, iterations, residual):
+        # 1 - rho c^ is not positive somewhere at these densities, so every
+        # iteration takes the plain step G(t) - t: the solves stop where
+        # they stopped before the 1D step was preconditioned
+        with pytest.raises(NonConvergence, match="non-finite") as info:
+            solve_py(hard_rods(), rho)
+        assert info.value.iterations == iterations
+        assert info.value.residual == residual
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rho": -0.5}, {"rho": math.nan}, {"rho": math.inf},
+        {"rho": -math.inf}, {"rho": 0.3, "tol": 0.0},
+        {"rho": 0.3, "tol": -1e-10}, {"rho": 0.3, "tol": math.nan},
+        {"rho": 0.3, "tol": math.inf}, {"rho": 0.3, "alpha": 0.0},
+        {"rho": 0.3, "alpha": -0.5}, {"rho": 0.3, "alpha": math.nan},
+        {"rho": 0.3, "max_iter": 0}, {"rho": 0.3, "max_iter": -1}])
+    def test_invalid_inputs_raise(self, kwargs):
+        for p in (hard_rods(), hard_spheres()):
+            with pytest.raises(ValueError, match="need "):
+                solve_py(p, **kwargs)
+
+    def test_huge_density_stops_non_finite(self):
+        with pytest.raises(NonConvergence, match="non-finite"):
+            solve_py(hard_rods(), 1e300)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rho", [30.0, 1e3, 1e10, 1e100])
@@ -301,18 +333,39 @@ class TestDenseHardSpheres:
                                         abs=1e-3)
 
 
-class TestPinnedSolves:
-    """Results the Fourier-space 3D step must not move, and the 1D map it
-    leaves as it is."""
+class TestDenseHardRods:
+    """The preconditioned 1D step reaches the PY root, which is Tonks's
+    hard-rod gas, on the default grid up to rho sigma = 0.85."""
 
-    # (pressure_virial, compressibility_factor, B2_effective) of hard rods
-    # on GRID_1D, from c8500e0: the Gram-matrix least squares after it must
-    # reach the same fixed points
+    @pytest.mark.parametrize("rho", [0.75, 0.8, 0.85])
+    def test_converges_to_tonks(self, rho):
+        p = hard_rods()
+        sol = solve_py(p, rho)
+        assert sol.converged and not sol.negative_g
+        assert sol.iterations <= 100
+        assert oz_selfconsistency(p, sol) < 1e-8
+        th = thermodynamics(p, sol)
+        z_ref, dp_ref = py_closed_forms(p, rho)
+        assert th["pressure_virial"] / rho == pytest.approx(z_ref, rel=1e-4)
+        assert th["compressibility_factor"] == pytest.approx(dp_ref, rel=1e-4)
+
+
+class TestPinnedSolves:
+    """Results the Fourier-space 3D step must not move, and the fixed
+    points the preconditioned 1D step must keep."""
+
+    # (pressure_virial, compressibility_factor, B2_effective) at tol = 1e-13
+    # from 86f4564, the unpreconditioned 1D step: hard rods on GRID_1D and
+    # the 1D square well (sigma 1, lambda 1.5, beta epsilon 1) at rho = 0.5
+    # on the default grid.  At the default tol the values would carry the
+    # stopping error (2.9e-11 relative at rho = 0.5), not the fixed point.
     THERMO_1D = {
-        0.3: (0.4285713546161025, 2.0408163240262764, 1.4285706068455837),
-        0.5: (0.9999984297016322, 3.999999937489267, 1.9999937188065289),
-        0.7: (2.3333052211949292, 11.111108905394154, 3.333275961622305),
+        0.3: (0.4285713546160424, 2.040816324020496, 1.428570606844916),
+        0.5: (0.9999984297022874, 3.9999999375005126, 1.9999937188091494),
+        0.7: (2.3333052212239886, 11.111108905721045, 3.33327596168161),
     }
+    THERMO_SQUARE_WELL_1D = (0.8450098776218116, 2.596084053187736,
+                             1.3800395104872463)
 
     # (pressure_virial, compressibility_factor, B2_effective) of hard
     # spheres from the real-space map at ee23e05, on its 4096-point default
@@ -329,8 +382,8 @@ class TestPinnedSolves:
                th["B2_effective"])
         assert got == pytest.approx(self.THERMO_3D[rho], rel=1e-9)
 
-    @pytest.mark.parametrize("rho,iterations", [(0.3, 19), (0.5, 36),
-                                                (0.7, 153)])
+    @pytest.mark.parametrize("rho,iterations", [(0.3, 14), (0.5, 19),
+                                                (0.7, 32)])
     def test_hard_rod_iterations_are_the_same(self, rho, iterations):
         sol = solve_py(hard_rods(), rho, grid=GRID_1D)
         assert sol.iterations == iterations
@@ -338,10 +391,18 @@ class TestPinnedSolves:
 
     @pytest.mark.parametrize("rho", sorted(THERMO_1D))
     def test_hard_rod_thermodynamics(self, rho):
-        th = thermodynamics(hard_rods(), solve_py(hard_rods(), rho, grid=GRID_1D))
+        sol = solve_py(hard_rods(), rho, grid=GRID_1D, tol=1e-13)
+        th = thermodynamics(hard_rods(), sol)
         got = (th["pressure_virial"], th["compressibility_factor"],
                th["B2_effective"])
-        assert got == pytest.approx(self.THERMO_1D[rho], rel=1e-11)
+        assert got == pytest.approx(self.THERMO_1D[rho], rel=1e-12)
+
+    def test_square_well_thermodynamics_1d(self):
+        p = square_well(dimension=1)
+        th = thermodynamics(p, solve_py(p, 0.5, tol=1e-13))
+        got = (th["pressure_virial"], th["compressibility_factor"],
+               th["B2_effective"])
+        assert got == pytest.approx(self.THERMO_SQUARE_WELL_1D, rel=1e-12)
 
 
 class TestThermodynamics:
