@@ -2,8 +2,9 @@
 
 Subcommands: graphs, virial, eos, radius, canonical, correlations, ozpy,
 catalog-gc.  Configuration comes from a JSON file (--config) with sections
-mirroring the library modules; unknown keys are rejected so that typos
-cannot silently change a run.  All floating-point output is printed with 17
+mirroring the library modules, each read through ``_section``; unknown keys
+and values of the wrong JSON type are rejected so that typos cannot
+silently change a run.  All floating-point output is printed with 17
 significant digits.
 
 Exit codes: 0 success, 2 schema violation, 3 enumeration/order cap
@@ -151,10 +152,27 @@ def _float_field(value, name: str) -> float:
     return float(value)
 
 
+def _typed_field(value, name: str, kind: type, what: str):
+    """``value`` itself when it is a ``kind``; else a SchemaError saying
+    that ``name`` must be ``what``."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
+    """The object under ``name``, {} when the key is absent.  Anything but
+    an object, or an object with a key outside ``allowed``, is a
+    SchemaError."""
+    section = _typed_field(cfg.get(name, {}), name, dict, "an object")
+    _check_keys(section, allowed, name)
+    return section
 
 
 _POTENTIAL_KEYS = {
@@ -174,14 +192,18 @@ _POTENTIAL_FACTORIES = {
 
 
 def potential_from_config(section) -> "Potential":
-    if not isinstance(section, dict):
-        raise SchemaError("potential section must be an object")
+    _typed_field(section, "potential", dict, "an object")
     kind = section.get("kind")
-    if kind not in _POTENTIAL_FACTORIES:
+    if not isinstance(kind, str) or kind not in _POTENTIAL_FACTORIES:
         raise SchemaError(f"unknown potential kind {kind!r}; "
                           f"expected one of {sorted(_POTENTIAL_FACTORIES)}")
     params = {k: v for k, v in section.items() if k != "kind"}
     _check_keys(params, _POTENTIAL_KEYS[kind], f"potential ({kind})")
+    for key, value in params.items():
+        # checked, not converted: the label, and with it the catalog key,
+        # keeps each value as the config wrote it
+        (_int_field if key == "dimension" else _float_field)(
+            value, f"potential.{key}")
     try:
         return _POTENTIAL_FACTORIES[kind](**params)
     except (TypeError, ValueError) as exc:
@@ -204,12 +226,18 @@ def _load_config(path: str | None) -> dict:
 
 
 def _mc_section(cfg: dict, seed_flag: int | None) -> dict:
-    mc = cfg.get("mc", {})
-    _check_keys(mc, {"samples", "seed"}, "mc")
+    mc = _section(cfg, "mc", {"samples", "seed"})
     samples = _int_field(mc.get("samples", 100_000), "mc.samples", 1)
-    seed = seed_flag if seed_flag is not None else mc.get("seed")
+    seed = _int_field(mc["seed"], "mc.seed", 0) if "seed" in mc else None
     return {"samples": samples,
-            "seed": None if seed is None else _int_field(seed, "mc.seed", 0)}
+            "seed": seed_flag if seed_flag is not None else seed}
+
+
+def _catalog_path(cfg: dict) -> str | None:
+    catalog = _section(cfg, "catalog", {"path"})
+    if "path" not in catalog:
+        return None
+    return _typed_field(catalog["path"], "catalog.path", str, "a string")
 
 
 def _require_seed(mc: dict, p, method: str) -> int:
@@ -237,8 +265,10 @@ _GRAPH_CLASSES = {
 def _cmd_graphs(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"n", "class", "count"}, "graphs config")
     n = args.n if args.n is not None else cfg.get("n")
-    cls_name = args.graph_class or cfg.get("class", "connected")
-    count_only = args.count or bool(cfg.get("count", False))
+    cls_name = args.graph_class or _typed_field(
+        cfg.get("class", "connected"), "class", str, "a string")
+    count_only = args.count or _typed_field(cfg.get("count", False), "count",
+                                            bool, "true or false")
     if n is None:
         raise SchemaError("graphs needs --n or config key 'n'")
     n = _int_field(n, "n", 1)
@@ -268,15 +298,21 @@ def _coefficient_table(p, kind: str, orders: range, mc: dict, method: str,
             for n in orders}
 
 
-def _cmd_virial(cfg: dict, args) -> _Result:
+def _coefficient_config(cfg: dict, args) -> tuple:
+    """The potential, order, method, Monte Carlo settings and catalog of
+    ``virial`` and ``eos``."""
     _check_keys(cfg, {"potential", "order", "method", "mc", "catalog"},
-                "virial config")
+                f"{args.subcommand} config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
     K = _int_field(args.order if args.order is not None else cfg.get("order", 3),
                    "order", 1)
-    method = cfg.get("method", "auto")
+    method = _typed_field(cfg.get("method", "auto"), "method", str, "a string")
     mc = _mc_section(cfg, args.seed)
-    cat = CoefficientTable(cfg.get("catalog", {}).get("path"))
+    return p, K, method, mc, CoefficientTable(_catalog_path(cfg))
+
+
+def _cmd_virial(cfg: dict, args) -> _Result:
+    p, K, method, mc, cat = _coefficient_config(cfg, args)
     bs = _coefficient_table(p, "b_n", range(1, K + 1), mc, method, cat)
     betas = _coefficient_table(p, "beta_n", range(1, K), mc, method, cat)
     eos = eos_and_free_energy({k: est.value for k, est in betas.items()}, K)
@@ -292,14 +328,7 @@ def _cmd_virial(cfg: dict, args) -> _Result:
 
 
 def _cmd_eos(cfg: dict, args) -> _Result:
-    _check_keys(cfg, {"potential", "order", "method", "mc", "catalog"},
-                "eos config")
-    p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
-    K = _int_field(args.order if args.order is not None else cfg.get("order", 3),
-                   "order", 1)
-    method = cfg.get("method", "auto")
-    mc = _mc_section(cfg, args.seed)
-    cat = CoefficientTable(cfg.get("catalog", {}).get("path"))
+    p, K, method, mc, cat = _coefficient_config(cfg, args)
     betas = _coefficient_table(p, "beta_n", range(1, K), mc, method, cat)
     eos = eos_and_free_energy({k: est.value for k, est in betas.items()}, K)
     logz = log_activity_of_density({k: est.value for k, est in betas.items()}, K)
@@ -342,9 +371,11 @@ def _cmd_canonical(cfg: dict, args) -> _Result:
         K = _int_field(cfg["K"], "K")
     except KeyError as exc:
         raise SchemaError(f"canonical config needs key {exc}") from exc
-    trunc = cfg.get("truncation")
-    if trunc is not None:
-        trunc = _int_field(trunc, "truncation")
+    trunc = (_int_field(cfg["truncation"], "truncation")
+             if "truncation" in cfg else None)
+    oracle = _typed_field(cfg.get("oracle", True), "oracle", bool,
+                          "true or false")
+    mc = _mc_section(cfg, args.seed)
     exp = canonical_free_energy(p, N, L, K, truncation=trunc)
     payload = {
         "potential": p.label(),
@@ -356,39 +387,33 @@ def _cmd_canonical(cfg: dict, args) -> _Result:
             "within_certificate": exp.within_certificate,
         },
     }
-    if cfg.get("oracle", True):
-        mc = _mc_section(cfg, args.seed)
+    if oracle:
         if oracle_method(p, N, "auto") == "mc" and mc["seed"] is None:
             raise SchemaError(f"oracle for N = {N} is Monte Carlo; "
                               "--seed required")
-        oracle = direct_logZ_oracle(p, N, L, n_samples=mc["samples"],
+        direct = direct_logZ_oracle(p, N, L, n_samples=mc["samples"],
                                     seed=mc["seed"] or 0)
-        payload["oracle"] = asdict(oracle)
-        payload["expansion_minus_oracle"] = exp.log_z - oracle.value
+        payload["oracle"] = asdict(direct)
+        payload["expansion_minus_oracle"] = exp.log_z - direct.value
     return payload, None, None
 
 
 def _cmd_correlations(cfg: dict, args) -> _Result:
-    _check_keys(cfg, {"potential", "n", "K", "r_min", "r_max", "n_r",
-                      "r_values", "method", "mc"}, "correlations config")
+    _check_keys(cfg, {"potential", "K", "r_min", "r_max", "n_r", "r_values",
+                      "method", "mc"}, "correlations config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
-    n = _int_field(cfg.get("n", 2), "n")
     K = _int_field(cfg.get("K", 1), "K")
-    method = cfg.get("method", "auto")
+    method = _typed_field(cfg.get("method", "auto"), "method", str, "a string")
     mc = _mc_section(cfg, args.seed)
     seed = _require_seed(mc, p, method)
     if "r_values" in cfg:
-        if not isinstance(cfg["r_values"], list):
-            raise SchemaError(f"r_values must be a list, got {cfg['r_values']!r}")
-        rs = [_float_field(r, "r_values item") for r in cfg["r_values"]]
+        rs = [_float_field(r, "r_values item") for r in
+              _typed_field(cfg["r_values"], "r_values", list, "a list")]
     else:
         r_min = _float_field(cfg.get("r_min", 0.1), "r_min")
         r_max = _float_field(cfg.get("r_max", 3.0), "r_max")
         n_r = _int_field(cfg.get("n_r", 30), "n_r", 1)
         rs = list(np.linspace(r_min, r_max, n_r))
-    if n != 2:
-        raise SchemaError("r-grid output is defined for the pair function "
-                          "(n = 2)")
     orders: list[list[float]] = [[] for _ in range(K + 1)]
     errs: list[list[float]] = [[] for _ in range(K + 1)]
     for r in rs:
@@ -418,14 +443,11 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
         raise SchemaError("ozpy config needs 'rho'")
     rhos = [_float_field(rho, "rho") for rho in
             (cfg["rho"] if isinstance(cfg["rho"], list) else [cfg["rho"]])]
-    gcfg = cfg.get("grid", {})
-    _check_keys(gcfg, {"dr", "n_points", "dimension"}, "ozpy grid")
+    gcfg = _section(cfg, "grid", {"dr", "n_points"})
     default = RadialGrid()
     grid = RadialGrid(dr=_float_field(gcfg.get("dr", default.dr), "grid.dr"),
                       n_points=_int_field(gcfg.get("n_points", default.n_points),
-                                          "grid.n_points"),
-                      dimension=_int_field(gcfg.get("dimension", p.dimension),
-                                           "grid.dimension"))
+                                          "grid.n_points"))
     tol = _float_field(cfg.get("tol", 1e-10), "tol")
     alpha = _float_field(cfg.get("alpha", 0.5), "alpha")
     max_iter = _int_field(cfg.get("max_iter", 20_000), "max_iter", 1)
@@ -457,7 +479,7 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
                                         "c": sol.c, "t": sol.t, "y": sol.y}
     payload = {"potential": p.label(),
                "grid": {"dr": grid.dr, "n_points": grid.n_points,
-                        "dimension": grid.dimension},
+                        "dimension": p.dimension},
                "tol": tol,
                "runs": runs}
     return payload, columns, None
@@ -465,7 +487,9 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
 
 def _cmd_catalog_gc(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"path", "catalog"}, "catalog-gc config")
-    path = cfg.get("path") or cfg.get("catalog", {}).get("path")
+    path = _catalog_path(cfg)
+    if "path" in cfg:
+        path = _typed_field(cfg["path"], "path", str, "a string") or path
     if path is None:
         raise SchemaError("catalog-gc needs a catalog 'path'")
     if not os.path.exists(path):

@@ -41,7 +41,7 @@ class ConvergenceCertificate:
 
 def tree_graph_check_batch(p: Potential, points) -> dict:
     """Vectorized inequality check over a batch of configurations
-    (B, n, d) or (B, n).
+    (B, n, d).
 
     The connected-graph sum is evaluated through the partition identity
     (subset convolution) and the tree sum through the matrix-tree
@@ -49,8 +49,6 @@ def tree_graph_check_batch(p: Potential, points) -> dict:
     enumeration in the tests.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 2:
-        pts = pts[:, :, None]
     B_, n, _ = pts.shape
     diff = pts[:, :, None, :] - pts[:, None, :, :]
     r = np.linalg.norm(diff, axis=-1)

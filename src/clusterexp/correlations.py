@@ -56,13 +56,6 @@ class CorrelationSeries:
         if len(self.values) != len(self.std_errors):
             raise ValueError("values and std_errors must align")
 
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def value(self, k: int) -> float:
-        return self.values[k]
-
 
 def _as_positions(positions, d: int):
     """(n, d) coordinates; bare scalars are placed along the first axis."""
@@ -73,10 +66,6 @@ def _as_positions(positions, d: int):
         return out
     pts = np.atleast_2d(pts)
     if pts.shape[1] != d:
-        if pts.shape[0] == 1:
-            out = np.zeros((pts.shape[1], d))
-            out[:, 0] = pts[0]
-            return out
         raise ValueError(f"positions must be (n, {d})")
     return pts
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import Kind, Potential, SURFACE_AREA
+from .potentials import Potential, SURFACE_AREA
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,10 @@ class RadialGrid:
 
     dr: float = 0.005
     n_points: int = 4095
-    dimension: int = 3
 
     def __post_init__(self):
         if self.dr <= 0 or self.n_points < 16:
             raise ValueError("need dr > 0 and a nontrivial grid")
-        if self.dimension not in (1, 3):
-            raise ValueError("grid dimension must be 1 or 3")
 
     @property
     def r(self) -> np.ndarray:
@@ -76,19 +73,20 @@ def _fast_length(m: int) -> int:
 
 
 class _Convolver:
-    """d-dimensional radial convolution by forward transform, pointwise
-    product, inverse transform.
+    """Radial convolution in d = 1 or 3 dimensions by forward transform,
+    pointwise product, inverse transform.
 
     The transforms run on numpy.fft into buffers allocated once per
     convolver; every array a method returns is a fresh one."""
 
-    def __init__(self, grid: RadialGrid):
+    def __init__(self, grid: RadialGrid, d: int):
         self.grid = grid
+        self.d = d
         n, dr = grid.n_points, grid.dr
         self.r = grid.r
         self.dq = math.pi / ((n + 1) * dr)
         self.q = self.dq * np.arange(1, n + 1)
-        if grid.dimension == 3:
+        if d == 3:
             # the odd extension [0, x_1..x_n, 0, -x_n..-x_1] of the DST-I;
             # its two zeros are never written
             self._odd = np.zeros(2 * (n + 1))
@@ -132,7 +130,7 @@ class _Convolver:
         full[n] = 2.0 * phi[0] - phi[1]
 
     def convolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.grid.dimension == 3:
+        if self.d == 3:
             return self.inverse(self.forward(a) * self.forward(b))
         # d = 1: convolution of the even extensions (m = -n..n) on the full
         # line.  The outputs m = 1..n sit at indices 2n+1..3n of the linear
@@ -179,7 +177,6 @@ class RadialFunctions:
     iterations: int = 0
     residual: float = math.inf
     residual_history: list[float] = field(repr=False, default_factory=list)
-    converged: bool = False
     negative_g: bool = False
 
 
@@ -214,8 +211,8 @@ STALL_WINDOW = 50
 STALL_RATIO = 0.9
 
 
-# The convolver and the Anderson ring buffers of the last grid and grid
-# size.  Solves on one grid reuse them instead of allocating about 0.5 MB
+# The convolver of the last grid and dimension, and the Anderson ring
+# buffers of the last grid size.  Solves on one grid reuse them instead of allocating about 0.5 MB
 # afresh, which the C allocator can hand back to the system after each
 # solve and fault in again at the next.  Solves in concurrent threads
 # would share them, so the solves of one process must run one at a time.
@@ -252,7 +249,8 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
     - in d = 1, the OZ convolution G(t) = rho c * h.
     The two maps share their fixed points, the solutions of the discrete
     OZ equation h - c = rho c * h; oz_selfconsistency measures that in
-    real space in both dimensions.
+    real space in both dimensions.  d is the potential's dimension; any
+    other than 1 or 3 is a ValueError.
 
     Each iteration evaluates G once.  The mixing works on a residual R: in
     d = 3, R = G(t) - t; in d = 1, R = (1 - rho c^)^{-1} (G(t) - t) on the
@@ -281,15 +279,16 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
     - "max_iter": max_iter iterations ran without reaching tol.
     """
     check_solve_inputs(rho, alpha, tol, max_iter)
+    d = p.dimension
+    if d not in (1, 3):
+        raise ValueError(f"the PY solver needs d = 1 or 3, got d = {d}")
     if grid is None:
-        grid = RadialGrid(dimension=p.dimension if p.dimension in (1, 3) else 3)
-    if grid.dimension != p.dimension:
-        raise ValueError("grid dimension must match the potential")
+        grid = RadialGrid()
     if grid.r_max < 10.0 * p.sigma:
         raise ValueError("grid must extend to at least 10 sigma")
     boltz = _boltzmann_weights(p, grid)
     f = boltz - 1.0
-    conv = _convolver(grid)
+    conv = _convolver(grid, d)
 
     n = grid.n_points
     t = np.zeros(n)
@@ -302,7 +301,7 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             y = 1.0 + t
-            if grid.dimension == 3:
+            if d == 3:
                 # x = rho c^, and t^ = x^2 / (rho (1 - x)), which is 0
                 # where x is, at rho = 0 too
                 x = rho * conv.forward(f * y)
@@ -323,7 +322,7 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
                 best, best_it = residual, it
             elif it - best_it >= STALL_WINDOW:
                 raise NonConvergence(residual, it, "stalled")
-            if grid.dimension == 1:
+            if d == 1:
                 # mix the step that solves OZ for t with c held fixed
                 step = conv.solve_periodic(rho, res)
                 if step is not None:
@@ -365,7 +364,6 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
     sol.iterations = it
     sol.residual = residual
     sol.residual_history = history
-    sol.converged = True
     sol.negative_g = bool(np.any(sol.g < -1e-12))
     return sol
 
@@ -376,7 +374,7 @@ def oz_selfconsistency(p: Potential, sol: RadialFunctions) -> float:
     boltz = _boltzmann_weights(p, sol.grid)
     c = (boltz - 1.0) * sol.y
     h = boltz * sol.y - 1.0
-    conv = _convolver(sol.grid)
+    conv = _convolver(sol.grid, p.dimension)
     return float(np.max(np.abs(h - c - sol.rho * conv.convolve(c, h))))
 
 
@@ -399,23 +397,25 @@ def thermodynamics(p: Potential, sol: RadialFunctions) -> dict:
     second virial coefficient (slope of beta P / rho - 1)."""
     grid = sol.grid
     r = grid.r
-    d = grid.dimension
+    d = p.dimension
     sd = SURFACE_AREA[d]
     rho = sol.rho
 
-    # virial route: beta P = rho + rho^2/(2d) int y(r) r d(e^{-bV})/dr dV
+    # virial route: beta P = rho + rho^2/(2d) S_d int y(r) r^d d(e^{-bV}),
+    # a Stieltjes integral: each jump of e^{-bV} at its radius, and a
+    # continuous e^{-bV} by its steps between grid points, with y r^d at
+    # the interval midpoints
     jump_term = 0.0
     for radius, jump in p.f_jumps():
         # y is continuous across the jump, so read it at the jump itself
         yj = float(np.interp(radius, r, sol.y))
         jump_term += sd * radius ** d * jump * yj
     smooth_term = 0.0
-    if p.kind is Kind.LENNARD_JONES:
-        v = np.asarray(p.v(r))
-        dv = np.gradient(v, r)
-        integrand = -p.beta * dv * sol.g * r ** d * sd
-        integrand[~np.isfinite(integrand)] = 0.0
-        smooth_term = float(np.trapezoid(integrand, r))
+    if not p.piecewise_constant_f:
+        y_mid = 0.5 * (sol.y[1:] + sol.y[:-1])
+        r_mid = 0.5 * (r[1:] + r[:-1])
+        steps = np.diff(np.asarray(p.boltzmann(r), dtype=float))
+        smooth_term = sd * float(np.sum(y_mid * r_mid ** d * steps))
     pressure = rho + rho ** 2 / (2.0 * d) * (jump_term + smooth_term)
 
     # compressibility route: the quadrature starts at r = 0, where the

@@ -269,15 +269,7 @@ def log_activity_of_density(beta_table: dict[int, object], K: int) -> TruncatedS
 
 
 def density_from_activity(beta_table: dict[int, object], K: int) -> TruncatedSeries:
-    """rho(z) solving rho = z exp(B'(rho)), order by order in z."""
-    B = two_connected_series(beta_table, K)
-    Bprime = series_derivative(B).truncate(K)
-    rho = [0] * (K + 1)
-    if K >= 1:
-        rho[1] = Bprime[1] * 0 + 1
-    for m in range(2, K + 1):
-        cand = TruncatedSeries(rho[:m] + [0] * (K + 1 - m), "z")
-        # rho_m = [z^m] z * exp(B'(rho)) with rho known below order m
-        expo = series_exp(series_compose(Bprime, cand))
-        rho[m] = expo[m - 1]
-    return TruncatedSeries(rho, "z")
+    """rho(z) solving rho = z exp(B'(rho)): the inverse of
+    z(rho) = rho exp(-B'(rho))."""
+    Bprime = series_derivative(two_connected_series(beta_table, K)).truncate(K)
+    return lagrange_invert(identity_series(K, "rho") * series_exp(-Bprime))

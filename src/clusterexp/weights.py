@@ -154,7 +154,7 @@ def _delta_branches(piece, shifts=(0.0,)):
     return [(lo + s, hi + s, val) for lo, hi, val in base for s in shifts]
 
 
-def _edge_terms(g: Graph, p: Potential, positions, shifts=(0.0,), box=None):
+def _edge_terms(g: Graph, p: Potential, positions, shifts=(0.0,)):
     """Split edges into a constant prefactor (edges between fixed vertices)
     and per-edge convex branch lists over the free coordinates."""
     n_free = g.n_vertices - len(positions)
@@ -170,25 +170,18 @@ def _edge_terms(g: Graph, p: Potential, positions, shifts=(0.0,), box=None):
     for i, j in g.edges:
         vi, vj = var(i), var(j)
         if vi is None and vj is None:
-            r = abs(fixed[i] - fixed[j])
-            if box is not None:
-                L = box[1] - box[0]
-                r = min(r % L, L - r % L)
-            prefactor *= float(p.mayer_f(r))
+            prefactor *= float(p.mayer_f(abs(fixed[i] - fixed[j])))
             if prefactor == 0.0:
                 return 0.0, [], [], n_free
             continue
-        offset = 0.0
-        if vi is None:
-            offset += fixed[i]
-        if vj is None:
-            offset -= fixed[j]
+        # the pinned vertices carry the lowest labels, so in an edge i < j
+        # with one pinned end that end is i
+        offset = fixed[i] if vi is None else 0.0
         branches = [(lo - offset, hi - offset, val)
                     for piece in pieces
                     for lo, hi, val in _delta_branches(piece, shifts)]
         edge_branches.append(branches)
-        edge_vars.append((vi if vi is not None else -1,
-                          vj if vj is not None else -1))
+        edge_vars.append((-1 if vi is None else vi, vj))
     return prefactor, edge_branches, edge_vars, n_free
 
 
@@ -239,7 +232,7 @@ def graph_weight_periodic_1d(g: Graph, p: Potential, L: float):
     if p.kind is Kind.ZERO:
         return 0.0 if g.n_edges > 0 else 1.0
     box = (-L / 2.0, L / 2.0)
-    prefactor, eb, ev, n_free = _edge_terms(g, p, (0.0,), shifts=(-L, 0.0, L), box=box)
+    prefactor, eb, ev, n_free = _edge_terms(g, p, (0.0,), shifts=(-L, 0.0, L))
     total = _sum_branch_combinations(prefactor, eb, ev, n_free, box=box)
     return total / L ** n_free
 
@@ -513,13 +506,10 @@ class RadialProposal:
     def __init__(self, p: Potential):
         self.d = d = p.dimension
         if p.piecewise_constant_f:
-            edges, vals = [0.0], []
-            for r_lo, r_hi, val in p.f_pieces():
-                if edges[-1] != r_lo:
-                    edges.append(r_lo)
-                    vals.append(0.0)
-                edges.append(r_hi)
-                vals.append(abs(val))
+            # the pieces tile [0, range)
+            pieces = p.f_pieces()
+            edges = [0.0] + [r_hi for _, r_hi, _ in pieces]
+            vals = [abs(val) for _, _, val in pieces]
         else:
             r_max = 50.0 * p.sigma if p.cutoff is None else p.cutoff
             grid = np.linspace(0.0, r_max, PROPOSAL_BINS + 1)

@@ -228,7 +228,7 @@ class TestCriterion9OzOrderByOrder:
 
 
 class TestCriterion10PySolver:
-    GRID_1D = RadialGrid(dr=0.005, n_points=4096, dimension=1)
+    GRID_1D = RadialGrid(dr=0.005, n_points=4096)
 
     def test_zero_potential_identity(self):
         sol = solve_py(zero_potential(dimension=3), 0.4)

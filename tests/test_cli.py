@@ -292,6 +292,118 @@ class TestIntegerFields:
         assert "need order >= 1" in err
 
 
+# (command, a valid config, the path of the field in it, the JSON types
+# it takes)
+SCHEMA_FIELDS = [
+    ("graphs", {"n": 3, "count": True}, ("n",), {"number"}),
+    ("graphs", {"n": 3, "count": True}, ("class",), {"string"}),
+    ("graphs", {"n": 3, "count": True}, ("count",), {"boolean"}),
+    *[(command, {"order": 2}, path, kinds) for command in ("virial", "eos")
+      for path, kinds in [
+          (("potential",), {"object"}),
+          (("potential", "kind"), {"string"}),
+          (("order",), {"number"}),
+          (("method",), {"string"}),
+          (("mc",), {"object"}),
+          (("mc", "samples"), {"number"}),
+          (("mc", "seed"), {"number"}),
+          (("catalog",), {"object"}),
+          (("catalog", "path"), {"string"})]],
+    ("radius", {}, ("potential",), {"object"}),
+    *[("radius", {"potential": {"kind": "lennard_jones", "cutoff": 2.5}},
+       ("potential", key), {"number"})
+      for key in ("sigma", "epsilon", "beta", "cutoff", "dimension")],
+    ("radius", {"potential": {"kind": "square_well"}}, ("potential", "lam"),
+     {"number"}),
+    *[("canonical", {"N": 2, "L": 10.0, "K": 1}, path, kinds)
+      for path, kinds in [
+          (("potential",), {"object"}),
+          (("N",), {"number"}),
+          (("L",), {"number"}),
+          (("K",), {"number"}),
+          (("truncation",), {"number"}),
+          (("oracle",), {"boolean"}),
+          (("mc",), {"object"}),
+          (("mc", "samples"), {"number"}),
+          (("mc", "seed"), {"number"})]],
+    *[("correlations", {"K": 0, "n_r": 2}, path, kinds)
+      for path, kinds in [
+          (("potential",), {"object"}),
+          (("K",), {"number"}),
+          (("r_min",), {"number"}),
+          (("r_max",), {"number"}),
+          (("n_r",), {"number"}),
+          (("r_values",), {"list"}),
+          (("method",), {"string"}),
+          (("mc",), {"object"}),
+          (("mc", "samples"), {"number"}),
+          (("mc", "seed"), {"number"})]],
+    *[("ozpy", {"rho": 0.1}, path, kinds) for path, kinds in [
+        (("potential",), {"object"}),
+        (("rho",), {"number", "list"}),
+        (("grid",), {"object"}),
+        (("grid", "dr"), {"number"}),
+        (("grid", "n_points"), {"number"}),
+        (("tol",), {"number"}),
+        (("alpha",), {"number"}),
+        (("max_iter",), {"number"})]],
+    ("catalog-gc", {}, ("path",), {"string"}),
+    ("catalog-gc", {}, ("catalog",), {"object"}),
+    ("catalog-gc", {}, ("catalog", "path"), {"string"}),
+]
+JSON_VALUES = {"string": "x.jsonl", "number": 12345, "list": [5], "null": None}
+SCHEMA_CASES = [(command, cfg, path, kind)
+                for command, cfg, path, kinds in SCHEMA_FIELDS
+                for kind in JSON_VALUES if kind not in kinds]
+
+
+class TestSchemaGuard:
+    """Every section and typed field of every command, given a JSON value
+    of another type, exits with the schema code and a message."""
+
+    @staticmethod
+    def put(cfg, path, value):
+        """A copy of cfg with ``value`` at ``path``; the objects on the way
+        are kept or made."""
+        out = json.loads(json.dumps(cfg))
+        node = out
+        for key in path[:-1]:
+            node = node.setdefault(key, {"kind": "hard_rods"}
+                                   if key == "potential" else {})
+        node[path[-1]] = value
+        return out
+
+    @pytest.mark.parametrize("command,cfg,path,kind", SCHEMA_CASES,
+                             ids=[f"{c}-{'.'.join(p)}-{k}"
+                                  for c, _, p, k in SCHEMA_CASES])
+    def test_wrong_type_is_schema_error(self, capsys, tmp_path, command, cfg,
+                                        path, kind):
+        path_ = write_config(tmp_path, "bad.json",
+                             self.put(cfg, path, JSON_VALUES[kind]))
+        code, out, err = run_cli(capsys, [command, "--config", path_])
+        assert code == EXIT_SCHEMA
+        assert out == "" and "error (schema)" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("graphs", {"n": 3, "count": "false"}, "count must be true or false"),
+        ("canonical", {"N": 2, "L": 10.0, "K": 1, "oracle": "no"},
+         "oracle must be true or false"),
+        ("virial", {"catalog": {"path": 12345}}, "catalog.path must be a string"),
+        ("catalog-gc", {"path": 12345}, "path must be a string"),
+        ("catalog-gc", {"catalog": {"path": 12345}}, "catalog.path must be a string"),
+        ("virial", {"catalog": {"pth": "x.jsonl"}}, "unknown keys in catalog"),
+        ("ozpy", {"rho": 0.1, "grid": {"dimension": 3}}, "unknown keys in grid"),
+        ("correlations", {"n": 2}, "unknown keys in correlations config"),
+    ])
+    def test_flags_paths_and_dropped_keys(self, capsys, tmp_path, command, cfg,
+                                          message):
+        path = write_config(tmp_path, "bad.json", cfg)
+        code, out, err = run_cli(capsys, [command, "--config", path])
+        assert code == EXIT_SCHEMA
+        assert out == "" and message in err
+
+
 class TestHardRodVirialIsExact:
     def test_order_five_prints_exactly_one(self, capsys):
         code, out, _ = run_cli(capsys, ["virial", "--order", "5"])
@@ -436,12 +548,25 @@ class TestCorrelations:
         assert lines[2].split(",") == ["1.5", "0", "0.5"]
 
 
+    def test_r_grid(self, capsys, tmp_path):
+        def orders(extra):
+            cfg = write_config(tmp_path, "corr.json", {"K": 1, **extra})
+            code, out, _ = run_cli(capsys, ["correlations", "--config", cfg])
+            assert code == EXIT_OK
+            return json.loads(out)["results"]
+        grid = orders({"r_min": 0.5, "r_max": 1.5, "n_r": 3})
+        assert grid["r"] == [0.5, 1.0, 1.5]
+        # f(r) at order 0; the overlap 2 - r of two cores at order 1, times
+        # the 1 + f(r) that keeps the pair apart
+        assert grid["orders"] == [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.5]]
+        assert grid == orders({"r_values": [0.5, 1.0, 1.5]})
+
+
 class TestOzpy:
     def test_thermodynamics_json(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "oz.json",
                            {"potential": {"kind": "hard_rods"}, "rho": 0.2,
-                            "grid": {"dr": 0.005, "n_points": 4096,
-                                     "dimension": 1}})
+                            "grid": {"dr": 0.005, "n_points": 4096}})
         code, out, _ = run_cli(capsys, ["ozpy", "--config", cfg])
         run = json.loads(out)["results"]["runs"][0]
         assert float(run["thermodynamics"]["pressure_virial"]) == pytest.approx(
@@ -484,7 +609,7 @@ class TestOzpy:
         # of the last density bit for bit
         g = np.array([float(line.split(",")[1])
                       for line in out.splitlines()[1:]])
-        sol = solve_py(hard_rods(), 0.1, grid=RadialGrid(dimension=1, **grid),
+        sol = solve_py(hard_rods(), 0.1, grid=RadialGrid(**grid),
                        tol=0.15)
         assert np.array_equal(g, sol.g)
 
@@ -602,6 +727,24 @@ class TestCatalogIntegration:
         assert report["provenance"]["catalog_misses"] == 5
         assert all(b["value"] != 123.0 for b in report["results"]["b"].values())
         assert all(b["value"] != 123.0 for b in report["results"]["beta"].values())
+
+    def test_catalog_gc_keeps_current_records(self, capsys, tmp_path):
+        catalog = tmp_path / "cat.jsonl"
+        cfg = write_config(tmp_path, "v.json",
+                           {"order": 3, "catalog": {"path": str(catalog)}})
+        assert run_cli(capsys, ["virial", "--config", cfg])[0] == EXIT_OK
+        with catalog.open("a") as fh:
+            fh.write("not a record\n")
+        gc = write_config(tmp_path, "gc.json",
+                          {"catalog": {"path": str(catalog)}})
+        code, out, _ = run_cli(capsys, ["catalog-gc", "--config", gc])
+        assert code == EXIT_OK
+        assert json.loads(out)["results"] == {
+            "path": str(catalog), "kept": 5, "stale": 0, "corrupt": 1,
+            "inconsistent": 0}
+        assert len(catalog.read_text().splitlines()) == 5
+        again = json.loads(run_cli(capsys, ["virial", "--config", cfg])[1])
+        assert again["provenance"]["catalog_hits"] == 5
 
     def test_catalog_gc_noop_when_missing(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "gc.json",

@@ -12,7 +12,8 @@ from clusterexp.coefficients import (
     mayer_b_n,
 )
 from clusterexp.graphs import EnumerationTooLarge
-from clusterexp.potentials import hard_rods, hard_spheres, square_well
+from clusterexp.potentials import (hard_rods, hard_spheres, lennard_jones,
+                                   square_well)
 from clusterexp.series import eos_and_free_energy
 
 
@@ -152,6 +153,14 @@ class TestClassSumMonteCarlo:
              for est in (mayer_b_n(p, 4, "mc", self.SAMPLES, seed)
                          for seed in range(30))]
         assert np.std(z, ddof=1) <= 1.2
+
+    def test_lennard_jones_b2_through_the_gridded_proposal(self):
+        # b_2 = -B_2, and B_2 = -1.3145 at beta epsilon = 0.5 by quadrature
+        # of -2 pi r^2 f(r); the proposal is |f| gridded to 50 sigma, and f
+        # changes sign, so the estimate has a variance
+        est = mayer_b_n(lennard_jones(beta=0.5), 2, "mc", 200_000, 3)
+        assert est.std_error > 0.0
+        assert est.agrees_with(1.3145, n_sigma=3.0)
 
     @pytest.mark.parametrize("k,ratio", [(3, 0.28695), (4, 0.11025)])
     def test_hard_sphere_betas_match_clisby_mccoy(self, k, ratio):

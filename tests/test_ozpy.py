@@ -19,9 +19,10 @@ from clusterexp.ozpy import (
     solve_py,
     thermodynamics,
 )
-from clusterexp.potentials import hard_rods, hard_spheres, square_well, zero_potential
+from clusterexp.potentials import (hard_rods, hard_spheres, lennard_jones,
+                                   square_well, zero_potential)
 
-GRID_1D = RadialGrid(dr=0.005, n_points=4096, dimension=1)
+GRID_1D = RadialGrid(dr=0.005, n_points=4096)
 FLUIDS = {"hard_spheres": hard_spheres(), "hard_rods": hard_rods()}
 # residual histories of hard-rod solves on GRID_1D (see source_commit)
 PINNED_1D = json.loads((Path(__file__).parent / "data"
@@ -41,15 +42,18 @@ def py_closed_forms(p, rho):
 
 class TestGrid:
     def test_r_axis(self):
-        g = RadialGrid(dr=0.01, n_points=100, dimension=3)
+        g = RadialGrid(dr=0.01, n_points=100)
         assert g.r[0] == pytest.approx(0.01)
         assert g.r_max == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RadialGrid(dr=-0.1, n_points=100)
-        with pytest.raises(ValueError):
-            RadialGrid(dimension=2)
+
+    def test_solver_takes_d_from_the_potential(self):
+        # the grid has no dimension: d = 2 is the potential's, and rejected
+        with pytest.raises(ValueError, match="d = 1 or 3"):
+            solve_py(square_well(dimension=2), 0.1)
 
     def test_default_sine_transform_is_a_fast_length(self):
         # the 3D DST-I of n points is an FFT of length 2 (n + 1)
@@ -64,16 +68,16 @@ class TestGrid:
 
 class TestConvolution:
     def test_gaussian_3d(self):
-        g = RadialGrid(dr=0.01, n_points=2048, dimension=3)
-        conv = _Convolver(g)
+        g = RadialGrid(dr=0.01, n_points=2048)
+        conv = _Convolver(g, 3)
         a = np.exp(-g.r ** 2)
         got = conv.convolve(a, a)
         exact = (math.pi / 2.0) ** 1.5 * np.exp(-g.r ** 2 / 2.0)
         assert np.max(np.abs(got - exact)) < 1e-10
 
     def test_gaussian_1d(self):
-        g = RadialGrid(dr=0.01, n_points=2048, dimension=1)
-        conv = _Convolver(g)
+        g = RadialGrid(dr=0.01, n_points=2048)
+        conv = _Convolver(g, 1)
         a = np.exp(-g.r ** 2)
         got = conv.convolve(a, a)
         exact = math.sqrt(math.pi / 2.0) * np.exp(-g.r ** 2 / 2.0)
@@ -119,8 +123,8 @@ class TestNumpyTransforms:
 
     @pytest.mark.parametrize("n_points", [4095, 100])
     def test_sine_transforms_are_scipys(self, n_points):
-        grid = RadialGrid(n_points=n_points, dimension=3)
-        conv = _Convolver(grid)
+        grid = RadialGrid(n_points=n_points)
+        conv = _Convolver(grid, 3)
         a, b = np.random.default_rng(1).standard_normal((2, n_points))
         assert np.array_equal(conv.forward(a), self.scipy_forward(grid, a))
         assert np.array_equal(conv.inverse(b), self.scipy_inverse(grid, b))
@@ -131,15 +135,15 @@ class TestNumpyTransforms:
 
     @pytest.mark.parametrize("n_points", [4095, 100])
     def test_line_convolution_is_scipys(self, n_points):
-        grid = RadialGrid(n_points=n_points, dimension=1)
-        conv = _Convolver(grid)
+        grid = RadialGrid(n_points=n_points)
+        conv = _Convolver(grid, 1)
         a, b = np.random.default_rng(2).standard_normal((2, n_points))
         assert np.array_equal(conv.convolve(a, b),
                               self.scipy_convolve_1d(grid, a, b))
 
     @pytest.mark.parametrize("dimension", [1, 3])
     def test_results_are_not_views_of_the_buffers(self, dimension):
-        conv = _Convolver(RadialGrid(n_points=100, dimension=dimension))
+        conv = _Convolver(RadialGrid(n_points=100), dimension)
         a, b, c, d = np.random.default_rng(3).standard_normal((4, 100))
         calls = [lambda x, y: conv.convolve(x, y)]
         if dimension == 3:
@@ -157,7 +161,7 @@ class TestNumpyTransforms:
             next_fast_len(m, real=True) for m in range(1, 20001)]
 
     def test_default_line_period(self):
-        conv = _Convolver(RadialGrid(dimension=1))
+        conv = _Convolver(RadialGrid(), 1)
         assert conv.size == _fast_length(3 * 4095 + 1) == 12288
 
 
@@ -165,11 +169,11 @@ class TestSolver:
     def test_solves_share_buffers_not_results(self):
         # the last grid's convolver and ring buffers serve the next solve,
         # which leaves the last solve's profiles as they were
-        grid = RadialGrid(dimension=1)
+        grid = RadialGrid()
         first = solve_py(hard_rods(), 0.5)
         kept = {name: getattr(first, name).copy()
                 for name in ("h", "c", "t", "g", "y")}
-        assert _convolver(grid) is _convolver(grid)
+        assert _convolver(grid, 1) is _convolver(grid, 1)
         n = grid.n_points
         assert _anderson_buffers(n) is _anderson_buffers(n)
         again = solve_py(hard_rods(), 0.3)
@@ -218,7 +222,7 @@ class TestSolver:
                                            ("hard_rods", 0.7)])
     def test_converges_with_defaults(self, fluid, rho):
         sol = solve_py(FLUIDS[fluid], rho)
-        assert sol.converged and not sol.negative_g
+        assert sol.residual < 1e-10 and not sol.negative_g
         assert len(sol.residual_history) == sol.iterations
         assert sol.residual_history[-1] == sol.residual < 1e-10
 
@@ -320,7 +324,7 @@ class TestDenseHardSpheres:
     def test_converges_to_the_py_closed_forms(self, rho):
         p = hard_spheres()
         sol = solve_py(p, rho)
-        assert sol.converged and not sol.negative_g
+        assert sol.residual < 1e-10 and not sol.negative_g
         assert sol.iterations <= 60
         assert oz_selfconsistency(p, sol) < 1e-8
         th = thermodynamics(p, sol)
@@ -341,7 +345,7 @@ class TestDenseHardRods:
     def test_converges_to_tonks(self, rho):
         p = hard_rods()
         sol = solve_py(p, rho)
-        assert sol.converged and not sol.negative_g
+        assert sol.residual < 1e-10 and not sol.negative_g
         assert sol.iterations <= 100
         assert oz_selfconsistency(p, sol) < 1e-8
         th = thermodynamics(p, sol)
@@ -438,6 +442,17 @@ class TestThermodynamics:
     def test_hs_b2_effective(self):
         b2 = b2_effective(hard_spheres())
         assert b2 == pytest.approx(2.0 * math.pi / 3.0, rel=5e-3)
+
+    @pytest.mark.parametrize("cutoff", [None, 2.5])
+    def test_lennard_jones_routes_agree(self, cutoff):
+        # near rho = 0 both routes read B2: the virial route as the slope of
+        # beta P / rho, the compressibility route through 1 + 2 B2 rho.  The
+        # virial route sums y r^3 against the steps of e^{-beta V}, which
+        # keeps the steep core and, with the cutoff, the jump at 2.5.
+        p, rho = lennard_jones(beta=0.5, cutoff=cutoff), 1e-4
+        th = thermodynamics(p, solve_py(p, rho))
+        b2_compressibility = (th["compressibility_factor"] - 1.0) / (2.0 * rho)
+        assert th["B2_effective"] == pytest.approx(b2_compressibility, rel=1e-3)
 
     def test_compressibility_tonks(self):
         # 1 - rho c_hat(0) approximates d(beta P)/d rho = 1/(1-rho)^2
