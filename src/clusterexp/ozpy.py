@@ -212,10 +212,11 @@ STALL_RATIO = 0.9
 
 
 # The convolver of the last grid and dimension, and the Anderson ring
-# buffers of the last grid size.  Solves on one grid reuse them instead of allocating about 0.5 MB
-# afresh, which the C allocator can hand back to the system after each
-# solve and fault in again at the next.  Solves in concurrent threads
-# would share them, so the solves of one process must run one at a time.
+# buffers of the last grid size.  Solves on one grid reuse them instead of
+# allocating about 0.5 MB afresh, which the C allocator can hand back to
+# the system after each solve and fault in again at the next.  Solves in
+# concurrent threads would share them, so the solves of one process must
+# run one at a time.
 _convolver = functools.lru_cache(maxsize=1)(_Convolver)
 
 
