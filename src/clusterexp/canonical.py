@@ -14,17 +14,22 @@ the torus.
 
 The covering sum is log Xi by inclusion-exclusion over the label sets,
 with Xi_m the partition function of the polymer packings of m labels from
-one recursion.  Fed the float activities it gives the exact B(k); fed
-zeta(V) w^(|V|-1), a series in a weight variable w whose every unit is one
-power of 1/L, it gives the same sum graded by weight, so B(k) truncated at
-any total weight and the leading part B*(k) (weight exactly k) are read
-off its coefficients.
+one recursion.  Fed the float activities it gives B(k) in closed form,
+whose terms cancel more as L grows, so that it loses digits at large L
+(``canonical_B_k``); fed zeta(V) w^(|V|-1), a series in a weight variable
+w whose every unit is one power of 1/L, it gives the same sum graded by
+weight, so B(k) truncated at any total weight and the leading part B*(k)
+(weight exactly k) are read off its coefficients.
 
-Polymer activities, the 2-connected graph sum of B*(k) and the exact direct
-oracle each integrate one class sum (phi^T, the 2-connected recursion, the
-product of (1 + f)) over the lattice cells of the torus
-(``weights.lattice_class_sum``), falling back to per-graph periodic
-polytopes when no lattice fits.
+Polymer activities and the 2-connected graph sum of B*(k) integrate a
+connected class sum (phi^T, the 2-connected recursion) with one particle
+pinned (``weights.lattice_class_sum``).  Its configurations span less than
+(m - 1) * range, so when that is below L/2 every minimum-image distance is
+the line distance, and the torus sum is the line sum over L^(m-1): the
+line pass visits only the cells near the pinned particle.  Otherwise, and
+for the exact direct oracle, whose product of (1 + f) does not vanish on
+disconnected configurations, the sum runs over the lattice cells of the
+torus, falling back to per-graph periodic polytopes when no lattice fits.
 """
 
 from __future__ import annotations
@@ -53,6 +58,15 @@ EXACT_ORACLE_MAX_N = 4
 MC_ORACLE_MAX_N = 8
 
 
+def _connected_class_sum(score, p: Potential, m: int, L: float) -> float:
+    """Normalized torus integral of a connected class sum ``score`` on m
+    particles, one of them pinned: the line pass over L^(m-1) when the
+    m particles span less than L/2, the torus pass otherwise."""
+    if (m - 1) * p.interaction_range < L / 2:
+        return lattice_class_sum(score, p, m) / L ** (m - 1)
+    return lattice_class_sum(score, p, m, L)
+
+
 def zeta(p: Potential, v_size: int, L: float) -> float:
     """Polymer activity: sum over connected graphs on the label set of the
     normalized periodic weight.  Scales as L^{-(size-1)}; singletons have
@@ -65,7 +79,7 @@ def zeta(p: Potential, v_size: int, L: float) -> float:
     if v_size > 5:
         raise EnumerationTooLarge("polymer activities", v_size, 5,
                                   2 ** (v_size * (v_size - 1) // 2))
-    return lattice_class_sum(phi_t_batch, p, v_size, L)
+    return _connected_class_sum(phi_t_batch, p, v_size, L)
 
 
 def zeta_scaling_bound(p: Potential, v_size: int, L: float) -> float:
@@ -128,6 +142,14 @@ def _graded(value: float, weight: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
+def _require_order(k: int):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > 4:
+        raise EnumerationTooLarge("canonical coefficients B(k) on k + 1 labels",
+                                  k + 1, 5, 2 ** (k * (k + 1) // 2))
+
+
 def canonical_B_k(p: Potential, k: int, L: float,
                   truncation: int | None = None) -> dict:
     """B(k), its leading part B*(k) and the finite-volume remainder.
@@ -136,17 +158,24 @@ def canonical_B_k(p: Potential, k: int, L: float,
     phi^T * prod zeta; evaluated in closed form (truncation=None) or
     restricted to collections of total weight sum(|V|-1) <= truncation,
     any integer (a covering of k+1 labels weighs at least k, so
-    truncation < k gives 0).  B*(k) keeps the collections of weight
-    exactly k; it equals (L^k/k!) * sum over 2-connected graphs on k+1
-    vertices of the normalized weight, and both routes are returned.
+    truncation < k gives 0).  The closed form cancels more as L grows
+    (hard rods, k = 4: -1.2640985 against -1.2641048 from truncation
+    k + 6 at L = 10^3, -1.1632 against -1.2514 at L = 10^4), so at large L
+    a truncation near k is the more accurate B(k).  B*(k) keeps the
+    collections of weight exactly k; it equals (L^k/k!) * sum over
+    2-connected graphs on k+1 vertices of the normalized weight, and both
+    routes are returned.
     """
     require_exact_1d(p, L)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > 4:
-        raise EnumerationTooLarge("canonical coefficients B(k) on k + 1 labels",
-                                  k + 1, 5, 2 ** (k * (k + 1) // 2))
-    zetas = {m: zeta(p, m, L) for m in range(1, k + 2)}
+    _require_order(k)
+    return _coefficient(p, k, L, truncation,
+                        {m: zeta(p, m, L) for m in range(1, k + 2)})
+
+
+def _coefficient(p: Potential, k: int, L: float, truncation: int | None,
+                 zetas: dict) -> dict:
+    """``canonical_B_k`` from the activities zetas[1..k+1] at (p, L)."""
+    zetas = {m: zetas[m] for m in range(1, k + 2)}
     order = k if truncation is None else max(k, truncation)
     graded = _covering_sum(_packing_partition_functions(
         k, {m: _graded(z, m - 1, order) for m, z in zetas.items()}), series_log)
@@ -171,7 +200,7 @@ def canonical_B_k(p: Potential, k: int, L: float,
     B = scale * total
     B_star_polymer = scale * graded[k]
 
-    star_graph = lattice_class_sum(biconnected_sum_batch, p, k + 1, L)
+    star_graph = _connected_class_sum(biconnected_sum_batch, p, k + 1, L)
     B_star_graph = scale * star_graph
     return {
         "B": B,
@@ -215,15 +244,17 @@ def canonical_free_energy(p: Potential, N: int, L: float, K: int,
     require_exact_1d(p, L)
     if not 1 <= K < N:
         raise ValueError("need 1 <= K < N")
+    _require_order(K)
     cert = canonical_radius(p)
     C = abs_f_integral(p)
     within = (N / L) * C <= cert.bound_value
 
     ideal = N * math.log(L) - math.lgamma(N + 1)
+    zetas = {m: zeta(p, m, L) for m in range(1, K + 2)}
     terms = {}
     total = ideal
     for k in range(1, K + 1):
-        bk = canonical_B_k(p, k, L, truncation=truncation)
+        bk = _coefficient(p, k, L, truncation, zetas)
         term = N * prefactor(N, L, k) * bk["B"] / (k + 1)
         terms[k] = {"B": bk["B"], "B_star": bk["B_star"], "term": term}
         total += term

@@ -31,8 +31,8 @@ import numpy as np
 from .catalog import (CODE_VERSION, CatalogKey, CoefficientTable, estimator_name,
                       potential_hash)
 from .catalog import gc as catalog_gc
-from .canonical import (canonical_free_energy, direct_logZ_oracle,
-                        oracle_method)
+from .canonical import (MC_ORACLE_MAX_N, canonical_free_energy,
+                        direct_logZ_oracle, oracle_method)
 from .coefficients import irreducible_beta_n, mayer_b_n
 from .convergence import activity_radius, canonical_radius
 from .correlations import h_n_density
@@ -388,7 +388,10 @@ def _cmd_canonical(cfg: dict, args) -> _Result:
         },
     }
     if oracle:
-        if oracle_method(p, N, "auto") == "mc" and mc["seed"] is None:
+        # above the MC cap the oracle raises before it samples, so the cap
+        # is reported rather than a missing seed
+        if (oracle_method(p, N, "auto") == "mc" and N <= MC_ORACLE_MAX_N
+                and mc["seed"] is None):
             raise SchemaError(f"oracle for N = {N} is Monte Carlo; "
                               "--seed required")
         direct = direct_logZ_oracle(p, N, L, n_samples=mc["samples"],

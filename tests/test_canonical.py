@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from clusterexp import canonical, weights
 from clusterexp.canonical import (
     canonical_B_k,
     canonical_free_energy,
@@ -16,7 +17,8 @@ from clusterexp.canonical import (
 )
 from clusterexp.graphs import EnumerationTooLarge, GraphClass, enumerate_graphs
 from clusterexp.potentials import hard_rods, hard_spheres, square_well
-from clusterexp.weights import graph_weight_periodic_1d, phi_t_batch
+from clusterexp.weights import (biconnected_sum_batch, graph_weight_periodic_1d,
+                                lattice_class_sum, phi_t_batch)
 
 
 P = hard_rods()
@@ -155,10 +157,13 @@ class TestCanonicalCoefficients:
         got = canonical_B_k(p, k, L, truncation=truncation)["B"]
         assert got == pytest.approx(listed_B_k(p, k, L, truncation), rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    @pytest.mark.parametrize("p", [P, SQUARE_WELL], ids=["hard_rods", "square_well"])
-    def test_B_star_polymer_equals_graph_sum(self, p, k):
-        got = canonical_B_k(p, k, 10.0)
+    @pytest.mark.parametrize("p,k,L", [
+        *[pytest.param(p, k, 10.0, id=f"{name}-{k}")
+          for name, p in (("hard_rods", P), ("square_well", SQUARE_WELL))
+          for k in (1, 2, 3, 4)],
+        pytest.param(SQUARE_WELL, 4, 20.0, id="square_well-4-L20")])
+    def test_B_star_polymer_equals_graph_sum(self, p, k, L):
+        got = canonical_B_k(p, k, L)
         assert got["B_star_polymer"] == pytest.approx(got["B_star"], rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("truncation", [-1, 0, 1, 2])
@@ -202,6 +207,95 @@ class TestCanonicalCoefficients:
     def test_prefactor(self):
         assert prefactor(5, 10.0, 2) == pytest.approx(4 * 3 / 100.0)
         assert prefactor(3, 10.0, 3) == 0.0  # (N-3) factor vanishes
+
+
+def torus_B_k(monkeypatch, p, k, L):
+    """canonical_B_k with every activity and the B* sum from the torus
+    lattice pass, as before the line pass."""
+    with monkeypatch.context() as mp:
+        mp.setattr(canonical, "_connected_class_sum",
+                   lambda score, p, m, L: lattice_class_sum(score, p, m, L))
+        return canonical_B_k(p, k, L)
+
+
+class TestLinePass:
+    """Activities and the B* graph sum take the line pass over L^(m-1)
+    exactly when (m - 1) * range < L/2; the direct oracle always takes the
+    torus."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        seen = []
+
+        def spy(score, p, m, L=None, root_positions=(0.0,)):
+            seen.append((score, m, L))
+            return lattice_class_sum(score, p, m, L, root_positions)
+
+        monkeypatch.setattr(canonical, "lattice_class_sum", spy)
+        return seen
+
+    # hard rods at L = 6: (m - 1) sigma < 3 up to m = 3; m = 4 is at L/2
+    @pytest.mark.parametrize("m,L", [(2, None), (3, None), (4, 6.0)])
+    def test_zeta(self, passes, m, L):
+        zeta(P, m, 6.0)
+        assert passes == [(phi_t_batch, m, L)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_B_star_graph_sum(self, passes, k):
+        canonical_B_k(P, k, 6.0)
+        assert [(m, L) for score, m, L in passes
+                if score is biconnected_sum_batch] == \
+            [(k + 1, None if k < 3 else 6.0)]
+        assert [(m, L) for score, m, L in passes if score is phi_t_batch] == \
+            [(m, None if m < 4 else 6.0) for m in range(2, k + 2)]
+
+    def test_free_energy_computes_each_activity_once(self, passes):
+        canonical_free_energy(P, 5, 6.0, 3)
+        assert [(score, m) for score, m, _ in passes] == [
+            (phi_t_batch, 2), (phi_t_batch, 3), (phi_t_batch, 4),
+            (biconnected_sum_batch, 2), (biconnected_sum_batch, 3),
+            (biconnected_sum_batch, 4)]
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_direct_oracle_takes_the_torus(self, passes, N):
+        direct_logZ_oracle(P, N, 6.0)
+        assert [(m, L) for _, m, L in passes] == [(N, 6.0)]
+
+    @pytest.mark.parametrize("k,L", [(k, 20.0) for k in (1, 2, 3, 4)]
+                             + [(k, 40.0) for k in (1, 2, 3)])
+    def test_hard_rods_match_the_torus_within_2_ulp(self, monkeypatch, k, L):
+        want = torus_B_k(monkeypatch, P, k, L)
+        got = canonical_B_k(P, k, L)
+        for key in ("B", "B_star", "B_star_polymer"):
+            assert abs(got[key] - want[key]) <= 2 * math.ulp(want[key]), key
+
+    # the torus pass carries more float noise: at m = 5, L = 20 it scores
+    # 2.56 M cells, thousands of them with a tiny nonzero phi^T where the
+    # exact value is 0
+    @pytest.mark.parametrize("k,L", [(k, L) for L in (20.0, 40.0)
+                                     for k in (1, 2, 3)])
+    def test_square_well_matches_the_torus(self, monkeypatch, k, L):
+        want = torus_B_k(monkeypatch, SQUARE_WELL, k, L)
+        got = canonical_B_k(SQUARE_WELL, k, L)
+        for key in ("B", "B_star", "B_star_polymer"):
+            assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0), key
+
+    @pytest.mark.parametrize("L", [80.0, 1e4])
+    def test_B_star_at_large_L(self, L):
+        got = canonical_B_k(P, 4, L)
+        assert got["B_star"] == pytest.approx(-5 / 4, rel=0, abs=1e-12)
+        assert got["B_star_polymer"] == pytest.approx(-5 / 4, rel=0, abs=1e-12)
+
+    def test_box_with_no_lattice_stays_off_periodic_polytopes(self,
+                                                              monkeypatch):
+        # L = 20 sqrt 2 and sigma = 1 share no lattice, so the torus pass
+        # would fall back to periodic polytopes graph by graph
+        def refuse(*args):
+            raise AssertionError("periodic polytopes")
+
+        monkeypatch.setattr(weights, "graph_weight_periodic_1d", refuse)
+        got = canonical_B_k(P, 3, 20.0 * math.sqrt(2.0))
+        assert got["B_star"] == pytest.approx(-4 / 3, rel=0, abs=1e-12)
 
 
 class TestExpansionAgainstOracles:

@@ -479,6 +479,15 @@ class TestCanonical:
         assert code == EXIT_CAP
         assert out == "" and "error (cap)" in err
 
+    def test_oracle_beyond_its_cap_exits_cap_without_a_seed(self, capsys,
+                                                            tmp_path):
+        # the cap is reported, not the seed that no oracle here could use
+        cfg = write_config(tmp_path, "can.json", {"N": 10, "L": 20.0, "K": 3})
+        code, out, err = run_cli(capsys, ["canonical", "--config", cfg])
+        assert code == EXIT_CAP
+        assert out == "" and "error (cap)" in err
+        assert "--seed" not in err
+
     def test_order_beyond_its_cap_exits_cap(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "can.json",
                            {"N": 8, "L": 20.0, "K": 5, "oracle": False})
