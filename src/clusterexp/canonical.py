@@ -60,8 +60,9 @@ MC_ORACLE_MAX_N = 8
 
 def _connected_class_sum(score, p: Potential, m: int, L: float) -> float:
     """Normalized torus integral of a connected class sum ``score`` on m
-    particles, one of them pinned: the line pass over L^(m-1) when the
-    m particles span less than L/2, the torus pass otherwise."""
+    particles, one of them pinned: the line pass over L^(m-1) when
+    (m - 1) * range, the most that m connected particles span, is below
+    L/2, and the torus pass otherwise."""
     if (m - 1) * p.interaction_range < L / 2:
         return lattice_class_sum(score, p, m) / L ** (m - 1)
     return lattice_class_sum(score, p, m, L)
@@ -161,7 +162,7 @@ def canonical_B_k(p: Potential, k: int, L: float,
     truncation < k gives 0).  The closed form cancels more as L grows
     (hard rods, k = 4: -1.2640985 against -1.2641048 from truncation
     k + 6 at L = 10^3, -1.1632 against -1.2514 at L = 10^4), so at large L
-    a truncation near k is the more accurate B(k).  B*(k) keeps the
+    a finite truncation gives the more accurate B(k).  B*(k) keeps the
     collections of weight exactly k; it equals (L^k/k!) * sum over
     2-connected graphs on k+1 vertices of the normalized weight, and both
     routes are returned.
