@@ -14,12 +14,13 @@ the torus.
 
 The covering sum is log Xi by inclusion-exclusion over the label sets,
 with Xi_m the partition function of the polymer packings of m labels from
-one recursion.  Fed the float activities it gives B(k) in closed form,
-whose terms cancel more as L grows, so that it loses digits at large L
-(``canonical_B_k``); fed zeta(V) w^(|V|-1), a series in a weight variable
-w whose every unit is one power of 1/L, it gives the same sum graded by
-weight, so B(k) truncated at any total weight and the leading part B*(k)
-(weight exactly k) are read off its coefficients.
+one recursion.  Fed the activities as exact rationals it gives B(k) in
+closed form, the log of one exact product of powers of Xi_m, so that the
+inclusion-exclusion cancels without rounding; fed zeta(V) w^(|V|-1), a
+series in a weight variable w whose every unit is one power of 1/L, it
+gives the same sum graded by weight, so B(k) truncated at any total weight
+and the leading part B*(k) (weight exactly k) are read off its
+coefficients.
 
 Polymer activities and the 2-connected graph sum of B*(k) integrate a
 connected class sum (phi^T, the 2-connected recursion) with one particle
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -118,20 +120,24 @@ def _packing_partition_functions(k: int, zetas: dict) -> list:
     return xi
 
 
-def _covering_sum(xi: list, log):
+def _signs(labels: int) -> list[int]:
+    """The inclusion-exclusion weights (-1)^(labels-m) binom(labels, m),
+    m = 0..labels, of log Xi_m in the covering sum."""
+    return [(-1) ** (labels - m) * math.comb(labels, m)
+            for m in range(labels + 1)]
+
+
+def _covering_sum(xi: list) -> TruncatedSeries:
     """sum_n (1/n!) sum over tuples (V_1..V_n) with union [k+1] of
     phi^T * prod zeta, summed in closed form from the packing partition
-    functions ``xi`` = Xi_0..Xi_{k+1}.
+    functions ``xi`` = Xi_0..Xi_{k+1}, series in the weight variable.
 
     Dropping the covering constraint turns the connected sum into
     log Xi_{[S]} over any ground set S (the basic exp/log expansion of the
     hard-core polymer gas); the union constraint is restored by
-    inclusion-exclusion over S.  ``log`` is the logarithm of the ring of
-    ``xi``: ``math.log`` or ``series.series_log``.
+    inclusion-exclusion over S.
     """
-    labels = len(xi) - 1
-    terms = [(-1) ** (labels - m) * math.comb(labels, m) * log(xi[m])
-             for m in range(labels + 1)]
+    terms = [e * series_log(x) for e, x in zip(_signs(len(xi) - 1), xi)]
     return sum(terms[1:], terms[0])
 
 
@@ -159,13 +165,9 @@ def canonical_B_k(p: Potential, k: int, L: float,
     phi^T * prod zeta; evaluated in closed form (truncation=None) or
     restricted to collections of total weight sum(|V|-1) <= truncation,
     any integer (a covering of k+1 labels weighs at least k, so
-    truncation < k gives 0).  The closed form cancels more as L grows
-    (hard rods, k = 4: -1.2640985 against -1.2641048 from truncation
-    k + 6 at L = 10^3, -1.1632 against -1.2514 at L = 10^4), so at large L
-    a finite truncation gives the more accurate B(k).  B*(k) keeps the
-    collections of weight exactly k; it equals (L^k/k!) * sum over
-    2-connected graphs on k+1 vertices of the normalized weight, and both
-    routes are returned.
+    truncation < k gives 0).  B*(k) keeps the collections of weight
+    exactly k; it equals (L^k/k!) * sum over 2-connected graphs on k+1
+    vertices of the normalized weight, and both routes are returned.
     """
     require_exact_1d(p, L)
     _require_order(k)
@@ -179,7 +181,7 @@ def _coefficient(p: Potential, k: int, L: float, truncation: int | None,
     zetas = {m: zetas[m] for m in range(1, k + 2)}
     order = k if truncation is None else max(k, truncation)
     graded = _covering_sum(_packing_partition_functions(
-        k, {m: _graded(z, m - 1, order) for m, z in zetas.items()}), series_log)
+        k, {m: _graded(z, m - 1, order) for m, z in zetas.items()}))
 
     if truncation is None:
         xi = _packing_partition_functions(k, zetas)
@@ -194,7 +196,12 @@ def _coefficient(p: Potential, k: int, L: float, truncation: int | None,
             raise ValueError(f"{k + 1} particles do not fit in L = {L}: "
                              f"Xi_{bad[0]} = {xi[bad[0]]!r} is within "
                              "rounding of 0 and has no logarithm")
-        total = _covering_sum(xi, math.log)
+        # the covering sum is log prod Xi_m^(e_m); the product is formed
+        # exactly, so that its cancellation, which grows with L, rounds once
+        exact = _packing_partition_functions(
+            k, {m: Fraction(z) for m, z in zetas.items()})
+        product = math.prod(x ** e for e, x in zip(_signs(k + 1), exact))
+        total = math.log1p(float(product - 1))
     else:
         total = sum(graded[j] for j in range(k, truncation + 1))
     scale = L ** k / math.factorial(k)
@@ -290,7 +297,9 @@ def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
 
     The exact route integrates e^{-beta H}, the product of (1 + f) over all
     pairs, over the lattice cells of the torus (N <= EXACT_ORACLE_MAX_N),
-    and gives -inf when no configuration fits; the MC route averages
+    gives -inf when the N hard cores do not fit (N sigma >= L, as
+    ``tonks_logZ``) and raises when the integral is not positive although
+    they do; the MC route averages
     e^{-beta H} over uniform configurations (``torus_boltzmann_mc``,
     N <= MC_ORACLE_MAX_N) and raises when no sample has nonzero weight.
     A larger N raises ``EnumerationTooLarge``.
@@ -305,9 +314,15 @@ def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
                                   2 ** (N * (N - 1) // 2))
     ideal = N * math.log(L) - math.lgamma(N + 1)
     if method == "exact1d":
+        # a nonzero piecewise-constant f starts with a hard core of sigma
+        if p.f_pieces() and N * p.sigma >= L:
+            return CoefficientEstimate(-math.inf, 0.0, "exact1d")
         total = lattice_class_sum(_boltzmann_product, p, N, L)
-        log_z = ideal + math.log(total) if total else -math.inf
-        return CoefficientEstimate(log_z, 0.0, "exact1d")
+        if total <= 0:
+            raise ValueError(f"the exact integral of e^(-beta H) over {N} "
+                             f"particles at L = {L} is {total!r}, not "
+                             "positive, although their hard cores fit")
+        return CoefficientEstimate(ideal + math.log(total), 0.0, "exact1d")
     mean, stderr = torus_boltzmann_mc(p, L, (), N, n_samples,
                                       stream(seed, "direct_logZ", N))
     if not mean:

@@ -1,10 +1,12 @@
 """Persistent coefficient catalog: append-only JSON-lines records keyed by
 (potential hash, beta, order, kind, estimator) plus the code version.
 
-Records are immutable once written.  Re-inserting an existing key is only
-allowed when the value agrees with the stored one within the combined
-statistical tolerance; disagreement raises.  ``gc`` rewrites the file,
-dropping records from other code versions and quarantining corrupt lines.
+Records are immutable once written: the first record of a key is the
+record.  A later record of the key that agrees with it within the combined
+statistical tolerance is dropped, and one that does not is rejected:
+``insert`` raises, the table loading a file skips it and ``gc``
+quarantines it beside the corrupt lines.  ``gc`` also drops the records of
+other code versions.
 """
 
 from __future__ import annotations
@@ -59,18 +61,15 @@ def _consistent(a: CoefficientEstimate, b: CoefficientEstimate) -> bool:
 
 class CoefficientTable:
     """In-memory keyed map of coefficient estimates with optional
-    JSON-lines persistence.  Duplicate keys must be value-consistent.
+    JSON-lines persistence, under the rule above: a key keeps its first
+    value, and a disagreeing later one raises in ``insert``.
     ``hits`` and ``misses`` count the lookups of ``get_or_compute``."""
 
     def __init__(self, path: str | None = None):
         self.path = path
         self.hits = 0
         self.misses = 0
-        self._data: dict[CatalogKey, CoefficientEstimate] = {}
-        if path is not None and os.path.exists(path):
-            for key, est in iter_records(path):
-                if key.version == CODE_VERSION:
-                    self._data[key] = est
+        self._data = _read(path)[0] if path is not None else {}
 
     def __len__(self):
         return len(self._data)
@@ -125,31 +124,16 @@ def _parse_line(line: str):
     return key, est
 
 
-def iter_records(path: str):
-    """Yield (key, estimate) for every parseable line; skip corrupt ones."""
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield _parse_line(line)
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-                continue
-
-
-def gc(path: str) -> dict:
-    """Rewrite the catalog keeping only records of ``CODE_VERSION``.
-
-    Corrupt lines go to ``path + '.quarantine'``.  Later records win on
-    duplicate keys only if consistent; inconsistent later duplicates are
-    quarantined too.  Returns counts {kept, stale, corrupt, inconsistent}.
-    """
-    kept: dict[CatalogKey, CoefficientEstimate] = {}
+def _read(path: str) -> tuple[dict, dict, list[str]]:
+    """The records of ``CODE_VERSION`` in ``path`` by the rule above, the
+    counts {kept, stale, corrupt, inconsistent}, and the rejected lines:
+    the corrupt ones and the later records that disagree with the first of
+    their key.  A missing file reads as empty."""
+    records: dict[CatalogKey, CoefficientEstimate] = {}
     stats = {"kept": 0, "stale": 0, "corrupt": 0, "inconsistent": 0}
-    quarantine: list[str] = []
+    rejected: list[str] = []
     if not os.path.exists(path):
-        return stats
+        return records, stats, rejected
     with open(path) as fh:
         for line in fh:
             raw = line.strip()
@@ -159,25 +143,35 @@ def gc(path: str) -> dict:
                 key, est = _parse_line(raw)
             except (ValueError, KeyError, TypeError, json.JSONDecodeError):
                 stats["corrupt"] += 1
-                quarantine.append(raw)
+                rejected.append(raw)
                 continue
             if key.version != CODE_VERSION:
                 stats["stale"] += 1
                 continue
-            prior = kept.get(key)
-            if prior is not None and not _consistent(prior, est):
+            prior = records.get(key)
+            if prior is None:
+                records[key] = est
+            elif not _consistent(prior, est):
                 stats["inconsistent"] += 1
-                quarantine.append(raw)
-                continue
-            kept[key] = est
+                rejected.append(raw)
+    stats["kept"] = len(records)
+    return records, stats, rejected
+
+
+def gc(path: str) -> dict:
+    """Rewrite the catalog with the records the table loads: those of
+    ``CODE_VERSION``, first record of a key kept.  The rejected lines go to
+    ``path + '.quarantine'``.  Returns the counts of ``_read``."""
+    records, stats, rejected = _read(path)
+    if not os.path.exists(path):
+        return stats
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        for key, est in kept.items():
+        for key, est in records.items():
             fh.write(json.dumps(_record_dict(key, est)) + "\n")
     os.replace(tmp, path)
-    if quarantine:
+    if rejected:
         with open(path + ".quarantine", "a") as fh:
-            for raw in quarantine:
+            for raw in rejected:
                 fh.write(raw + "\n")
-    stats["kept"] = len(kept)
     return stats

@@ -405,13 +405,15 @@ def _cmd_correlations(cfg: dict, args) -> _Result:
     _check_keys(cfg, {"potential", "K", "r_min", "r_max", "n_r", "r_values",
                       "method", "mc"}, "correlations config")
     p = potential_from_config(cfg.get("potential", {"kind": "hard_rods"}))
-    K = _int_field(cfg.get("K", 1), "K")
+    K = _int_field(cfg.get("K", 1), "K", 0)
     method = _typed_field(cfg.get("method", "auto"), "method", str, "a string")
     mc = _mc_section(cfg, args.seed)
     seed = _require_seed(mc, p, method)
     if "r_values" in cfg:
         rs = [_float_field(r, "r_values item") for r in
               _typed_field(cfg["r_values"], "r_values", list, "a list")]
+        if not rs:
+            raise SchemaError("r_values must be a nonempty list, got []")
     else:
         r_min = _float_field(cfg.get("r_min", 0.1), "r_min")
         r_max = _float_field(cfg.get("r_max", 3.0), "r_max")
@@ -446,6 +448,8 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
         raise SchemaError("ozpy config needs 'rho'")
     rhos = [_float_field(rho, "rho") for rho in
             (cfg["rho"] if isinstance(cfg["rho"], list) else [cfg["rho"]])]
+    if not rhos:
+        raise SchemaError("rho must be a number or a nonempty list, got []")
     gcfg = _section(cfg, "grid", {"dr", "n_points"})
     default = RadialGrid()
     grid = RadialGrid(dr=_float_field(gcfg.get("dr", default.dr), "grid.dr"),
@@ -460,7 +464,6 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     runs = []
-    sol = None
     for rho in rhos:
         try:
             sol = solve_py(p, rho, grid=grid, alpha=alpha, tol=tol,
@@ -478,8 +481,8 @@ def _cmd_ozpy(cfg: dict, args) -> _Result:
             "thermodynamics": thermodynamics(p, sol),
         })
     # CSV carries the profile of the last density
-    columns = None if sol is None else {"r": grid.r, "g": sol.g, "h": sol.h,
-                                        "c": sol.c, "t": sol.t, "y": sol.y}
+    columns = {"r": grid.r, "g": sol.g, "h": sol.h, "c": sol.c, "t": sol.t,
+               "y": sol.y}
     payload = {"potential": p.label(),
                "grid": {"dr": grid.dr, "n_points": grid.n_points,
                         "dimension": p.dimension},

@@ -118,6 +118,8 @@ def _series(p: Potential, n: int, positions, K: int, score, family: str,
             seed: int) -> CorrelationSeries:
     """Orders 0..K of (1/k!) times the integral of the class sum ``score``
     over k blacks, with the n whites pinned at ``positions``."""
+    if K < 0:
+        raise ValueError(f"need K >= 0, got {K}")
     pts = _as_positions(positions, p.dimension)
     if len(pts) != n:
         raise ValueError(f"need {n} positions, got {len(pts)}")

@@ -280,6 +280,17 @@ class TestLinePass:
         for key in ("B", "B_star", "B_star_polymer"):
             assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0), key
 
+    # the float sum over log Xi_m read -1.1632 for -1.2514 (hard rods,
+    # k = 4, L = 10^4); the exact product has no cancellation to lose
+    @pytest.mark.parametrize("p", [P, SQUARE_WELL],
+                             ids=["hard_rods", "square_well"])
+    @pytest.mark.parametrize("L", [1e3, 1e4])
+    def test_closed_form_matches_truncation_at_large_L(self, p, L):
+        for k in range(1, 5):
+            want = canonical_B_k(p, k, L, truncation=k + 6)["B"]
+            got = canonical_B_k(p, k, L)["B"]
+            assert got == pytest.approx(want, rel=1e-13, abs=0), k
+
     @pytest.mark.parametrize("L", [80.0, 1e4])
     def test_B_star_at_large_L(self, L):
         got = canonical_B_k(P, 4, L)
@@ -312,6 +323,22 @@ class TestExpansionAgainstOracles:
         est = direct_logZ_oracle(P, 3, 2.5)
         assert est.method == "exact1d"
         assert est.value == -math.inf == tonks_logZ(3, 2.5)
+
+    def test_exact_oracle_is_minus_inf_when_the_cores_do_not_fit_off_lattice(
+            self):
+        # L = 2 sqrt 2 shares no lattice with sigma = 1; the periodic
+        # polytopes would sum to a total just below 0
+        est = direct_logZ_oracle(P, 3, 2.0 * math.sqrt(2.0))
+        assert est.method == "exact1d"
+        assert est.value == -math.inf == tonks_logZ(3, 2.0 * math.sqrt(2.0))
+
+    def test_exact_oracle_raises_when_the_integral_is_not_positive(
+            self, monkeypatch):
+        monkeypatch.setattr(canonical, "lattice_class_sum",
+                            lambda *args: -2.2e-16)
+        with pytest.raises(ValueError, match="not positive, although their "
+                           "hard cores fit"):
+            direct_logZ_oracle(P, 3, 3.5)
 
     def test_mc_oracle_with_no_nonzero_sample_raises(self):
         with pytest.raises(ValueError, match="no sample had nonzero weight"):

@@ -9,7 +9,6 @@ from clusterexp.catalog import (
     append_record,
     estimator_name,
     gc,
-    iter_records,
     potential_hash,
 )
 from clusterexp.potentials import hard_rods, hard_spheres
@@ -19,6 +18,12 @@ from clusterexp.weights import CoefficientEstimate
 def key(order=2, kind="b_n", version=CODE_VERSION, estimator="exact1d"):
     return CatalogKey(potential_hash(hard_rods()), 1.0, order, kind, estimator,
                       version)
+
+
+def records(path):
+    """The JSON records of a catalog file, one per line."""
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
 
 
 class TestKeys:
@@ -106,9 +111,9 @@ class TestGc:
                       CoefficientEstimate(2.0, 0.0, "exact1d"))
         stats = gc(path)
         assert stats["kept"] == 1 and stats["stale"] == 1
-        remaining = list(iter_records(path))
+        remaining = records(path)
         assert len(remaining) == 1
-        assert remaining[0][0].order == 1
+        assert remaining[0]["order"] == 1
 
     def test_corrupt_quarantined_not_deleted(self, tmp_path):
         path = str(tmp_path / "cat.jsonl")
@@ -127,7 +132,7 @@ class TestGc:
         append_record(path, key(order=1), CoefficientEstimate(1.1, 0.1, "mc", 5))
         stats = gc(path)
         assert stats["kept"] == 1
-        assert len(list(iter_records(path))) == 1
+        assert len(records(path)) == 1
 
     def test_duplicate_inconsistent_quarantined(self, tmp_path):
         path = str(tmp_path / "cat.jsonl")
@@ -136,10 +141,62 @@ class TestGc:
         stats = gc(path)
         assert stats["inconsistent"] == 1 and stats["kept"] == 1
 
-    def test_iter_records_skips_corrupt(self, tmp_path):
+    def test_table_skips_corrupt_lines(self, tmp_path):
         path = str(tmp_path / "cat.jsonl")
         with open(path, "w") as fh:
             fh.write("garbage\n")
         append_record(path, key(order=3), CoefficientEstimate(1.5, 0.0, "exact1d"))
-        recs = list(iter_records(path))
-        assert len(recs) == 1 and recs[0][0].order == 3
+        t = CoefficientTable(path)
+        assert len(t) == 1 and t.get(key(order=3)).value == 1.5
+
+
+class TestFirstRecordRule:
+    """The first record of a key is the record: the table loading a file,
+    ``gc`` and ``insert`` keep it, drop a later record that agrees with it
+    and reject one that does not."""
+
+    def write(self, path, values, sigma):
+        for v in values:
+            append_record(path, key(order=1), CoefficientEstimate(v, sigma, "mc", 5))
+
+    def served(self, path):
+        return CoefficientTable(path).get(key(order=1)).value
+
+    def test_disagreeing_second_record_is_rejected(self, tmp_path):
+        path = str(tmp_path / "cat.jsonl")
+        self.write(path, [1.0, 2.0], 0.0)
+        assert self.served(path) == 1.0
+        stats = gc(path)
+        assert stats == {"kept": 1, "stale": 0, "corrupt": 0, "inconsistent": 1}
+        assert self.served(path) == 1.0
+        assert [r["value"] for r in records(path)] == [1.0]
+        assert [r["value"] for r in records(path + ".quarantine")] == [2.0]
+
+    def test_records_compare_with_the_first_not_the_last(self, tmp_path):
+        # 1.5 agrees with 1.0 and 2.0 with 1.5, but 2.0 not with 1.0
+        path = str(tmp_path / "cat.jsonl")
+        self.write(path, [1.0, 1.5, 2.0], 0.1)
+        assert self.served(path) == 1.0
+        stats = gc(path)
+        assert stats["kept"] == 1 and stats["inconsistent"] == 1
+        assert self.served(path) == 1.0
+        assert [r["value"] for r in records(path + ".quarantine")] == [2.0]
+
+    def test_agreeing_second_record_is_dropped(self, tmp_path):
+        path = str(tmp_path / "cat.jsonl")
+        self.write(path, [1.0, 1.1], 0.1)
+        assert self.served(path) == 1.0
+        stats = gc(path)
+        assert stats["kept"] == 1 and stats["inconsistent"] == 0
+        assert self.served(path) == 1.0
+        assert [r["value"] for r in records(path)] == [1.0]
+        assert not (tmp_path / "cat.jsonl.quarantine").exists()
+
+    def test_insert_keeps_the_loaded_record(self, tmp_path):
+        path = str(tmp_path / "cat.jsonl")
+        self.write(path, [1.0, 2.0], 0.0)
+        t = CoefficientTable(path)
+        t.insert(key(order=1), CoefficientEstimate(1.0, 0.0, "mc", 5))
+        with pytest.raises(ValueError):
+            t.insert(key(order=1), CoefficientEstimate(2.0, 0.0, "mc", 5))
+        assert len(records(path)) == 2

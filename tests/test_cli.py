@@ -404,6 +404,28 @@ class TestSchemaGuard:
         assert out == "" and message in err
 
 
+class TestEmptyListsAndNegativeOrders:
+    """An empty list of densities or separations, or a negative order,
+    exits with the schema code and a message that names the key."""
+
+    @pytest.mark.parametrize("command,cfg,flags,message", [
+        ("ozpy", {"rho": []}, [], "rho must be a number or a nonempty list"),
+        ("ozpy", {"rho": []}, ["--format", "csv"],
+         "rho must be a number or a nonempty list"),
+        ("correlations", {"r_values": []}, [],
+         "r_values must be a nonempty list"),
+        ("correlations", {"r_values": []}, ["--format", "csv"],
+         "r_values must be a nonempty list"),
+        ("correlations", {"K": -1, "r_values": [1.5]}, [], "need K >= 0"),
+    ], ids=["ozpy-rho", "ozpy-rho-csv", "correlations-r_values",
+            "correlations-r_values-csv", "correlations-K"])
+    def test_exit_schema(self, capsys, tmp_path, command, cfg, flags, message):
+        path = write_config(tmp_path, "bad.json", cfg)
+        code, out, err = run_cli(capsys, [command, "--config", path, *flags])
+        assert code == EXIT_SCHEMA
+        assert out == "" and "error (schema)" in err and message in err
+
+
 class TestHardRodVirialIsExact:
     def test_order_five_prints_exactly_one(self, capsys):
         code, out, _ = run_cli(capsys, ["virial", "--order", "5"])
@@ -509,6 +531,17 @@ class TestCanonical:
         assert code == EXIT_OK
         oracle = json.loads(out)["results"]["oracle"]
         assert (oracle["value"], oracle["method"]) == ("-inf", "exact1d")
+
+    def test_exact_oracle_prints_minus_inf_when_rods_do_not_fit_off_lattice(
+            self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "can.json",
+                           {"N": 3, "L": 2.0 * math.sqrt(2.0), "K": 1})
+        code, out, _ = run_cli(capsys, ["canonical", "--config", cfg])
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        assert (res["oracle"]["value"], res["oracle"]["method"]) == \
+            ("-inf", "exact1d")
+        assert res["expansion_minus_oracle"] == "inf"
 
     def test_any_truncation_runs(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "can.json", {"N": 6, "L": 20.0, "K": 2,

@@ -80,6 +80,17 @@ class TestDensitySeries:
         with pytest.raises(ValueError, match="unknown method"):
             oz_residual_order(P, 0, [0.5], method=method)
 
+    @pytest.mark.parametrize("series", [
+        lambda K: u_n_activity(P, 2, [0.0, 1.5], K),
+        lambda K: rho_n_activity(P, 2, [0.0, 1.5], K),
+        lambda K: h_n_density(P, 2, [0.0, 1.5], K),
+        lambda K: c2_density(P, 1.5, K),
+    ], ids=["u", "rho", "h", "c"])
+    def test_negative_order_rejected(self, series):
+        with pytest.raises(ValueError, match="need K >= 0, got -1"):
+            series(-1)
+        assert len(series(0).values) == 1
+
     def test_h2_density_at_matches_h_n(self):
         a = h2_density_at(P, 1.5, K=1)
         b = h_n_density(P, 2, [0.0, 1.5], K=1)
