@@ -792,8 +792,9 @@ def count_graphs(n: int, cls: GraphClass) -> int:
 # A change to it changes every Monte Carlo value.
 MC_BLOCK = 256
 # Subset-table entries (2^m rows per configuration) scored at once.  Sizes
-# the batches of configurations and lattice cells, and so the per-batch
-# arrays, but changes no value.
+# the batches of lattice cells, and of Monte Carlo configurations drawn
+# together, whose new bond patterns are scored together, and so the
+# per-batch arrays, but changes no value.
 BATCH_ENTRIES = 1 << 14
 
 
@@ -831,6 +832,19 @@ def _draw_blocks(rng: np.random.Generator, b: int, n_trees: int, k: int,
     return [np.concatenate(x) for x in zip(*parts)]
 
 
+def _mc_weights(score, f: np.ndarray, pdf: np.ndarray, n_roots: int,
+                n_trees: int) -> np.ndarray:
+    """score(f) n_trees / T(pdf), the Mayer-sampling weight of each row of
+    a batch of pair matrices (B, m, m), where T is the matrix-tree sum of
+    the proposal pdf with the pinned vertices merged into one root, whose
+    pdf to a free vertex is the mean over the pinned ones."""
+    if n_roots > 1:
+        root_pdf = pdf[:, :n_roots, n_roots:].mean(axis=1)
+        pdf = pdf[:, n_roots - 1:, n_roots - 1:]
+        pdf[:, 0, 1:] = pdf[:, 1:, 0] = root_pdf
+    return score(f) * n_trees / fbar_tree_sum_batch(pdf)
+
+
 def class_sum_mc(score, p: Potential, m: int, n_samples: int,
                  rng: np.random.Generator,
                  root_positions=None) -> tuple[float, float]:
@@ -857,6 +871,16 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
     and scores them in batches of whole blocks (``_batch_rows``, sized by
     ``BATCH_ENTRIES``), so the batch size changes no value; with no free
     vertex the score is exact.
+
+    For a piecewise-constant f (hard cores, square wells) the f and pdf of
+    a pair are fixed by its radial bin, so a weight depends only on the
+    bond pattern: the bin of every pair, with one more code for the pairs
+    beyond the range, read as one int64 (a ValueError names the width when
+    it exceeds 63 bits).  Each batch scores only the patterns not yet seen
+    in the call, on pair matrices of f and the pdf at the bin midpoints,
+    and gathers the weights back in draw order; a pattern's weight is the
+    one its configurations would get, bit for bit.  Other potentials score
+    every configuration's own pair matrices.
     """
     d = p.dimension
     if d not in SURFACE_AREA or d > 3:
@@ -873,9 +897,30 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
     if k == 0:
         return float(score(pair_f_matrix(p, roots)[None])[0]), 0.0
     proposal = RadialProposal(p)
-    trees = _spanning_trees(k + 1)
     i, j = np.triu_indices(m, 1)
+    if p.piecewise_constant_f:
+        # a pair's code is its radial bin, or the last code beyond the
+        # range, and a pattern's code has one base-n_codes digit per pair
+        n_codes = len(proposal.edges)
+        width = (n_codes ** len(i) - 1).bit_length()
+        if width > 63:
+            raise ValueError(f"bond patterns of {len(i)} pairs in {n_codes} "
+                             f"radial codes take {width} bits; an int64 code "
+                             "holds 63")
+        place = n_codes ** np.arange(len(i), dtype=np.int64)
+        at = np.append(0.5 * (proposal.edges[:-1] + proposal.edges[1:]),
+                       proposal.edges[-1])
+        f_of, pdf_of = p.mayer_f(at), proposal.pdf(at)
+        # the weight of each pattern scored so far in this call
+        memo: dict[int, float] = {}
+    trees = _spanning_trees(k + 1)
     batch = _batch_rows(m)
+
+    def pair_matrices(vals):
+        out = np.zeros((len(vals), m, m))
+        out[:, i, j] = out[:, j, i] = vals
+        return out
+
     count, mean, sq = 0, 0.0, 0.0
     for start in range(0, n_samples, batch):
         b = min(batch, n_samples - start)
@@ -896,16 +941,22 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
         for e in range(k):
             pos[rows, edges[:, e, 1]] = pos[rows, edges[:, e, 0]] + disp[:, e]
         dist = np.linalg.norm(pos[:, i] - pos[:, j], axis=-1)
-        f = np.zeros((b, m, m))
-        f[:, i, j] = f[:, j, i] = p.mayer_f(dist)
-        pdf = np.zeros((b, m, m))
-        pdf[:, i, j] = pdf[:, j, i] = proposal.pdf(dist)
-        if n_roots > 1:
-            # the root's pdf to a free vertex: the mean over pinned rows
-            root_pdf = pdf[:, :n_roots, n_roots:].mean(axis=1)
-            pdf = pdf[:, n_roots - 1:, n_roots - 1:]
-            pdf[:, 0, 1:] = pdf[:, 1:, 0] = root_pdf
-        w = score(f) * len(trees) / fbar_tree_sum_batch(pdf)
+        if p.piecewise_constant_f:
+            bins = np.searchsorted(proposal.edges[1:], dist, side="right")
+            codes, first, inverse = np.unique(bins @ place, return_index=True,
+                                              return_inverse=True)
+            codes = codes.tolist()
+            new = [n for n, c in enumerate(codes) if c not in memo]
+            if new:
+                fresh = bins[first[new]]
+                memo.update(zip([codes[n] for n in new], _mc_weights(
+                    score, pair_matrices(f_of[fresh]),
+                    pair_matrices(pdf_of[fresh]), n_roots, len(trees)).tolist()))
+            w = np.array([memo[c] for c in codes])[inverse]
+        else:
+            w = _mc_weights(score, pair_matrices(p.mayer_f(dist)),
+                            pair_matrices(proposal.pdf(dist)), n_roots,
+                            len(trees))
         # merge each draw block's mean and sum of squared deviations
         # (Chan et al.)
         for lo in range(0, b, MC_BLOCK):

@@ -222,6 +222,65 @@ def _roots(n_roots, d):
     return pts
 
 
+# class_sum_mc as at commit f398f1a, which scored every configuration: five
+# vertices, of which the first n_roots are pinned at _roots(n_roots, d), and
+# 4537 samples from default_rng(17), whose last batch and block are partial
+# ("lj3" on four vertices)
+MC_AS_AT_F398F1A = {
+    ("hs2", "phi_t", 1): ("0x1.3b5a9adf8bdbfp+12", "0x1.1f1fd1bc78af7p+5"),
+    ("hs2", "phi_t", 2): ("0x1.2f1056b1ea4c0p+8", "0x1.643c828fd3d2dp+2"),
+    ("hs2", "phi_t", 3): ("0x1.1f234e4cb03b6p+1", "0x1.3bcb06084ec66p-3"),
+    ("hs2", "bic", 1): ("-0x1.ee4439fa5dbfap+5", "0x1.94e09f40d7b97p+1"),
+    ("hs2", "bic", 2): ("-0x1.400c02f34ebc6p-2", "0x1.1faaecdbb3d6ep-2"),
+    ("hs2", "bic", 3): ("0x0.0p+0", "0x0.0p+0"),
+    ("hs2", "kernel", 1): ("0x1.d0d9019f502e3p+10", "0x1.19012844e3b49p+5"),
+    ("hs2", "kernel", 2): ("0x1.21c326945014cp+7", "0x1.9ee3c583a8a6fp+1"),
+    ("hs2", "kernel", 3): ("0x1.1f234e4cb03b6p+1", "0x1.3bcb06084ec66p-3"),
+    ("hs3", "phi_t", 1): ("0x1.2fa419b6c2ca7p+14", "0x1.016377e8cc271p+7"),
+    ("hs3", "phi_t", 2): ("0x1.14e3c9e618bfdp+9", "0x1.95922606c3d17p+3"),
+    ("hs3", "phi_t", 3): ("0x1.0e319fb92baf4p+1", "0x1.a2f2443b4875ap-3"),
+    ("hs3", "bic", 1): ("-0x1.24b4d79b11970p+6", "0x1.0391a388a9014p+3"),
+    ("hs3", "bic", 2): ("0x1.ef6e819168451p-7", "0x1.cc686f8744fccp-2"),
+    ("hs3", "bic", 3): ("0x0.0p+0", "0x0.0p+0"),
+    ("hs3", "kernel", 1): ("0x1.f28c1f2a502d5p+12", "0x1.229587dbd6af8p+7"),
+    ("hs3", "kernel", 2): ("0x1.0ce49e753f011p+8", "0x1.d9683457e91f7p+2"),
+    ("hs3", "kernel", 3): ("0x1.0e319fb92baf4p+1", "0x1.a2f2443b4875ap-3"),
+    ("sw1", "phi_t", 1): ("-0x1.25178285272d8p+6", "0x1.3d627a278c9d5p+6"),
+    ("sw1", "phi_t", 2): ("0x1.d99a81beddee7p+3", "0x1.57757c3a2d2e0p+4"),
+    ("sw1", "phi_t", 3): ("-0x1.0e8c0e3eee2d9p+3", "0x1.8058c34d40df4p+1"),
+    ("sw1", "bic", 1): ("-0x1.e8ff69acaacd1p+6", "0x1.a61a3e9a1a9d3p+4"),
+    ("sw1", "bic", 2): ("-0x1.033bd5c1c62e4p+6", "0x1.85a0e8106522dp+3"),
+    ("sw1", "bic", 3): ("0x1.f1aad50cdd039p-48", "0x1.1651bf9ae73fdp-50"),
+    ("sw1", "kernel", 1): ("-0x1.76e74566f03ddp+6", "0x1.e2d4315d96d2bp+5"),
+    ("sw1", "kernel", 2): ("-0x1.0e6123bcfefacp+3", "0x1.43c61279f97d1p+4"),
+    ("sw1", "kernel", 3): ("-0x1.ccda703e903dcp+4", "0x1.e3384e87360fbp+1"),
+    ("sw2", "phi_t", 1): ("-0x1.8f07fa1969efcp+13", "0x1.3faa4932bc7c6p+13"),
+    ("sw2", "phi_t", 2): ("0x1.454ab8d3d266fp+9", "0x1.4183b35cd711cp+10"),
+    ("sw2", "phi_t", 3): ("0x1.7b11088f4eff8p+7", "0x1.da539eed3fbf0p+6"),
+    ("sw2", "bic", 1): ("0x1.32fe5e15e6fe5p+9", "0x1.0691f889e737ap+11"),
+    ("sw2", "bic", 2): ("-0x1.5261c78e9fe03p+7", "0x1.3fe248e8cf70dp+8"),
+    ("sw2", "bic", 3): ("-0x1.d406a45176745p+6", "0x1.aa663fd09b1b3p+4"),
+    ("sw2", "kernel", 1): ("-0x1.96540441b5514p+12", "0x1.eaa97924bf970p+12"),
+    ("sw2", "kernel", 2): ("-0x1.04449aac8596fp+9", "0x1.d240f919bbd83p+9"),
+    ("sw2", "kernel", 3): ("-0x1.d50d1bc2d924dp+3", "0x1.845083ceaf926p+6"),
+    ("sw3", "phi_t", 1): ("0x1.d16cbed717cf0p+21", "0x1.6c5404e869394p+18"),
+    ("sw3", "phi_t", 2): ("0x1.ba50093dee37bp+17", "0x1.591e614af1701p+14"),
+    ("sw3", "phi_t", 3): ("0x1.6bb62348885f9p+13", "0x1.c3bc515414417p+9"),
+    ("sw3", "bic", 1): ("0x1.ecfaa238a9a6fp+14", "0x1.01b2a4194c14ep+16"),
+    ("sw3", "bic", 2): ("0x1.714f0d36bd418p+12", "0x1.36bceb8e417f6p+12"),
+    ("sw3", "bic", 3): ("0x1.9b43d81d68477p+8", "0x1.b81489b70462bp+7"),
+    ("sw3", "kernel", 1): ("0x1.5f55a270f6297p+20", "0x1.144d0bcd259f4p+18"),
+    ("sw3", "kernel", 2): ("0x1.3be786542896ep+16", "0x1.d7fb1ac8adbbbp+13"),
+    ("sw3", "kernel", 3): ("0x1.addcd40bdaa4ap+12", "0x1.865989894ff55p+9"),
+    ("lj3", "phi_t", 1): ("0x1.09ddae690928fp+14", "0x1.449bdbb097123p+10"),
+}
+POTENTIALS = {"hs2": hard_spheres(dimension=2), "hs3": hard_spheres(dimension=3),
+              "sw1": square_well(dimension=1), "sw2": square_well(dimension=2),
+              "sw3": square_well(dimension=3), "lj3": lennard_jones()}
+SCORES = {"phi_t": phi_t_batch, "bic": biconnected_sum_batch,
+          "kernel": kernel_sum_batch}
+
+
 class TestBatches:
     """Configurations are drawn MC_BLOCK at a time, which fixes the stream,
     and scored in batches of whole blocks, which must change no value."""
@@ -253,6 +312,51 @@ class TestBatches:
                  "-0x1.cd98a979362d9p+1", "0x1.237edaa6481d8p-3")):
             assert (est.value, est.std_error) == \
                 (float.fromhex(value), float.fromhex(err))
+
+    @pytest.mark.parametrize("key", MC_AS_AT_F398F1A,
+                             ids=lambda key: "-".join(map(str, key)))
+    def test_class_sums_as_at_f398f1a(self, key):
+        name, score, n_roots = key
+        p = POTENTIALS[name]
+        got = weights.class_sum_mc(SCORES[score], p, 4 if name == "lj3" else 5,
+                                   4537, np.random.default_rng(17),
+                                   root_positions=_roots(n_roots, p.dimension))
+        assert got == tuple(map(float.fromhex, MC_AS_AT_F398F1A[key]))
+
+    def test_each_bond_pattern_is_scored_once(self, monkeypatch):
+        # a hard-sphere pair is in the core (f = -1) or not (f = 0), so its
+        # ten pairs fix the weight of a configuration on five vertices
+        i, j = np.triu_indices(5, 1)
+        patterns, tree_rows = [], []
+
+        def spy(f):
+            patterns.extend(map(bytes, f[:, i, j] < 0))
+            return phi_t_batch(f)
+
+        def tree_spy(pdf):
+            tree_rows.append(len(pdf))
+            return fbar_tree_sum_batch(pdf)
+
+        monkeypatch.setattr(weights, "fbar_tree_sum_batch", tree_spy)
+        weights.class_sum_mc(spy, hard_spheres(), 5, 5000,
+                             np.random.default_rng(1))
+        assert len(set(patterns)) == len(patterns) <= 2 ** 10
+        assert sum(tree_rows) == len(patterns) < 5000
+
+    def test_pattern_codes_wider_than_63_bits_raise_before_drawing(
+            self, monkeypatch):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew from the stream: {name}")
+
+        def refuse(m):
+            raise AssertionError(f"listed the {m}^{m - 2} trees")
+
+        # 45 pairs in three codes (core, well, beyond) need 3^45 > 2^63
+        monkeypatch.setattr(weights, "MAX_EXHAUSTIVE_N", 10)
+        monkeypatch.setattr(weights, "_spanning_trees", refuse)
+        with pytest.raises(ValueError, match="72 bits"):
+            weights.class_sum_mc(phi_t_batch, square_well(), 10, 100, NoDraws())
 
 
 class TestCoefficientEstimate:
