@@ -80,15 +80,17 @@ def articulation_free_pair_batch(f: np.ndarray) -> np.ndarray:
 
     With a black, these are the graphs that the white-white edge would make
     2-connected, so the sum is (1 + f_01) (Bic|f_01=1 - Bic|f_01=0), Bic
-    the 2-connected sum; with none, it is the edge f_01.  The identity
-    fails for three whites."""
+    the 2-connected sum, scored in one ``biconnected_sum_batch`` call on
+    2B rows (the bonded matrices, then the unbonded ones); with none, it is
+    the edge f_01.  The identity fails for three whites."""
     if f.shape[1] == 2:
         return f[:, 0, 1]
-    bonded, unbonded = f.copy(), f.copy()
-    bonded[:, 0, 1] = bonded[:, 1, 0] = 1.0
-    unbonded[:, 0, 1] = unbonded[:, 1, 0] = 0.0
-    return (1.0 + f[:, 0, 1]) * (biconnected_sum_batch(bonded)
-                                 - biconnected_sum_batch(unbonded))
+    B = len(f)
+    toggled = np.concatenate([f, f])
+    toggled[:B, 0, 1] = toggled[:B, 1, 0] = 1.0
+    toggled[B:, 0, 1] = toggled[B:, 1, 0] = 0.0
+    bic = biconnected_sum_batch(toggled)
+    return (1.0 + f[:, 0, 1]) * (bic[:B] - bic[B:])
 
 
 def black_to_white_batch(f: np.ndarray, n_white: int) -> np.ndarray:

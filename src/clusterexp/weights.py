@@ -296,9 +296,11 @@ def _line_cells(allowed: np.ndarray, anchors: np.ndarray, k: int, R: int,
     (integer parts ``anchors``) by a chain of pairs whose parts differ by
     at most R: sorted together with the anchors, the parts split into runs
     with no step above R, and every run must hold an anchor (with one
-    anchor: there is one run).  Yields blocks of at most ``rows``."""
+    anchor: there is one run).  Filters the candidates in blocks of
+    ``BATCH_ENTRIES`` (or ``rows``, if more) and yields the cells in C
+    order, in blocks of at most ``rows``."""
     pending, count = [], 0
-    for idx in _blocks((len(allowed),) * k, rows):
+    for idx in _blocks((len(allowed),) * k, max(rows, BATCH_ENTRIES)):
         n = allowed[idx]
         if len(anchors) == 1:
             s = np.sort(np.concatenate(
@@ -317,8 +319,9 @@ def _line_cells(allowed: np.ndarray, anchors: np.ndarray, k: int, R: int,
         count += len(n)
         if count >= rows:
             n = np.concatenate(pending)
-            yield n[:rows]
-            pending, count = [n[rows:]], len(n) - rows
+            whole = len(n) - len(n) % rows
+            yield from np.split(n[:whole], whole // rows)
+            pending, count = [n[whole:]], len(n) - whole
     if count:
         yield np.concatenate(pending)
 
@@ -369,7 +372,12 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
     which the sorted free parts fill the gaps in turn, so the integral is
     h^k sum over the counts of k! prod l_g^j_g / j_g! times the sum of the
     score over integer patterns, at one point per cell.  With one vertex
-    pinned at the origin there is one gap, of weight 1.  On the line only
+    pinned at the origin there is one gap, of weight 1.  The patterns are
+    generated once: each block of them is placed at every order of the
+    fractional parts (each choice of counts), and the stacked pair matrices,
+    at most ``_batch_rows(m)``, go to ``score`` in one call; the scores are
+    summed per order with ``math.fsum``, so the batching changes no value.
+    On the line only
     the patterns in which every free vertex can be joined to a pinned one
     are visited (every class sum but the torus product vanishes
     elsewhere); on the torus all Lam^k patterns are, with weight Lam^-k.
@@ -411,39 +419,47 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
                              for c, g in _graph_terms(score, m))
         return math.fsum(c * graph_weight_periodic_1d(g, p, L)
                          for c, g in _graph_terms(score, m))
+    # every order of the free fractional parts over the gaps: the ranks of
+    # the fractional parts (cut g, then the free parts in gap g) and the
+    # order's weight
+    offsets, order_weights = [], []
+    for gap_of in itertools.combinations_with_replacement(range(len(gaps)), k):
+        cut_rank = [g + bisect.bisect_left(gap_of, g) for g in range(len(gaps))]
+        offsets.append([cut_rank[cuts.index(c)] for c in fracs]
+                       + [g + 1 + v for v, g in enumerate(gap_of)])
+        order_weights.append(math.factorial(k) * math.prod(
+            gaps[g] ** gap_of.count(g) / math.factorial(gap_of.count(g))
+            for g in range(len(gaps))))
+    offsets = np.array(offsets)[:, None, :]
+    M = len(gaps) + k
     # f on the cells at integer distances 0..R-1 (in units of h); 0 beyond
     table = np.zeros(R + 1)
     table[:R] = p.mayer_f((np.arange(R) + 0.5) * float(h))
     i, j = np.triu_indices(m, 1)
     anchors = np.array(parts)
     rows = _batch_rows(m)
-
-    def scores(offsets, M):
-        cells = (_line_cells(np.arange(lo, hi), anchors, k, R, rows)
-                 if L is None else _blocks((Lam,) * k, rows))
-        for n in cells:
-            # positions in units of h / M: integer part times M plus the
-            # rank of the fractional part
-            y = np.concatenate([np.broadcast_to(anchors, (len(n), n_roots)), n],
-                               axis=1)
-            y = M * y + offsets
-            dist = np.abs(y[:, i] - y[:, j])
-            if L is not None:
-                dist = np.minimum(dist % (M * Lam), M * Lam - dist % (M * Lam))
-            f = np.zeros((len(n), m, m))
-            f[:, i, j] = f[:, j, i] = table[np.minimum(dist // M, R)]
-            yield from score(f).tolist()
-
-    total = Fraction(0)
-    for gap_of in itertools.combinations_with_replacement(range(len(gaps)), k):
-        # ranks of the fractional parts: cut g, then the free parts in gap g
-        cut_rank = [g + bisect.bisect_left(gap_of, g) for g in range(len(gaps))]
-        offsets = np.array([cut_rank[cuts.index(c)] for c in fracs]
-                           + [g + 1 + v for v, g in enumerate(gap_of)])
-        weight = math.factorial(k) * math.prod(
-            gaps[g] ** gap_of.count(g) / math.factorial(gap_of.count(g))
-            for g in range(len(gaps)))
-        total += weight * Fraction(math.fsum(scores(offsets, len(gaps) + k)))
+    # a block of cells is scored at every order at once
+    per_block = max(1, rows // len(order_weights))
+    cells = (_line_cells(np.arange(lo, hi), anchors, k, R, per_block)
+             if L is None else _blocks((Lam,) * k, per_block))
+    scores = []
+    for n in cells:
+        # positions in units of h / M: integer part times M plus the rank of
+        # the fractional part, stacked as (order, cell)
+        y = np.concatenate([np.broadcast_to(anchors, (len(n), n_roots)), n],
+                           axis=1)
+        y = (M * y + offsets).reshape(-1, m)
+        dist = np.abs(y[:, i] - y[:, j])
+        if L is not None:
+            dist = np.minimum(dist % (M * Lam), M * Lam - dist % (M * Lam))
+        f = np.zeros((len(y), m, m))
+        f[:, i, j] = f[:, j, i] = table[np.minimum(dist // M, R)]
+        scores.append(np.concatenate(
+            [score(f[a:a + rows]) for a in range(0, len(f), rows)]
+        ).reshape(len(order_weights), len(n)))
+    per_order = np.concatenate(scores, axis=1)
+    total = sum((w * Fraction(math.fsum(row.tolist()))
+                 for w, row in zip(order_weights, per_order)), Fraction(0))
     return float(total * (h ** k if L is None else Fraction(1, Lam ** k)))
 
 

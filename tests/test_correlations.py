@@ -280,6 +280,27 @@ class TestBicoloredScores:
             want = edge_product_sum(f, enumerate_bicolored(n_white, n_black, cls))
             assert np.allclose(score(f), want, rtol=1e-12, atol=1e-12), cls
 
+    @pytest.mark.parametrize("n_black", [1, 3])
+    def test_articulation_free_sum_scores_both_toggles_in_one_call(
+            self, monkeypatch, n_black):
+        f = random_pair_matrices(np.random.default_rng(n_black), 16,
+                                 2 + n_black)
+        bonded, unbonded = f.copy(), f.copy()
+        bonded[:, 0, 1] = bonded[:, 1, 0] = 1.0
+        unbonded[:, 0, 1] = unbonded[:, 1, 0] = 0.0
+        # the identity scored as two calls, bit for bit
+        want = (1.0 + f[:, 0, 1]) * (biconnected_sum_batch(bonded)
+                                     - biconnected_sum_batch(unbonded))
+        sizes = []
+
+        def spy(g):
+            sizes.append(len(g))
+            return biconnected_sum_batch(g)
+
+        monkeypatch.setattr(correlations, "biconnected_sum_batch", spy)
+        assert articulation_free_pair_batch(f).tolist() == want.tolist()
+        assert sizes == [2 * len(f)]
+
     def test_h_is_for_the_pair_only(self):
         with pytest.raises(ValueError, match="n = 2"):
             h_n_density(P, 3, [0.0, 0.5, 1.5], K=1)

@@ -642,6 +642,46 @@ class TestLatticeClassSum:
         assert weights._batch_rows(4) == 7
         assert lattice_class_sum(biconnected_sum_batch, p, 4) == full
 
+    @pytest.mark.parametrize("p,roots,m,L,block", [
+        (SQUARE_WELLS[1.5], (0.0,), 5, None, None),
+        (SQUARE_WELLS[1.5], (0.0,), 4, 10.0, None),
+        (SQUARE_WELLS[1.5], (0.0, math.sqrt(2.0)), 4, None, None),
+        (hard_rods(), (0.0, 0.5, 1.25), 6, None, None),
+        # 3-row batches, fewer than the 4 orders of three free fractional
+        # parts over two gaps
+        (hard_rods(), (0.0, 0.3), 5, None, 3),
+    ], ids=["line", "torus", "two-whites", "three-whites", "small-batches"])
+    def test_no_score_call_exceeds_a_batch(self, monkeypatch, p, roots, m, L,
+                                           block):
+        want = lattice_class_sum(biconnected_sum_batch, p, m, L, roots)
+        if block:
+            monkeypatch.setattr(weights, "MC_BLOCK", block)
+            monkeypatch.setattr(weights, "BATCH_ENTRIES", 0)
+        sizes = []
+
+        def spy(f):
+            sizes.append(len(f))
+            return biconnected_sum_batch(f)
+
+        assert lattice_class_sum(spy, p, m, L, roots) == want
+        assert 0 < max(sizes) <= weights._batch_rows(m)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_two_white_sum_in_one_batch_calls_score_once(self, k):
+        # 5^k candidate patterns, at most 250 cells, so no polytope count;
+        # the k + 1 orders of the free fractional parts over the two gaps
+        # are scored together
+        sizes = []
+
+        def spy(f):
+            sizes.append(len(f))
+            return phi_t_batch(f)
+
+        m = 2 + k
+        lattice_class_sum(spy, hard_rods(), m, root_positions=(0.0, 0.3))
+        assert len(sizes) == 1
+        assert sizes[0] % (k + 1) == 0 and sizes[0] <= weights._batch_rows(m)
+
     def test_caps(self):
         with pytest.raises(ValueError):
             lattice_class_sum(phi_t_batch, hard_rods(), 7)
@@ -657,6 +697,42 @@ class TestLatticeClassSum:
                                match=f"n={m} exceeds cap {cap} "):
                 lattice_class_sum(phi_t_batch, hard_rods(), m,
                                   root_positions=roots)
+
+
+def joined_to_an_anchor(allowed, anchors, k, R):
+    """Brute force: every pattern of ``allowed``^k, in C order, whose free
+    parts are each joined to an anchor by steps of at most R, found by
+    growing the set reached from the anchors one step at a time."""
+    patterns = np.array(list(itertools.product(allowed, repeat=k)))
+    points = np.concatenate(
+        [np.broadcast_to(anchors, (len(patterns), len(anchors))), patterns],
+        axis=1)
+    near = np.abs(points[:, :, None] - points[:, None, :]) <= R
+    reached = np.zeros(points.shape, dtype=bool)
+    reached[:, :len(anchors)] = True
+    for _ in range(k):
+        reached |= (reached[:, :, None] & near).any(axis=1)
+    return patterns[reached.all(axis=1)]
+
+
+class TestLineCells:
+    # (anchors, k, R): one anchor; two coincident ones; a negative one;
+    # three, more than k R apart
+    @pytest.mark.parametrize("anchors,k,R", [
+        *(((0,), k, R) for k in (1, 2, 3, 4) for R in (1, 3)),
+        *(((2, 2), k, 1) for k in (1, 2, 3, 4)),
+        ((-3, 1), 3, 3), ((-7, -1), 2, 1),
+        ((-5, 0, 5), 4, 1), ((0, 7, 14), 2, 3), ((0, 0, -2), 3, 3),
+    ])
+    @pytest.mark.parametrize("rows", [7, 1000])
+    def test_matches_a_brute_force_filter(self, anchors, k, R, rows):
+        # the range lattice_class_sum gives the free parts
+        allowed = np.arange(min(anchors) - k * R, max(anchors) + 1 + k * R)
+        blocks = list(weights._line_cells(allowed, np.array(anchors), k, R,
+                                          rows))
+        assert all(1 <= len(n) <= rows for n in blocks)
+        assert np.array_equal(np.concatenate(blocks),
+                              joined_to_an_anchor(allowed, anchors, k, R))
 
 
 def _no_polytopes(*args, **kwargs):
