@@ -297,10 +297,10 @@ def _line_cells(allowed: np.ndarray, anchors: np.ndarray, k: int, R: int,
     at most R: sorted together with the anchors, the parts split into runs
     with no step above R, and every run must hold an anchor (with one
     anchor: there is one run).  Filters the candidates in blocks of
-    ``BATCH_ENTRIES`` (or ``rows``, if more) and yields the cells in C
-    order, in blocks of at most ``rows``."""
+    ``BATCH_ENTRIES`` and yields the cells in C order, in blocks of at most
+    ``rows``."""
     pending, count = [], 0
-    for idx in _blocks((len(allowed),) * k, max(rows, BATCH_ENTRIES)):
+    for idx in _blocks((len(allowed),) * k, BATCH_ENTRIES):
         n = allowed[idx]
         if len(anchors) == 1:
             s = np.sort(np.concatenate(
@@ -324,6 +324,20 @@ def _line_cells(allowed: np.ndarray, anchors: np.ndarray, k: int, R: int,
             pending, count = [n[whole:]], len(n) - whole
     if count:
         yield np.concatenate(pending)
+
+
+def _expansion(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is that of ``terms``: each is the
+    correctly rounded ``math.fsum`` of what the ones before it leave, until
+    nothing is left (a sum of doubles that is not 0 never rounds to 0), so
+    the ``math.fsum`` of the result is that of ``terms``, bit for bit."""
+    out = []
+    while (s := math.fsum(terms)) != 0.0:
+        out.append(s)
+        if not math.isfinite(s):
+            break
+        terms.append(-s)
+    return out
 
 
 def _graph_terms(score, m: int):
@@ -375,8 +389,10 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
     pinned at the origin there is one gap, of weight 1.  The patterns are
     generated once: each block of them is placed at every order of the
     fractional parts (each choice of counts), and the stacked pair matrices,
-    at most ``_batch_rows(m)``, go to ``score`` in one call; the scores are
-    summed per order with ``math.fsum``, so the batching changes no value.
+    at most ``_batch_rows(m)``, go to ``score`` in one call.  Each order
+    keeps the exact sum of its scores so far as an ``_expansion`` (a few
+    floats), so memory stays that of one block and the sum is the
+    ``math.fsum`` of all the scores: the batching changes no value.
     On the line only
     the patterns in which every free vertex can be joined to a pinned one
     are visited (every class sum but the torus product vanishes
@@ -442,7 +458,7 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
     per_block = max(1, rows // len(order_weights))
     cells = (_line_cells(np.arange(lo, hi), anchors, k, R, per_block)
              if L is None else _blocks((Lam,) * k, per_block))
-    scores = []
+    sums = [[] for _ in order_weights]
     for n in cells:
         # positions in units of h / M: integer part times M plus the rank of
         # the fractional part, stacked as (order, cell)
@@ -454,12 +470,13 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
             dist = np.minimum(dist % (M * Lam), M * Lam - dist % (M * Lam))
         f = np.zeros((len(y), m, m))
         f[:, i, j] = f[:, j, i] = table[np.minimum(dist // M, R)]
-        scores.append(np.concatenate(
+        scores = np.concatenate(
             [score(f[a:a + rows]) for a in range(0, len(f), rows)]
-        ).reshape(len(order_weights), len(n)))
-    per_order = np.concatenate(scores, axis=1)
-    total = sum((w * Fraction(math.fsum(row.tolist()))
-                 for w, row in zip(order_weights, per_order)), Fraction(0))
+        ).reshape(len(order_weights), len(n))
+        sums = [_expansion(acc + row.tolist())
+                for acc, row in zip(sums, scores)]
+    total = sum((w * Fraction(math.fsum(acc))
+                 for w, acc in zip(order_weights, sums)), Fraction(0))
     return float(total * (h ** k if L is None else Fraction(1, Lam ** k)))
 
 

@@ -338,8 +338,10 @@ class TestExactAgainstPolytopes:
     def test_whites_off_the_lattice_stream_in_blocks(self, monkeypatch):
         # the sum does not depend on the block size
         full = h_n_density(SQUARE_WELL, 2, [0.0, 1.7], 2).values
+        # 7-row batches; candidates filtered 16 at a time
         monkeypatch.setattr(weights, "MC_BLOCK", 7)
-        monkeypatch.setattr(weights, "BATCH_ENTRIES", 0)
+        monkeypatch.setattr(weights, "BATCH_ENTRIES", 16)
+        assert weights._batch_rows(4) == 7
         assert h_n_density(SQUARE_WELL, 2, [0.0, 1.7], 2).values == full
 
     def test_no_per_graph_weights_on_lattice_potentials(self, monkeypatch):

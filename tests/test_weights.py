@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -637,8 +638,9 @@ class TestLatticeClassSum:
         # the sum does not depend on the block size
         p = SQUARE_WELLS[1.5]
         full = lattice_class_sum(biconnected_sum_batch, p, 4)
+        # 7-row batches; candidates filtered 16 at a time
         monkeypatch.setattr(weights, "MC_BLOCK", 7)
-        monkeypatch.setattr(weights, "BATCH_ENTRIES", 0)
+        monkeypatch.setattr(weights, "BATCH_ENTRIES", 16)
         assert weights._batch_rows(4) == 7
         assert lattice_class_sum(biconnected_sum_batch, p, 4) == full
 
@@ -655,8 +657,7 @@ class TestLatticeClassSum:
                                            block):
         want = lattice_class_sum(biconnected_sum_batch, p, m, L, roots)
         if block:
-            monkeypatch.setattr(weights, "MC_BLOCK", block)
-            monkeypatch.setattr(weights, "BATCH_ENTRIES", 0)
+            monkeypatch.setattr(weights, "_batch_rows", lambda m: block)
         sizes = []
 
         def spy(f):
@@ -681,6 +682,39 @@ class TestLatticeClassSum:
         lattice_class_sum(spy, hard_rods(), m, root_positions=(0.0, 0.3))
         assert len(sizes) == 1
         assert sizes[0] % (k + 1) == 0 and sizes[0] <= weights._batch_rows(m)
+
+    def test_no_cells_sum_to_zero(self):
+        # f = 0 leaves R = 0 and no candidate pattern on the line
+        from clusterexp import canonical
+        p = zero_potential()
+        assert lattice_class_sum(phi_t_batch, p, 2) == 0.0
+        assert canonical.zeta(p, 2, 10.0) == 0.0
+
+    @pytest.mark.parametrize("roots", [(0.0,), (0.0, 0.3)])
+    def test_sum_over_many_blocks_is_the_fsum_of_every_score(
+            self, monkeypatch, roots):
+        # 1-row batches: one cell per block, each order summed across blocks
+        p, m = SQUARE_WELLS[1.5], 5
+        monkeypatch.setattr(weights, "graph_weight_exact_1d", _no_polytopes)
+        one_batch = lattice_class_sum(biconnected_sum_batch, p, m,
+                                      root_positions=roots)
+        monkeypatch.setattr(weights, "_batch_rows", lambda m: 1)
+        calls = []
+
+        def spy(f):
+            calls.append(len(f))
+            return biconnected_sum_batch(f)
+
+        assert lattice_class_sum(spy, p, m, root_positions=roots) == one_batch
+        assert len(calls) > 100 and set(calls) == {1}
+
+    def test_expansion_is_exact(self):
+        terms = [1e16, 1.0, -1e16, 3e-17, 0.1, -0.1, 2.0 ** -1074]
+        out = weights._expansion(list(terms))
+        assert math.fsum(out) == math.fsum(terms)
+        assert sum(map(Fraction, out)) == sum(map(Fraction, terms))
+        assert weights._expansion([]) == []
+        assert weights._expansion([1.0, -1.0]) == []
 
     def test_caps(self):
         with pytest.raises(ValueError):
