@@ -690,24 +690,6 @@ class TestLatticeClassSum:
         assert lattice_class_sum(phi_t_batch, p, 2) == 0.0
         assert canonical.zeta(p, 2, 10.0) == 0.0
 
-    @pytest.mark.parametrize("roots", [(0.0,), (0.0, 0.3)])
-    def test_sum_over_many_blocks_is_the_fsum_of_every_score(
-            self, monkeypatch, roots):
-        # 1-row batches: one cell per block, each order summed across blocks
-        p, m = SQUARE_WELLS[1.5], 5
-        monkeypatch.setattr(weights, "graph_weight_exact_1d", _no_polytopes)
-        one_batch = lattice_class_sum(biconnected_sum_batch, p, m,
-                                      root_positions=roots)
-        monkeypatch.setattr(weights, "_batch_rows", lambda m: 1)
-        calls = []
-
-        def spy(f):
-            calls.append(len(f))
-            return biconnected_sum_batch(f)
-
-        assert lattice_class_sum(spy, p, m, root_positions=roots) == one_batch
-        assert len(calls) > 100 and set(calls) == {1}
-
     def test_expansion_is_exact(self):
         terms = [1e16, 1.0, -1e16, 3e-17, 0.1, -0.1, 2.0 ** -1074]
         out = weights._expansion(list(terms))
