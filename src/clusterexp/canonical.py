@@ -184,7 +184,8 @@ def _coefficient(p: Potential, k: int, L: float, truncation: int | None,
         k, {m: _graded(z, m - 1, order) for m, z in zetas.items()}))
 
     if truncation is None:
-        xi = _packing_partition_functions(k, zetas)
+        xi = _packing_partition_functions(
+            k, {m: Fraction(z) for m, z in zetas.items()})
         # Xi_m is the chance that m uniform particles do not overlap: 0 once
         # m of them do not fit, which rounding leaves within a few ulps of
         # the sum of its terms' sizes, Xi_m at the activities |zeta|
@@ -194,13 +195,11 @@ def _coefficient(p: Potential, k: int, L: float, truncation: int | None,
                if x <= XI_ROUNDING * s]
         if bad:
             raise ValueError(f"{k + 1} particles do not fit in L = {L}: "
-                             f"Xi_{bad[0]} = {xi[bad[0]]!r} is within "
+                             f"Xi_{bad[0]} = {float(xi[bad[0]])!r} is within "
                              "rounding of 0 and has no logarithm")
         # the covering sum is log prod Xi_m^(e_m); the product is formed
         # exactly, so that its cancellation, which grows with L, rounds once
-        exact = _packing_partition_functions(
-            k, {m: Fraction(z) for m, z in zetas.items()})
-        product = math.prod(x ** e for e, x in zip(_signs(k + 1), exact))
+        product = math.prod(x ** e for e, x in zip(_signs(k + 1), xi))
         total = math.log1p(float(product - 1))
     else:
         total = sum(graded[j] for j in range(k, truncation + 1))
@@ -295,14 +294,14 @@ def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
                        n_samples: int = 200_000, seed: int = 0) -> CoefficientEstimate:
     """log Z by direct evaluation of (1/N!) int_{[0,L]^N} e^{-beta H}.
 
-    The exact route integrates e^{-beta H}, the product of (1 + f) over all
-    pairs, over the lattice cells of the torus (N <= EXACT_ORACLE_MAX_N),
-    gives -inf when the N hard cores do not fit (N sigma >= L, as
-    ``tonks_logZ``) and raises when the integral is not positive although
-    they do; the MC route averages
-    e^{-beta H} over uniform configurations (``torus_boltzmann_mc``,
-    N <= MC_ORACLE_MAX_N) and raises when no sample has nonzero weight.
-    A larger N raises ``EnumerationTooLarge``.
+    Both routes give -inf, with nothing integrated or drawn, when the N hard
+    cores do not fit (N sigma >= L, as ``tonks_logZ``).  The exact route
+    integrates e^{-beta H}, the product of (1 + f) over all pairs, over the
+    lattice cells of the torus (N <= EXACT_ORACLE_MAX_N) and raises when
+    the integral is not positive although the cores fit; the MC route
+    averages e^{-beta H} over uniform configurations
+    (``torus_boltzmann_mc``, N <= MC_ORACLE_MAX_N) and raises when no
+    sample has nonzero weight.  A larger N raises ``EnumerationTooLarge``.
     """
     require_exact_1d(p)
     method = oracle_method(p, N, method)
@@ -312,11 +311,11 @@ def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
     if N > cap:
         raise EnumerationTooLarge(f"direct {method} oracle", N, cap,
                                   2 ** (N * (N - 1) // 2))
+    # a nonzero piecewise-constant f starts with a hard core of sigma
+    if p.f_pieces() and N * p.sigma >= L:
+        return CoefficientEstimate(-math.inf, 0.0, method)
     ideal = N * math.log(L) - math.lgamma(N + 1)
     if method == "exact1d":
-        # a nonzero piecewise-constant f starts with a hard core of sigma
-        if p.f_pieces() and N * p.sigma >= L:
-            return CoefficientEstimate(-math.inf, 0.0, "exact1d")
         total = lattice_class_sum(_boltzmann_product, p, N, L)
         if total <= 0:
             raise ValueError(f"the exact integral of e^(-beta H) over {N} "

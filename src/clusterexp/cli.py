@@ -145,9 +145,11 @@ def _int_field(value, name: str, minimum: int | None = None) -> int:
 
 
 def _float_field(value, name: str) -> float:
-    """A config real number: a JSON integer or float.  A string or a bool
-    is a SchemaError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A config real number: a JSON integer or float.  A string, a bool, or
+    the NaN and infinities that ``json.load`` accepts beyond JSON, is a
+    SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            (isinstance(value, float) and not math.isfinite(value)):
         raise SchemaError(f"{name} must be a number, got {value!r}")
     return float(value)
 

@@ -7,9 +7,10 @@ integer multiple of h.  ``lattice_class_sum`` integrates a whole class sum
 (connected, 2-connected, kernel, the product of (1 + f), or a bicolored
 class of the correlation functions) exactly by one pass over these cells,
 one point per cell, with one vertex or several pinned at any positions on
-the line.  When the cells would take longer than the per-graph polytopes
-(as when no lattice fits, for lambda = sqrt(2)), it sums graph by graph
-instead: ``graph_weight_exact_1d`` and ``graph_weight_periodic_1d`` split
+the line.  When there are more cells than ``CELLS_PER_POLYTOPE`` per
+polytope of all graphs, a closed-form count decided before anything is
+scored (as when no lattice fits, for lambda = sqrt(2)), it sums graph by
+graph instead: ``graph_weight_exact_1d`` and ``graph_weight_periodic_1d`` split
 each graph's integrand into convex polytopes of constant value, and a
 shortest-path (Floyd-Warshall) closure of each polytope's constraints
 decides emptiness and boundedness and gives Qhull its facets and an
@@ -241,14 +242,14 @@ def graph_weight_periodic_1d(g: Graph, p: Potential, L: float):
 # exact class sums over lattice cells
 # ---------------------------------------------------------------------------
 
-# Lattice cells that take no longer than one per-graph polytope, on the
-# line and on the torus.  Timed for m = 3..6 on a 2-core x86 guest: a cell
-# takes 0.3-1.9 us; a polytope 110-4000 us on the line (most for hard rods
-# at m = 6, all of whose polytopes go to Qhull) and 38-56 us on the torus
-# (most of its image branches are empty).  The lowest measured ratios are
-# rounded down, so the lattice is taken only where it is the faster path.
-LINE_POLYTOPE_CELLS = 250
-TORUS_POLYTOPE_CELLS = 40
+# Lattice cells that take no longer than one per-graph polytope.  Timed for
+# m = 3..6 on a 2-core x86 guest: a cell takes 0.3-1.9 us and a polytope
+# 38-4000 us, fewest on the torus (most of its image branches are empty) and
+# most for hard rods on the line at m = 6 (all of whose polytopes go to
+# Qhull).  The polytope count it is set against is an upper bound, those of
+# all graphs, so the lattice also takes some inputs on which it is up to
+# about twice as slow, and is exact there.
+CELLS_PER_POLYTOPE = 250
 
 
 def _lattice(p: Potential, L: float | None):
@@ -266,18 +267,15 @@ def _lattice(p: Potential, L: float | None):
     return h, R, None if L is None else int(Fraction(L) / h)
 
 
-def _n_polytopes(score, p: Potential, m: int, L: float | None,
-                 n_roots: int = 1) -> float:
-    """Polytopes the per-graph path visits for ``score``: one per choice of
-    f piece, sign branch (and image on the torus) at each edge with a free
-    end, in each graph of the class, so score at the constant pair matrix of
-    that branch count (1 between pinned vertices), every graph of a class
-    sum having coefficient 1."""
+def _n_polytopes(p: Potential, m: int, L: float | None, n_roots: int) -> int:
+    """An upper bound on the polytopes the per-graph path visits for a class
+    sum on m vertices, n_roots of them pinned: those of all graphs, one per
+    choice of f piece, sign branch (and of 3 images on the torus) at each
+    edge with a free end."""
     branches = sum(1 if r_lo == 0 else 2 for r_lo, _, _ in p.f_pieces())
-    f = np.full((1, m, m), float(branches * (1 if L is None else 3)))
-    f[0, :n_roots, :n_roots] = 1.0
-    np.fill_diagonal(f[0], 0.0)
-    return float(score(f)[0])
+    pinned = math.comb(n_roots, 2)
+    return ((1 + branches * (1 if L is None else 3))
+            ** (math.comb(m, 2) - pinned) * 2 ** pinned)
 
 
 def _blocks(shape: tuple[int, ...], rows: int):
@@ -397,11 +395,11 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
     the patterns in which every free vertex can be joined to a pinned one
     are visited (every class sum but the torus product vanishes
     elsewhere); on the torus all Lam^k patterns are, with weight Lam^-k.
-    When the candidate patterns cost more time than the per-graph
-    polytopes would (``LINE_POLYTOPE_CELLS`` or ``TORUS_POLYTOPE_CELLS``
-    per polytope; always when no lattice fits, as for lambda = sqrt(2)),
-    the sum runs graph by graph over polytopes (``graph_weight_exact_1d``
-    or ``graph_weight_periodic_1d``).
+    When there are more than ``CELLS_PER_POLYTOPE`` candidate patterns per
+    polytope of all graphs, a closed-form count decided before anything is
+    scored (always when no lattice fits, as for lambda = sqrt(2)), the sum
+    runs graph by graph over polytopes (``graph_weight_exact_1d`` or
+    ``graph_weight_periodic_1d``).
     """
     require_exact_1d(p, L)
     n_roots = len(root_positions)
@@ -426,10 +424,7 @@ def lattice_class_sum(score, p: Potential, m: int, L: float | None = None,
     if k > MAX_EXACT_BLACK:
         raise EnumerationTooLarge("exact 1D class sums", m,
                                   n_roots + MAX_EXACT_BLACK, n_cells)
-    per_polytope = LINE_POLYTOPE_CELLS if L is None else TORUS_POLYTOPE_CELLS
-    # no polytope count is needed when the cells cost less than one polytope
-    if n_cells > per_polytope and \
-            n_cells > per_polytope * _n_polytopes(score, p, m, L, n_roots):
+    if n_cells > CELLS_PER_POLYTOPE * _n_polytopes(p, m, L, n_roots):
         if L is None:
             return math.fsum(c * graph_weight_exact_1d(g, p, root_positions)
                              for c, g in _graph_terms(score, m))

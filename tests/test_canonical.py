@@ -340,6 +340,16 @@ class TestExpansionAgainstOracles:
                            "hard cores fit"):
             direct_logZ_oracle(P, 3, 3.5)
 
+    def test_mc_oracle_is_minus_inf_when_the_cores_do_not_fit(self,
+                                                             monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(canonical, "torus_boltzmann_mc", no_draws)
+        est = direct_logZ_oracle(P, 6, 5.5, n_samples=2000, seed=1)
+        assert (est.value, est.method, est.samples) == (-math.inf, "mc", 0)
+        assert est.value == tonks_logZ(6, 5.5)
+
     def test_mc_oracle_with_no_nonzero_sample_raises(self):
         with pytest.raises(ValueError, match="no sample had nonzero weight"):
             direct_logZ_oracle(P, 6, 6.5, method="mc", n_samples=2000, seed=1)
@@ -371,10 +381,13 @@ class TestExpansionAgainstOracles:
             with pytest.raises(ValueError, match="unknown method"):
                 direct_logZ_oracle(P, 2, 10.0, method=method)
 
-    @pytest.mark.parametrize("N,L", [(3, 15.0), (4, 20.0)])
+    @pytest.mark.parametrize("N,L", [(3, 15.0), (4, 20.0), (4, 4.0625)])
     def test_direct_oracle_matches_tonks(self, N, L):
         est = direct_logZ_oracle(P, N, L)
         assert est.value == pytest.approx(tonks_logZ(N, L), abs=1e-10)
+        if L == 4.0625:
+            # on the lattice of 1/16: the cells give Tonks exactly
+            assert est.value == tonks_logZ(N, L)
 
     @pytest.mark.parametrize("N,method", [(5, "exact1d"), (9, "mc"), (9, "auto")])
     def test_oracle_caps_raise_enumeration_too_large(self, N, method):

@@ -200,7 +200,8 @@ class TestVirialAndEos:
 
 
 class TestFloatFields:
-    """Every real-valued config field rejects strings, bools and nulls."""
+    """Every real-valued config field rejects strings, bools, nulls, NaN and
+    the infinities."""
 
     CASES = [
         ("canonical", {"N": 6, "L": "{}", "K": 2}, "L"),
@@ -212,6 +213,8 @@ class TestFloatFields:
         ("correlations", {"r_min": "{}"}, "r_min"),
         ("correlations", {"r_max": "{}"}, "r_max"),
         ("correlations", {"r_values": [1.5, "{}"]}, "r_values item"),
+        ("virial", {"potential": {"kind": "hard_rods", "sigma": "{}"}},
+         "potential.sigma"),
     ]
 
     @staticmethod
@@ -222,7 +225,8 @@ class TestFloatFields:
             return [TestFloatFields.fill(v, value) for v in cfg]
         return value if cfg == "{}" else cfg
 
-    @pytest.mark.parametrize("value", ["abc", True, None])
+    @pytest.mark.parametrize("value", ["abc", True, None, math.nan, math.inf,
+                                       -math.inf])
     @pytest.mark.parametrize("command,cfg,field", CASES,
                              ids=[f"{c}-{f}-{i}" for i, (c, _, f) in enumerate(CASES)])
     def test_non_number_is_schema_error(self, capsys, tmp_path, command, cfg,
@@ -531,6 +535,16 @@ class TestCanonical:
         assert code == EXIT_OK
         oracle = json.loads(out)["results"]["oracle"]
         assert (oracle["value"], oracle["method"]) == ("-inf", "exact1d")
+
+    def test_mc_oracle_prints_minus_inf_when_rods_do_not_fit(
+            self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "can.json", {"N": 6, "L": 5.5, "K": 1})
+        code, out, _ = run_cli(capsys, ["canonical", "--config", cfg,
+                                        "--seed", "1"])
+        assert code == EXIT_OK
+        oracle = json.loads(out)["results"]["oracle"]
+        assert (oracle["value"], oracle["method"], oracle["samples"]) == \
+            ("-inf", "mc", 0)
 
     def test_exact_oracle_prints_minus_inf_when_rods_do_not_fit_off_lattice(
             self, capsys, tmp_path):

@@ -564,22 +564,22 @@ class TestLatticeClassSum:
         assert lattice_class_sum(score, p, m, L) == \
             pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    # each side of the choice of path: (potential, m, L, cells, polytopes);
-    # the lattice runs when cells <= 250 polytopes on the line, 40 on the torus
-    @pytest.mark.parametrize("lam,m,L,lattice", [
-        (1.0625, 3, None, True),    # 4,624 cells, 54 polytopes
-        (1.03125, 3, None, False),  # 17,424 cells
-        (None, 3, 20.0, True),      # hard rods: 400 cells, 54 polytopes
-        (None, 3, 20.0625, False),  # 103,041 cells
-        (None, 4, 20.5, True),      # 68,921 cells, 3,834 polytopes
+    # each side of the choice of path: (potential, m, L, cells, polytopes of
+    # all graphs); the lattice runs when cells <= 250 polytopes
+    @pytest.mark.parametrize("lam,score,m,L,lattice", [
+        (1.0625, phi_t_batch, 3, None, True),    # 4,624 cells, 64 polytopes
+        (1.03125, phi_t_batch, 3, None, False),  # 17,424 cells
+        (None, phi_t_batch, 3, 20.0, True),      # hard rods: 400 cells, 64
+        (None, phi_t_batch, 3, 20.0625, False),  # 103,041 cells
+        (None, phi_t_batch, 4, 20.5, True),      # 68,921 cells, 4,096
+        (None, biconnected_sum_batch, 3, 40.0, True),  # 1,600 cells, 64
     ])
-    def test_takes_the_faster_path(self, lam, m, L, lattice):
+    def test_takes_the_faster_path(self, lam, score, m, L, lattice):
         p = hard_rods() if lam is None else \
             square_well(sigma=1.0, lam=lam, epsilon=1.0, beta=1.0, dimension=1)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(weights, "LINE_POLYTOPE_CELLS", 10 ** 18)
-            mp.setattr(weights, "TORUS_POLYTOPE_CELLS", 10 ** 18)
-            want = lattice_class_sum(phi_t_batch, p, m, L)
+            mp.setattr(weights, "CELLS_PER_POLYTOPE", 10 ** 18)
+            want = lattice_class_sum(score, p, m, L)
         calls = []
 
         def counted(weight):
@@ -593,10 +593,29 @@ class TestLatticeClassSum:
                        counted(graph_weight_exact_1d))
             mp.setattr(weights, "graph_weight_periodic_1d",
                        counted(graph_weight_periodic_1d))
-            got = lattice_class_sum(phi_t_batch, p, m, L)
+            got = lattice_class_sum(score, p, m, L)
         assert len(calls) == (0 if lattice else
-                              len(list(enumerate_graphs(m, GraphClass.CONNECTED))))
+                              len(list(weights._graph_terms(score, m))))
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_hard_rod_triangle_on_the_torus_is_exact(self):
+        # the triangle's f f f is -1 on a 3 sigma^2 area of the L^2 torus
+        assert lattice_class_sum(biconnected_sum_batch, hard_rods(), 3, 40.0) \
+            == -3 / 1600
+
+    def test_path_choice_scores_nothing(self):
+        # hard rods at m = 5 have 4,096 candidate cells on the line: every
+        # score call is one block of the cells, and no call counts polytopes
+        sizes = []
+
+        def spy(f):
+            sizes.append(len(f))
+            return phi_t_batch(f)
+
+        lattice_class_sum(spy, hard_rods(), 5)
+        cells = weights._line_cells(np.arange(-4, 4), np.array([0]), 4, 1,
+                                    weights._batch_rows(5))
+        assert sizes == [len(n) for n in cells]
 
     def test_irrational_lengths_fall_back_to_polytopes(self):
         p = square_well(sigma=1.0, lam=math.sqrt(2.0), epsilon=1.0, beta=1.0,
