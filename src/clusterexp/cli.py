@@ -145,11 +145,12 @@ def _int_field(value, name: str, minimum: int | None = None) -> int:
 
 
 def _float_field(value, name: str) -> float:
-    """A config real number: a JSON integer or float.  A string, a bool, or
-    the NaN and infinities that ``json.load`` accepts beyond JSON, is a
-    SchemaError."""
+    """A config real number: a JSON integer or float.  A string, a bool,
+    the NaN and infinities that ``json.load`` accepts beyond JSON, or an
+    integer past the float range is a SchemaError."""
+    # NaN compares false; an int compares with the float bound exactly
     if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-            (isinstance(value, float) and not math.isfinite(value)):
+            not abs(value) <= sys.float_info.max:
         raise SchemaError(f"{name} must be a number, got {value!r}")
     return float(value)
 

@@ -246,9 +246,10 @@ def graph_weight_periodic_1d(g: Graph, p: Potential, L: float):
 # m = 3..6 on a 2-core x86 guest: a cell takes 0.3-1.9 us and a polytope
 # 38-4000 us, fewest on the torus (most of its image branches are empty) and
 # most for hard rods on the line at m = 6 (all of whose polytopes go to
-# Qhull).  The polytope count it is set against is an upper bound, those of
-# all graphs, so the lattice also takes some inputs on which it is up to
-# about twice as slow, and is exact there.
+# Qhull).  One constant serves the line and the torus, and the polytope
+# count it is set against is an upper bound, those of all graphs, so the
+# lattice also takes some inputs on which it is up to about twice as slow,
+# and is exact there.
 CELLS_PER_POLYTOPE = 250
 
 

@@ -200,8 +200,8 @@ class TestVirialAndEos:
 
 
 class TestFloatFields:
-    """Every real-valued config field rejects strings, bools, nulls, NaN and
-    the infinities."""
+    """Every real-valued config field rejects strings, bools, nulls, NaN,
+    the infinities and integers past the float range."""
 
     CASES = [
         ("canonical", {"N": 6, "L": "{}", "K": 2}, "L"),
@@ -225,8 +225,9 @@ class TestFloatFields:
             return [TestFloatFields.fill(v, value) for v in cfg]
         return value if cfg == "{}" else cfg
 
-    @pytest.mark.parametrize("value", ["abc", True, None, math.nan, math.inf,
-                                       -math.inf])
+    @pytest.mark.parametrize("value", [
+        "abc", True, None, math.nan, math.inf, -math.inf,
+        pytest.param(-10 ** 400, id="-1e400-integer")])
     @pytest.mark.parametrize("command,cfg,field", CASES,
                              ids=[f"{c}-{f}-{i}" for i, (c, _, f) in enumerate(CASES)])
     def test_non_number_is_schema_error(self, capsys, tmp_path, command, cfg,
