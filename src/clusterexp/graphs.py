@@ -5,7 +5,11 @@ bitmasks: bit j of ``adj[i]`` is set when i and j are adjacent.  Only this
 module builds or reads those masks; the other layers see ``Graph.edges``,
 the sorted tuple of (i, j) pairs with i < j.  The first ``white_count``
 vertices are "white" (root / fixed) vertices, the rest are "black"
-(integrated) vertices.
+(integrated) vertices.  A ``Graph`` is the immutable tuple
+``(n_vertices, adj, white_count)``.  Built by hand it checks its masks
+(one per vertex, no self-loop, no bit at or past n, symmetric); the
+listings build each graph once, straight from masks that are well formed
+by construction, and skip those checks.
 
 Enumeration walks the edge masks over the n(n-1)/2 unordered pairs (bit k
 is the k-th pair in lexicographic order) in increasing order, which gives
@@ -36,6 +40,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -79,20 +85,42 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Labeled simple graph as neighbor bitmasks with an optional white prefix."""
+class Graph(namedtuple("Graph", "n_vertices adj white_count")):
+    """Labeled simple graph as neighbor bitmasks with an optional white
+    prefix: the immutable tuple ``(n_vertices, adj, white_count)``, so its
+    repr, ``==`` and hash are those of a record of the three fields.
 
-    n_vertices: int
-    adj: tuple[int, ...]
-    white_count: int = 0
+    ``Graph(n, adj, w)`` checks its input and turns ``adj`` into a tuple of
+    ints.  The listings of this module build their graphs with
+    ``tuple.__new__`` instead, once per graph and without the checks: the
+    walk and the Prufer decoding make well-formed masks by construction."""
 
-    def __post_init__(self):
-        if len(self.adj) != self.n_vertices:
+    __slots__ = ()
+
+    def __new__(cls, n_vertices: int, adj: Iterable[int], white_count: int = 0):
+        n, w = operator.index(n_vertices), operator.index(white_count)
+        adj = tuple(map(operator.index, adj))
+        if len(adj) != n:
             raise ValueError("Graph takes one neighbor mask per vertex; "
                              "use Graph.from_edges for an edge list")
-        if not (0 <= self.white_count <= self.n_vertices):
+        if not 0 <= w <= n:
             raise ValueError("white_count out of range")
+        for i, nbrs in enumerate(adj):
+            if not 0 <= nbrs < 1 << n:
+                raise ValueError(f"neighbor mask {nbrs} of vertex {i} has a "
+                                 f"bit at or past n={n}")
+            if nbrs >> i & 1:
+                raise ValueError(f"self-loop at vertex {i}")
+            for j in _bits(nbrs):
+                if not adj[j] >> i & 1:
+                    raise ValueError(f"asymmetric masks: {j} is a neighbor "
+                                     f"of {i} but not {i} of {j}")
+        return tuple.__new__(cls, (n, adj, w))
+
+    @classmethod
+    def _make(cls, fields) -> "Graph":
+        # namedtuple's own _make, which _replace calls, skips the checks
+        return cls(*fields)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
@@ -230,9 +258,15 @@ def _check_cap(what: str, n: int, cap: int, count_bound: int):
 def prufer_trees(n: int) -> Iterator[Graph]:
     """All labeled trees on n vertices via Prufer sequences (n <= 12), in
     the lexicographic order of the sequences."""
+    yield from _trees(n, 0)
+
+
+def _trees(n: int, white_count: int) -> Iterator[Graph]:
+    """``prufer_trees(n)`` with the first ``white_count`` vertices white,
+    each tree built once."""
     _check_cap("trees", n, MAX_TREE_N, n ** max(n - 2, 0))
     if n == 1:
-        yield Graph(1, (0,))
+        yield tuple.__new__(Graph, (1, (0,), white_count))
         return
     for seq in itertools.product(range(n), repeat=n - 2):
         degree = [1] * n
@@ -251,7 +285,7 @@ def prufer_trees(n: int) -> Iterator[Graph]:
         u, w = leaves
         adj[u] |= 1 << w
         adj[w] |= 1 << u
-        yield Graph(n, tuple(adj))
+        yield tuple.__new__(Graph, (n, tuple(adj), white_count))
 
 
 def _class_filter(adj: np.ndarray, white_count: int,
@@ -309,14 +343,13 @@ def _enumerate(n: int, white_count: int, cls: GraphClass) -> Iterator[Graph]:
         for first in range(0, len(kept), _YIELD_SLICE):
             cols = adj[:, kept[first:first + _YIELD_SLICE]].tolist()
             for g in zip(*cols):
-                yield Graph(n, g, white_count)
+                yield tuple.__new__(Graph, (n, g, white_count))
 
 
 def _graphs_of_class(what: str, n: int, white_count: int,
                      cls: GraphClass) -> Iterator[Graph]:
     if cls is GraphClass.TREE:
-        for tree in prufer_trees(n):
-            yield Graph(n, tree.adj, white_count)
+        yield from _trees(n, white_count)
         return
     _check_cap(what, n, MAX_EXHAUSTIVE_N, 2 ** (n * (n - 1) // 2))
     yield from _enumerate(n, white_count, cls)
@@ -363,6 +396,8 @@ def enumerate_bicolored(n_white: int, n_black: int, cls: GraphClass) -> Iterator
     in the order of ``enumerate_graphs``."""
     if n_white < 1:
         raise ValueError("need at least one white vertex")
+    if n_black < 0:
+        raise ValueError("need n_black >= 0")
     yield from _graphs_of_class("bicolored graphs", n_white + n_black,
                                 n_white, cls)
 

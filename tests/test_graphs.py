@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -235,6 +237,13 @@ class TestBicolored:
         con = {g.edges for g in enumerate_bicolored(2, 2, GraphClass.CONNECTED)}
         assert af <= con
 
+    @pytest.mark.parametrize("n_white", [1, 2])
+    @pytest.mark.parametrize("cls", list(GraphClass), ids=lambda c: c.value)
+    def test_negative_black_count_is_rejected_at_first_next(self, n_white, cls):
+        listing = enumerate_bicolored(n_white, -1, cls)
+        with pytest.raises(ValueError, match="n_black >= 0"):
+            next(listing)
+
 
 class TestArticulationFree:
     @staticmethod
@@ -295,6 +304,31 @@ class TestEdgeMaskWalk:
                 seen += 1
         assert seen == len(edges) == 2 * (blocks - 1)
 
+    @pytest.mark.parametrize("cls", list(GraphClass), ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_unchecked_graphs_pass_the_checks(self, n, cls):
+        # the walk and the trees build their graphs without Graph's checks
+        listings = [enumerate_graphs(n, cls)] + [
+            enumerate_bicolored(whites, n - whites, cls)
+            for whites in range(1, min(n, 3) + 1)]
+        for g in itertools.chain.from_iterable(listings):
+            assert type(g) is Graph
+            assert g == Graph.from_edges(n, g.edges, g.white_count)
+            assert g == Graph(*g)
+
+    def test_listing_is_pinned(self):
+        # sha256 of the reprs of every listing for n <= 6, every class,
+        # 0 to 3 whites, in order, as the frozen-dataclass Graph gave them
+        digest = hashlib.sha256()
+        for n in range(1, 7):
+            for cls in GraphClass:
+                digest.update(repr(list(enumerate_graphs(n, cls))).encode())
+                for whites in range(1, min(n, 3) + 1):
+                    digest.update(repr(list(enumerate_bicolored(
+                        whites, n - whites, cls))).encode())
+        assert digest.hexdigest() == (
+            "63b46dcfed12cb16c0404828ce65f3f21ffa4c31eeca20db66998a72cf464240")
+
     def test_connected_listing_ascends_at_seven(self):
         adj = np.fromiter(itertools.chain.from_iterable(
             g.adj for g in _enumerate(7, 0, GraphClass.CONNECTED)),
@@ -346,6 +380,46 @@ class TestConstruction:
         assert g.edges == ((0, 1), (0, 2), (2, 3))
         assert g.n_edges == 3
         assert g == Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)], 1)
+
+    @pytest.mark.parametrize("adj,match", [
+        ((2, 0), "asymmetric"),
+        ((1, 1), "self-loop"),
+        ((4, 0), "at or past n=2"),
+        ((-1, 0), "at or past n=2"),
+        ((2,), "one neighbor mask per vertex"),
+    ])
+    def test_contradictory_masks_are_rejected(self, adj, match):
+        with pytest.raises(ValueError, match=match):
+            Graph(2, adj)
+
+    def test_masks_become_a_tuple_of_ints(self):
+        g = Graph(2, [np.uint8(2), 1])
+        assert g.adj == (2, 1)
+        assert all(type(nbrs) is int for nbrs in g.adj)
+        assert hash(g) == hash(Graph(2, (2, 1)))
+        with pytest.raises(TypeError):
+            Graph(2, (2.0, 1.0))
+
+    def test_value_semantics(self):
+        walked = list(enumerate_bicolored(1, 2, GraphClass.CONNECTED))
+        g = walked[-1]
+        assert repr(g) == "Graph(n_vertices=3, adj=(6, 5, 3), white_count=1)"
+        assert hash(g) == hash((3, (6, 5, 3), 1))
+        assert g == Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)], 1)
+        assert g != Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)], 0)
+        assert walked == [Graph.from_edges(3, e, 1) for e in
+                          [[(0, 1), (0, 2)], [(0, 1), (1, 2)],
+                           [(0, 2), (1, 2)], [(0, 1), (0, 2), (1, 2)]]]
+        assert Graph(3, (0, 0, 0)).white_count == 0
+        for tree in enumerate_bicolored(2, 2, GraphClass.TREE):
+            copy = pickle.loads(pickle.dumps(tree))
+            assert copy == tree and type(copy) is Graph
+        with pytest.raises(AttributeError):
+            g.adj = (0, 0, 0)
+        with pytest.raises(AttributeError):
+            g.color = "white"
+        with pytest.raises(ValueError, match="self-loop"):
+            g._replace(adj=(1, 0, 0))
 
 
 class TestDump:
