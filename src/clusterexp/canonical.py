@@ -22,15 +22,12 @@ gives the same sum graded by weight, so B(k) truncated at any total weight
 and the leading part B*(k) (weight exactly k) are read off its
 coefficients.
 
-Polymer activities and the 2-connected graph sum of B*(k) integrate a
-connected class sum (phi^T, the 2-connected recursion) with one particle
-pinned (``weights.lattice_class_sum``).  Its configurations span less than
-(m - 1) * range, so when that is below L/2 every minimum-image distance is
-the line distance, and the torus sum is the line sum over L^(m-1): the
-line pass visits only the cells near the pinned particle.  Otherwise, and
-for the exact direct oracle, whose product of (1 + f) does not vanish on
-disconnected configurations, the sum runs over the lattice cells of the
-torus, falling back to per-graph periodic polytopes when no lattice fits.
+Polymer activities and the 2-connected graph sum of B*(k) are connected
+class sums (phi^T, the 2-connected recursion) with one particle pinned,
+integrated on the torus by ``weights.class_integral`` on the streams of
+b_m and beta_k.  The exact direct oracle integrates the product of
+(1 + f), which does not vanish on disconnected configurations, over the
+lattice cells of the torus itself (``weights.lattice_class_sum``).
 """
 
 from __future__ import annotations
@@ -51,23 +48,14 @@ from .series import TruncatedSeries, series_log
 from .graphs import enumerate_graphs  # noqa: F401
 from .weights import graph_weight_periodic_1d  # noqa: F401
 from .weights import (CoefficientEstimate, biconnected_sum_batch,
-                      lattice_class_sum, phi_t_batch, require_exact_1d,
-                      resolve_method, stream, torus_boltzmann_mc)
+                      class_integral, lattice_class_sum, phi_t_batch,
+                      require_exact_1d, resolve_method, stream,
+                      torus_boltzmann_mc)
 
 # Largest N of the exact direct oracle, which "auto" picks up to this size,
 # and of the Monte Carlo one.
 EXACT_ORACLE_MAX_N = 4
 MC_ORACLE_MAX_N = 8
-
-
-def _connected_class_sum(score, p: Potential, m: int, L: float) -> float:
-    """Normalized torus integral of a connected class sum ``score`` on m
-    particles, one of them pinned: the line pass over L^(m-1) when
-    (m - 1) * range, the most that m connected particles span, is below
-    L/2, and the torus pass otherwise."""
-    if (m - 1) * p.interaction_range < L / 2:
-        return lattice_class_sum(score, p, m) / L ** (m - 1)
-    return lattice_class_sum(score, p, m, L)
 
 
 def zeta(p: Potential, v_size: int, L: float) -> float:
@@ -82,7 +70,8 @@ def zeta(p: Potential, v_size: int, L: float) -> float:
     if v_size > 5:
         raise EnumerationTooLarge("polymer activities", v_size, 5,
                                   2 ** (v_size * (v_size - 1) // 2))
-    return _connected_class_sum(phi_t_batch, p, v_size, L)
+    return class_integral(phi_t_batch, p, v_size, "exact1d", 0, 0,
+                          ("b_n", v_size), L=L).value
 
 
 def zeta_scaling_bound(p: Potential, v_size: int, L: float) -> float:
@@ -207,8 +196,9 @@ def _coefficient(p: Potential, k: int, L: float, truncation: int | None,
     B = scale * total
     B_star_polymer = scale * graded[k]
 
-    star_graph = _connected_class_sum(biconnected_sum_batch, p, k + 1, L)
-    B_star_graph = scale * star_graph
+    B_star_graph = scale * class_integral(
+        biconnected_sum_batch, p, k + 1, "exact1d", 0, 0, ("beta_n", k),
+        L=L).value
     return {
         "B": B,
         "B_star": B_star_graph,

@@ -309,7 +309,7 @@ def _hard_rod_arc_volume(ell: float, k: int, sigma: float) -> float:
     """Integral over k labeled points in an arc of length ell between two
     rods, all consecutive gaps >= sigma (labeled, any order)."""
     free = ell - (k + 1) * sigma
-    return free ** k if free > 0 else 0.0
+    return free ** k if free >= 0 else 0.0
 
 
 def _hard_rod_boltzmann_volume(xs, N: int, L: float, sigma: float) -> float:
@@ -353,6 +353,8 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
     """
     if p.dimension != 1:
         raise ValueError("oracle is one-dimensional")
+    if N_max < 0:
+        raise ValueError("need N_max >= 0")
     if N_max > 6:
         raise EnumerationTooLarge("grand-canonical oracle particles", N_max, 6,
                                   2 ** (N_max * (N_max - 1) // 2))

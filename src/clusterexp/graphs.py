@@ -51,10 +51,8 @@ import numpy as np
 MAX_EXHAUSTIVE_N = 7
 MAX_TREE_N = 12
 MAX_ENRICHED_N = 8
-# edge masks per block of the walk, and graphs per slice converted to
-# Python ints while yielding a block
+# edge masks per block of the walk
 MASK_BLOCK = 1 << 14
-_YIELD_SLICE = 256
 
 
 class EnumerationTooLarge(ValueError):
@@ -340,19 +338,16 @@ def _enumerate(n: int, white_count: int, cls: GraphClass) -> Iterator[Graph]:
     columns that ``_blocks`` keeps."""
     for _high, adj, kept in _blocks(n, white_count, cls):
         # tolist() gives Python ints, which Graph.edges needs
-        for first in range(0, len(kept), _YIELD_SLICE):
-            cols = adj[:, kept[first:first + _YIELD_SLICE]].tolist()
-            for g in zip(*cols):
-                yield tuple.__new__(Graph, (n, g, white_count))
+        for g in zip(*adj[:, kept].tolist()):
+            yield tuple.__new__(Graph, (n, g, white_count))
 
 
 def _graphs_of_class(what: str, n: int, white_count: int,
                      cls: GraphClass) -> Iterator[Graph]:
     if cls is GraphClass.TREE:
-        yield from _trees(n, white_count)
-        return
+        return _trees(n, white_count)
     _check_cap(what, n, MAX_EXHAUSTIVE_N, 2 ** (n * (n - 1) // 2))
-    yield from _enumerate(n, white_count, cls)
+    return _enumerate(n, white_count, cls)
 
 
 def enumerate_graphs(n: int, cls: GraphClass) -> Iterator[Graph]:

@@ -24,13 +24,13 @@ f = 1 on every pair a class sum counts the labeled graphs of its class;
 the subset recursions keep the dtype of f, so ``count_graphs`` runs them
 in Python integers.
 
-``class_integral`` is the estimator of every coefficient and correlation
-order: it picks the path, gives 0 for f = 0, and draws Monte Carlo
-configurations from ``stream``, one spawn key per estimate.  The
-finite-volume oracles share its "auto" rule (``resolve_method``, told
-whether their exact path covers the input), the domain check of the exact
-paths (``require_exact_1d``) and one uniform-torus sampler
-(``torus_boltzmann_mc``).
+``class_integral`` is the estimator of every coefficient, correlation
+order and canonical class sum: it picks the path and the domain, gives 0
+for f = 0, and draws Monte Carlo configurations from ``stream``, one spawn
+key per estimate.  The finite-volume oracles share its "auto" rule
+(``resolve_method``, told whether their exact path covers the input), the
+domain check of the exact paths (``require_exact_1d``) and one
+uniform-torus sampler (``torus_boltzmann_mc``).
 """
 
 from __future__ import annotations
@@ -1019,24 +1019,35 @@ def stream(seed: int, family: str, *key: int) -> np.random.Generator:
 
 
 def class_integral(score, p: Potential, m: int, method: str, n_samples: int,
-                   seed: int, key: tuple,
-                   root_positions=None) -> CoefficientEstimate:
+                   seed: int, key: tuple, root_positions=None,
+                   L: float | None = None) -> CoefficientEstimate:
     """Integral of the class sum ``score`` on m vertices over the free
     ones, vertices 0..n-1 pinned at the rows of ``root_positions`` (n, d)
     (by default vertex 0 at the origin): ``lattice_class_sum`` or
     ``class_sum_mc`` on ``stream(seed, *key)``, as ``resolve_method``
     picks.  A class sum vanishes unless each free vertex is joined to a
     pinned one by f bonds, so for f = 0 it is +0.0, with nothing drawn,
-    once a vertex is free."""
+    once a vertex is free.  On the torus of side ``L``, vertex 0 pinned and
+    normalized by L^(d(m-1)), it is the free-space integral over that when
+    (m - 1) * range, the most the vertices span, is below L/2; otherwise
+    the exact path sums the torus cells, and Monte Carlo raises."""
     method = resolve_method(p, method)
     roots = np.zeros((1, p.dimension)) if root_positions is None else \
         np.asarray(root_positions, dtype=float).reshape(-1, p.dimension)
     if p.kind is Kind.ZERO and m > len(roots):
         return CoefficientEstimate(0.0, 0.0, method)
+    if L is not None and (m - 1) * p.interaction_range >= L / 2:
+        if method == "mc":
+            raise ValueError(f"Monte Carlo on the torus needs (m - 1) * "
+                             f"range < L/2 = {L / 2!r}, at m - 1 = {m - 1}")
+        return CoefficientEstimate(lattice_class_sum(score, p, m, L), 0.0,
+                                   "exact1d")
+    volume = 1 if L is None else L ** (p.dimension * (m - 1))
     if method == "exact1d":
         value = lattice_class_sum(score, p, m,
                                   root_positions=tuple(roots[:, 0].tolist()))
-        return CoefficientEstimate(value, 0.0, "exact1d")
+        return CoefficientEstimate(value / volume, 0.0, "exact1d")
     value, err = class_sum_mc(score, p, m, n_samples, stream(seed, *key),
                               root_positions=roots)
-    return CoefficientEstimate(value, err, "mc", n_samples, seed)
+    return CoefficientEstimate(value / volume, err / volume, "mc", n_samples,
+                               seed)

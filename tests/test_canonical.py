@@ -17,8 +17,9 @@ from clusterexp.canonical import (
 )
 from clusterexp.graphs import EnumerationTooLarge, GraphClass, enumerate_graphs
 from clusterexp.potentials import hard_rods, hard_spheres, square_well
-from clusterexp.weights import (biconnected_sum_batch, graph_weight_periodic_1d,
-                                lattice_class_sum, phi_t_batch)
+from clusterexp.weights import (CoefficientEstimate, biconnected_sum_batch,
+                                graph_weight_periodic_1d, lattice_class_sum,
+                                phi_t_batch)
 
 
 P = hard_rods()
@@ -213,8 +214,9 @@ def torus_B_k(monkeypatch, p, k, L):
     """canonical_B_k with every activity and the B* sum from the torus
     lattice pass, as before the line pass."""
     with monkeypatch.context() as mp:
-        mp.setattr(canonical, "_connected_class_sum",
-                   lambda score, p, m, L: lattice_class_sum(score, p, m, L))
+        mp.setattr(canonical, "class_integral",
+                   lambda score, p, m, *args, L: CoefficientEstimate(
+                       lattice_class_sum(score, p, m, L), 0.0, "exact1d"))
         return canonical_B_k(p, k, L)
 
 
@@ -231,6 +233,7 @@ class TestLinePass:
             seen.append((score, m, L))
             return lattice_class_sum(score, p, m, L, root_positions)
 
+        monkeypatch.setattr(weights, "lattice_class_sum", spy)
         monkeypatch.setattr(canonical, "lattice_class_sum", spy)
         return seen
 

@@ -241,6 +241,23 @@ class TestGrandCanonicalOracle:
         exact = gc_correlation_oracle(P, 1, [0.0], z=0.05, L=20.0)
         assert est.agrees_with(exact.value, n_sigma=4.0, atol=1e-4)
 
+    # the empty arc of exactly sigma between two rods at contact has
+    # volume 0^0 = 1
+    def test_pair_at_contact_is_continuous_and_agrees_with_mc(self):
+        at = gc_correlation_oracle(P, 2, [0.0, 1.0], z=0.1, L=20.0)
+        past = gc_correlation_oracle(P, 2, [0.0, 1.0 + 1e-7], z=0.1, L=20.0)
+        assert at.method == "exact1d"
+        assert at.value == pytest.approx(past.value, rel=1e-6)
+        mc = gc_correlation_oracle(P, 2, [0.0, 1.0], z=0.1, L=20.0,
+                                   method="mc", n_samples=200_000, seed=3)
+        assert mc.agrees_with(at.value, n_sigma=3.0, atol=0.0)
+
+    @pytest.mark.parametrize("method", ["exact1d", "mc"])
+    def test_negative_particle_cap_is_rejected(self, method):
+        with pytest.raises(ValueError, match="N_max >= 0"):
+            gc_correlation_oracle(P, 1, [0.0], z=0.1, L=10.0, N_max=-1,
+                                  method=method, n_samples=100)
+
 
 def random_pair_matrices(rng, batch, n):
     """Random symmetric pair matrices (batch, n, n) with entries in

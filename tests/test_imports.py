@@ -1,6 +1,7 @@
 """Every name a clusterexp module imports at module level is used in it,
-every top-level function and class of a module is used somewhere, and
-``import clusterexp`` loads no scipy module.
+every top-level function and class of a module is used somewhere,
+``import clusterexp`` loads no scipy module, and outside weights class sums
+are integrated through ``weights.class_integral`` alone.
 
 "Used somewhere" means loaded by name (bare, as an attribute or imported
 under another name) in src/, tests/, bench/ or demos/, outside the
@@ -164,3 +165,24 @@ def test_py_path_loads_no_scipy(tmp_path):
             f"'--out', {str(tmp_path / 'out.json')!r}]) == 0\n"
             f"print({LOADED_SCIPY})")
     assert _fresh_python(code).strip() == "[]"
+
+
+def _loaders(name: str) -> set:
+    """(module, top-level definition) of every load of ``name`` in the
+    package outside weights, the definition None at module level."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "weights":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if _loads(node)[name]:
+                found.add((path.stem, getattr(node, "name", None)))
+    return found
+
+
+def test_class_integral_is_the_only_entry_to_the_class_sums():
+    # the direct oracle's product of (1 + f) does not vanish on
+    # disconnected configurations, so it sums the torus cells itself
+    assert _loaders("lattice_class_sum") == {("canonical",
+                                              "direct_logZ_oracle")}
+    assert _loaders("class_sum_mc") == set()

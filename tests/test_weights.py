@@ -19,6 +19,7 @@ from clusterexp.weights import (
     STREAMS,
     CoefficientEstimate,
     biconnected_sum_batch,
+    class_integral,
     connected_sums,
     difference_polytope_volume,
     fbar_tree_sum_batch,
@@ -847,3 +848,68 @@ class TestEstimatorPolicy:
         assert {name: STREAMS[name]
                 for name in ("b_n", "beta_n", "a_n", "u", "rho", "h", "c")} \
             == {"b_n": 0, "beta_n": 1, "a_n": 2, "u": 3, "rho": 4, "h": 5, "c": 6}
+
+
+SQUARE_WELL_1D = square_well(sigma=1.0, lam=1.5, epsilon=1.0, beta=1.0,
+                             dimension=1)
+
+
+class TestTorusDomain:
+    """``class_integral(..., L=L)``: the free-space integral over
+    L^(d(m-1)) while (m - 1) * range < L/2, the torus cells from there."""
+
+    @pytest.mark.parametrize("p", [hard_rods(), SQUARE_WELL_1D],
+                             ids=["hard_rods", "square_well"])
+    @pytest.mark.parametrize("score", [phi_t_batch, biconnected_sum_batch],
+                             ids=["phi_t", "biconnected"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_line_regime_is_the_free_space_value_over_the_volume(self, p,
+                                                                 score, m):
+        L = 20.0
+        free = class_integral(score, p, m, "exact1d", 0, 0, ("b_n", m))
+        got = class_integral(score, p, m, "exact1d", 0, 0, ("b_n", m), L=L)
+        assert got == CoefficientEstimate(free.value / L ** (m - 1), 0.0,
+                                          "exact1d")
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_line_regime_monte_carlo_in_3d(self, m):
+        p, L = hard_spheres(), 10.0
+        free = class_integral(phi_t_batch, p, m, "mc", 2_000, 5, ("b_n", m))
+        got = class_integral(phi_t_batch, p, m, "mc", 2_000, 5, ("b_n", m),
+                             L=L)
+        volume = L ** (3 * (m - 1))
+        assert got == CoefficientEstimate(free.value / volume,
+                                          free.std_error / volume, "mc",
+                                          2_000, 5)
+
+    # hard rods: (m - 1) * sigma is L/2 at (3, 4.0) and past it at (4, 5.0);
+    # the square well (range 1.5) is past it at L = 7 from m = 4
+    @pytest.mark.parametrize("p,m,L", [(hard_rods(), 3, 4.0),
+                                       (hard_rods(), 4, 5.0),
+                                       (SQUARE_WELL_1D, 3, 6.0),
+                                       (SQUARE_WELL_1D, 4, 7.0)])
+    @pytest.mark.parametrize("score", [phi_t_batch, biconnected_sum_batch],
+                             ids=["phi_t", "biconnected"])
+    def test_at_and_past_the_bound_sums_the_torus_cells(self, p, m, L, score):
+        got = class_integral(score, p, m, "exact1d", 0, 0, ("b_n", m), L=L)
+        assert got == CoefficientEstimate(lattice_class_sum(score, p, m, L),
+                                          0.0, "exact1d")
+
+    @pytest.mark.parametrize("p,m,L", [(hard_rods(), 3, 4.0),
+                                       (hard_spheres(), 3, 3.9),
+                                       (SQUARE_WELL_1D, 4, 7.0)])
+    def test_monte_carlo_past_the_bound_raises(self, monkeypatch, p, m, L):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("class_sum_mc called")
+
+        monkeypatch.setattr(weights, "class_sum_mc", no_draws)
+        with pytest.raises(ValueError, match=r"\(m - 1\) \* range < L/2"):
+            class_integral(phi_t_batch, p, m, "mc", 100, 0, ("b_n", m), L=L)
+
+    @pytest.mark.parametrize("method", ["exact1d", "mc"])
+    def test_zero_potential_gives_positive_zero(self, method):
+        for m in (2, 3, 4):
+            got = class_integral(phi_t_batch, zero_potential(), m, method,
+                                 100, 0, ("b_n", m), L=5.0)
+            assert got.value == 0.0
+            assert math.copysign(1.0, got.value) == 1.0
