@@ -36,7 +36,10 @@ def estimator_name(method: str, samples: int, seed: int) -> str:
     ``samples`` configurations per coefficient, from a stream derived from
     ``seed``.  Records keyed "mc ..." (per-graph estimates) or "mc-class
     ..." (edges drawn from fbar, which differs from |f| for the square
-    well and Lennard-Jones) never answer it."""
+    well and Lennard-Jones) never answer it.  An unseeded Monte Carlo
+    estimate has no key, and raises."""
+    if method == "mc" and seed is None:
+        raise ValueError("a Monte Carlo estimate needs a seed, got None")
     return f"mc-class-absf samples={samples} seed={seed}" if method == "mc" else method
 
 

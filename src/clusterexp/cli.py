@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -31,8 +32,7 @@ import numpy as np
 from .catalog import (CODE_VERSION, CatalogKey, CoefficientTable, estimator_name,
                       potential_hash)
 from .catalog import gc as catalog_gc
-from .canonical import (MC_ORACLE_MAX_N, canonical_free_energy,
-                        direct_logZ_oracle, oracle_method)
+from .canonical import canonical_free_energy, direct_logZ_oracle
 from .coefficients import irreducible_beta_n, mayer_b_n
 from .convergence import activity_radius, canonical_radius
 from .correlations import h_n_density
@@ -178,13 +178,6 @@ def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
     return section
 
 
-_POTENTIAL_KEYS = {
-    "hard_rods": {"sigma", "beta"},
-    "hard_spheres": {"sigma", "beta", "dimension"},
-    "square_well": {"sigma", "lam", "epsilon", "beta", "dimension"},
-    "lennard_jones": {"sigma", "epsilon", "beta", "cutoff", "dimension"},
-    "zero": {"beta", "dimension"},
-}
 _POTENTIAL_FACTORIES = {
     "hard_rods": hard_rods,
     "hard_spheres": hard_spheres,
@@ -200,15 +193,17 @@ def potential_from_config(section) -> "Potential":
     if not isinstance(kind, str) or kind not in _POTENTIAL_FACTORIES:
         raise SchemaError(f"unknown potential kind {kind!r}; "
                           f"expected one of {sorted(_POTENTIAL_FACTORIES)}")
+    factory = _POTENTIAL_FACTORIES[kind]
     params = {k: v for k, v in section.items() if k != "kind"}
-    _check_keys(params, _POTENTIAL_KEYS[kind], f"potential ({kind})")
+    _check_keys(params, set(inspect.signature(factory).parameters),
+                f"potential ({kind})")
     for key, value in params.items():
         # checked, not converted: the label, and with it the catalog key,
         # keeps each value as the config wrote it
         (_int_field if key == "dimension" else _float_field)(
             value, f"potential.{key}")
     try:
-        return _POTENTIAL_FACTORIES[kind](**params)
+        return factory(**params)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad potential parameters: {exc}") from exc
 
@@ -241,14 +236,6 @@ def _catalog_path(cfg: dict) -> str | None:
     if "path" not in catalog:
         return None
     return _typed_field(catalog["path"], "catalog.path", str, "a string")
-
-
-def _require_seed(mc: dict, p, method: str) -> int:
-    # seed is mandatory whenever the Monte Carlo path is active
-    if resolve_method(p, method) == "mc" and mc["seed"] is None:
-        raise SchemaError("Monte Carlo evaluation requires --seed "
-                          "(or mc.seed in the config)")
-    return mc["seed"] or 0
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +278,7 @@ def _coefficient_table(p, kind: str, orders: range, mc: dict, method: str,
                        cat: CoefficientTable) -> dict:
     """The coefficients ``kind`` ("b_n" or "beta_n") at ``orders``,
     through the catalog."""
-    seed = _require_seed(mc, p, method)
+    seed = mc["seed"]
     estimator = estimator_name(resolve_method(p, method), mc["samples"], seed)
     ph = potential_hash(p)
     compute = mayer_b_n if kind == "b_n" else irreducible_beta_n
@@ -391,14 +378,8 @@ def _cmd_canonical(cfg: dict, args) -> _Result:
         },
     }
     if oracle:
-        # above the MC cap the oracle raises before it samples, so the cap
-        # is reported rather than a missing seed
-        if (oracle_method(p, N, "auto") == "mc" and N <= MC_ORACLE_MAX_N
-                and mc["seed"] is None):
-            raise SchemaError(f"oracle for N = {N} is Monte Carlo; "
-                              "--seed required")
         direct = direct_logZ_oracle(p, N, L, n_samples=mc["samples"],
-                                    seed=mc["seed"] or 0)
+                                    seed=mc["seed"])
         payload["oracle"] = asdict(direct)
         payload["expansion_minus_oracle"] = exp.log_z - direct.value
     return payload, None, None
@@ -411,7 +392,6 @@ def _cmd_correlations(cfg: dict, args) -> _Result:
     K = _int_field(cfg.get("K", 1), "K", 0)
     method = _typed_field(cfg.get("method", "auto"), "method", str, "a string")
     mc = _mc_section(cfg, args.seed)
-    seed = _require_seed(mc, p, method)
     if "r_values" in cfg:
         rs = [_float_field(r, "r_values item") for r in
               _typed_field(cfg["r_values"], "r_values", list, "a list")]
@@ -426,7 +406,7 @@ def _cmd_correlations(cfg: dict, args) -> _Result:
     errs: list[list[float]] = [[] for _ in range(K + 1)]
     for r in rs:
         s = h_n_density(p, 2, [0.0, r], K, method=method,
-                        n_samples=mc["samples"], seed=seed)
+                        n_samples=mc["samples"], seed=mc["seed"])
         for k in range(K + 1):
             orders[k].append(float(s.values[k]))
             errs[k].append(float(s.std_errors[k]))

@@ -1013,7 +1013,10 @@ STREAMS = {"b_n": 0, "beta_n": 1, "a_n": 2, "u": 3, "rho": 4, "h": 5, "c": 6,
 
 def stream(seed: int, family: str, *key: int) -> np.random.Generator:
     """The generator of the estimate keyed (family, *key): independent of
-    every other key's for one seed."""
+    every other key's for one seed.  A seed of None, which numpy would
+    fill from OS entropy, raises: every draw is reproducible."""
+    if seed is None:
+        raise ValueError("a Monte Carlo draw needs a seed, got None")
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(STREAMS[family], *key)))
 

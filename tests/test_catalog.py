@@ -42,6 +42,12 @@ class TestKeys:
                  [(2000, 4), (2000, 9), (200_000, 4)]}
         assert len(names) == 3 and "exact1d" not in names
 
+    def test_unseeded_monte_carlo_has_no_name(self):
+        with pytest.raises(ValueError, match="needs a seed"):
+            estimator_name("mc", 2000, None)
+        # an exact estimate takes no seed
+        assert estimator_name("exact1d", 2000, None) == "exact1d"
+
 
 class TestTable:
     def test_insert_and_get(self, tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from clusterexp.canonical import EXACT_ORACLE_MAX_N, canonical_B_k, prefactor
 from clusterexp.catalog import CatalogKey, append_record, potential_hash
 from clusterexp.cli import (EXIT_CAP, EXIT_NONCONV, EXIT_OK, EXIT_SCHEMA,
-                            build_parser, dumps, main, to_csv)
+                            SchemaError, build_parser, dumps, main,
+                            potential_from_config, to_csv)
 from clusterexp.coefficients import irreducible_beta_n, mayer_b_n
 from clusterexp.convergence import activity_radius, canonical_radius
 from clusterexp.ozpy import RadialGrid, solve_py
@@ -168,6 +169,16 @@ class TestVirialAndEos:
         assert code == EXIT_SCHEMA
         assert "seed" in err
 
+    def test_seedless_mc_writes_no_catalog(self, capsys, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        cfg = write_config(tmp_path, "hs.json",
+                           {"potential": {"kind": "hard_spheres"}, "order": 3,
+                            "mc": {"samples": 500},
+                            "catalog": {"path": str(path)}})
+        code, out, _ = run_cli(capsys, ["virial", "--config", cfg])
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert not path.exists()
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {"orderr": 3})
         code, _, err = run_cli(capsys, ["virial", "--config", cfg])
@@ -197,6 +208,25 @@ class TestVirialAndEos:
                            {"potential": {"kind": "soft_disk"}})
         code, _, _ = run_cli(capsys, ["virial", "--config", cfg])
         assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("kind,keys", [
+        ("hard_rods", {"sigma", "beta"}),
+        ("hard_spheres", {"sigma", "beta", "dimension"}),
+        ("square_well", {"sigma", "lam", "epsilon", "beta", "dimension"}),
+        ("lennard_jones", {"sigma", "epsilon", "beta", "cutoff", "dimension"}),
+        ("zero", {"beta", "dimension"}),
+    ])
+    def test_potential_keys_are_the_factory_parameters(self, kind, keys):
+        values = {"sigma": 1.25, "beta": 0.5, "dimension": 1, "lam": 1.75,
+                  "epsilon": 2.0, "cutoff": 2.5}
+        p = potential_from_config({"kind": kind,
+                                   **{k: values[k] for k in keys}})
+        assert {k: getattr(p, k) for k in keys} == \
+            {k: values[k] for k in keys}
+        # a key of another kind, or a typo, is still rejected
+        for key in sorted(set(values) - keys) + ["sigmaa"]:
+            with pytest.raises(SchemaError, match="unknown keys in potential"):
+                potential_from_config({"kind": kind, key: values.get(key, 1)})
 
 
 class TestFloatFields:
@@ -527,7 +557,17 @@ class TestCanonical:
                            {"N": EXACT_ORACLE_MAX_N + 1, "L": 30.0, "K": 1})
         code, _, err = run_cli(capsys, ["canonical", "--config", cfg])
         assert code == EXIT_SCHEMA
-        assert "--seed required" in err
+        assert err == ("error (schema): ValueError: a Monte Carlo draw needs "
+                       "a seed, got None\n")
+
+    def test_mc_oracle_that_draws_nothing_needs_no_seed(self, capsys,
+                                                        tmp_path):
+        # six rods do not fit in L = 5: -inf, with nothing drawn
+        cfg = write_config(tmp_path, "can.json", {"N": 6, "L": 5.0, "K": 1})
+        code, out, _ = run_cli(capsys, ["canonical", "--config", cfg])
+        assert code == EXIT_OK
+        oracle = json.loads(out)["results"]["oracle"]
+        assert (oracle["value"], oracle["method"]) == ("-inf", "mc")
 
     def test_exact_oracle_prints_minus_inf_when_rods_do_not_fit(
             self, capsys, tmp_path):

@@ -105,6 +105,13 @@ class TestMethodDispatch:
         b = mayer_b_n(hard_spheres(), 3, n_samples=2_000, seed=9)
         assert a.value == b.value
 
+    def test_mc_without_a_seed_raises_instead_of_drawing(self):
+        with pytest.raises(ValueError, match="needs a seed"):
+            mayer_b_n(hard_spheres(), 3, "mc", 2000, None)
+        # the exact path draws nothing and takes no seed
+        assert mayer_b_n(hard_rods(), 3, "exact1d", 2000, None) == \
+            mayer_b_n(hard_rods(), 3, "exact1d")
+
     def test_mc_orders_beyond_cap_raise(self):
         # 10^12 samples would never finish: the cap comes before any draw
         with pytest.raises(EnumerationTooLarge):

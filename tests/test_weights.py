@@ -842,6 +842,11 @@ class TestEstimatorPolicy:
             == (float(p.boltzmann(1.3)), 0.0)
         assert rng.bit_generator.state == state
 
+    def test_stream_refuses_a_missing_seed(self):
+        # numpy would fill a None seed from OS entropy
+        with pytest.raises(ValueError, match="needs a seed"):
+            weights.stream(None, "b_n", 2)
+
     def test_stream_tags(self):
         assert len(set(STREAMS.values())) == len(STREAMS)
         # these tags fix every coefficient and series Monte Carlo value
