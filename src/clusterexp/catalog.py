@@ -77,9 +77,6 @@ class CoefficientTable:
     def __len__(self):
         return len(self._data)
 
-    def __contains__(self, key: CatalogKey):
-        return key in self._data
-
     def get(self, key: CatalogKey) -> CoefficientEstimate | None:
         return self._data.get(key)
 

@@ -44,8 +44,12 @@ class RadialGrid:
     n_points: int = 4095
 
     def __post_init__(self):
-        if self.dr <= 0 or self.n_points < 16:
-            raise ValueError("need dr > 0 and a nontrivial grid")
+        if not (math.isfinite(self.dr) and self.dr > 0):
+            raise ValueError(f"need a finite dr > 0, got {self.dr!r}")
+        if not isinstance(self.n_points, (int, np.integer)) or \
+                self.n_points < 16:
+            raise ValueError("need an integer n_points >= 16 for a nontrivial "
+                             f"grid, got {self.n_points!r}")
 
     @property
     def r(self) -> np.ndarray:

@@ -53,10 +53,21 @@ class Potential:
     cutoff: float | None = None
 
     def __post_init__(self):
+        for name in ("sigma", "epsilon", "lam", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        # beta = 0 is the hard-core limit; beta < 0 flips every bound
+        if self.beta < 0:
+            raise ValueError(f"beta must be nonnegative, got {self.beta!r}")
+        if self.cutoff is not None and not (math.isfinite(self.cutoff)
+                                            and self.cutoff > 0):
+            raise ValueError(f"cutoff must be finite and positive, got "
+                             f"{self.cutoff!r}")
         if self.kind is Kind.SQUARE_WELL and self.lam <= 1:
             raise ValueError("square well needs lambda > 1")
         if self.kind is Kind.HARD_ROD and self.dimension != 1:

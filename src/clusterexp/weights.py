@@ -509,6 +509,11 @@ class CoefficientEstimate:
     def __post_init__(self):
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
+        for name in ("samples", "seed"):
+            # a catalog record writes both, and reads them back as ints
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an int, got "
+                                 f"{getattr(self, name)!r}")
         if self.method == "exact1d" and self.std_error != 0:
             raise ValueError("exact estimates carry no statistical error")
 

@@ -59,6 +59,20 @@ class TestTable:
         t2 = CoefficientTable(path)
         assert t2.get(key()).value == -1.0
 
+    def test_writes_only_records_it_reads_back(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        t = CoefficientTable(str(path))
+        # a record's samples and seed are read back with int()
+        for samples, seed in [(2000, None), (2000.0, 4), (2000, "4")]:
+            with pytest.raises(ValueError, match="must be an int"):
+                t.insert(key(estimator=estimator_name("mc", 2000, 4)),
+                         CoefficientEstimate(7.39, 0.01, "mc", samples, seed))
+        assert not path.exists()
+        est = CoefficientEstimate(7.39, 0.01, "mc", 2000, 4)
+        t.insert(key(estimator=estimator_name("mc", 2000, 4)), est)
+        assert CoefficientTable(str(path)).get(
+            key(estimator=estimator_name("mc", 2000, 4))) == est
+
     def test_duplicate_consistent_is_deduplicated(self):
         t = CoefficientTable()
         t.insert(key(), CoefficientEstimate(-1.0, 0.1, "mc", 10))

@@ -430,6 +430,9 @@ class TestSchemaGuard:
         ("virial", {"catalog": {"pth": "x.jsonl"}}, "unknown keys in catalog"),
         ("ozpy", {"rho": 0.1, "grid": {"dimension": 3}}, "unknown keys in grid"),
         ("correlations", {"n": 2}, "unknown keys in correlations config"),
+        ("radius", {"potential": {"kind": "square_well", "dimension": 1,
+                                  "beta": -3}},
+         "bad potential parameters: beta must be nonnegative"),
     ])
     def test_flags_paths_and_dropped_keys(self, capsys, tmp_path, command, cfg,
                                           message):

@@ -73,6 +73,24 @@ class TestDensitySeries:
         assert outside.values[0] == pytest.approx(0.0, abs=1e-10)
         assert outside.values[1] == pytest.approx(0.0, abs=1e-10)
 
+    def test_exact_path_takes_hard_rods_only(self):
+        with pytest.raises(ValueError,
+                           match="exact oracle path covers hard rods only"):
+            gc_correlation_oracle(square_well(dimension=1), 2, [0.0, 1.7],
+                                  0.1, 10.0, method="exact1d")
+
+    @pytest.mark.parametrize("method", ["exact1d", "mc"])
+    def test_zero_activity_integrates_nothing(self, monkeypatch, method):
+        def refuse(*args):
+            raise AssertionError("integrated at z = 0")
+
+        monkeypatch.setattr(correlations, "torus_boltzmann_mc", refuse)
+        monkeypatch.setattr(correlations, "_hard_rod_boltzmann_volume", refuse)
+        for n, want in [(0, 1.0), (1, 0.0), (2, 0.0)]:
+            est = gc_correlation_oracle(SQUARE_WELL, n, [0.0, 1.7][:n], 0.0,
+                                        10.0, method=method, seed=None)
+            assert (est.value, est.std_error) == (want, 0.0)
+
     @pytest.mark.parametrize("method", ["exact", "quadrature"])
     def test_unknown_method_rejected(self, method):
         with pytest.raises(ValueError, match="unknown method"):
@@ -123,6 +141,8 @@ class TestConvolution:
         assert lens_volume(sigma, 0.0) == pytest.approx(4.0 * math.pi / 3.0,
                                                         abs=1e-12)
         assert lens_volume(sigma, 2.0 * sigma) == pytest.approx(0.0, abs=1e-12)
+        # balls farther apart than 2 sigma do not meet
+        assert lens_volume(sigma, 2.5) == 0.0
         # MC oracle at r = 1
         rng = np.random.default_rng(0)
         pts = rng.uniform(-1.0, 1.0, size=(400_000, 3))

@@ -50,6 +50,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             RadialGrid(dr=-0.1, n_points=100)
 
+    @pytest.mark.parametrize("dr", [math.nan, math.inf])
+    def test_rejects_a_non_finite_step(self, dr):
+        with pytest.raises(ValueError, match="need a finite dr > 0"):
+            RadialGrid(dr=dr)
+
+    @pytest.mark.parametrize("n_points", [100.5, 100.0, "100"])
+    def test_rejects_a_non_integer_size(self, n_points):
+        with pytest.raises(ValueError, match="integer n_points >= 16"):
+            RadialGrid(n_points=n_points)
+        assert len(RadialGrid(n_points=np.int64(100)).r) == 100
+
     def test_solver_takes_d_from_the_potential(self):
         # the grid has no dimension: d = 2 is the potential's, and rejected
         with pytest.raises(ValueError, match="d = 1 or 3"):

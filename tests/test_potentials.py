@@ -82,6 +82,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             square_well(lam=1.0)
 
+    @pytest.mark.parametrize("name", ["sigma", "epsilon", "lam", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameters(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            square_well(**{name: value})
+
+    def test_rejects_negative_beta(self):
+        # at beta < 0 the well's Mayer f is small and every certificate
+        # bound would be unproven
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            square_well(epsilon=1.0, beta=-1.0, dimension=3)
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            square_well(beta=-3.0, dimension=1)
+        # beta = 0 is the hard-core limit
+        assert float(hard_spheres(beta=0.0).mayer_f(0.5)) == -1.0
+
+    @pytest.mark.parametrize("cutoff", [0.0, -2.5, math.inf, math.nan])
+    def test_rejects_bad_cutoff(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be finite and "
+                                             "positive"):
+            lennard_jones(cutoff=cutoff)
+        assert lennard_jones(cutoff=None).interaction_range == math.inf
+
     def test_hard_rods_are_1d(self):
         from clusterexp.potentials import Potential
         with pytest.raises(ValueError):

@@ -345,6 +345,11 @@ class TestBatches:
         assert len(set(patterns)) == len(patterns) <= 2 ** 10
         assert sum(tree_rows) == len(patterns) < 5000
 
+    def test_no_samples_raise(self):
+        with pytest.raises(ValueError, match="n_samples >= 1"):
+            weights.class_sum_mc(phi_t_batch, hard_spheres(), 3, 0,
+                                 np.random.default_rng(1))
+
     def test_pattern_codes_wider_than_63_bits_raise_before_drawing(
             self, monkeypatch):
         class NoDraws:
@@ -367,6 +372,12 @@ class TestCoefficientEstimate:
             CoefficientEstimate(1.0, -0.1, "mc")
         with pytest.raises(ValueError):
             CoefficientEstimate(1.0, 0.5, "exact1d")
+
+    @pytest.mark.parametrize("fields", [{"seed": None}, {"seed": 4.0},
+                                        {"samples": 2000.0}, {"samples": None}])
+    def test_samples_and_seed_are_ints(self, fields):
+        with pytest.raises(ValueError, match="must be an int"):
+            CoefficientEstimate(7.39, 0.01, "mc", **fields)
 
     def test_agrees_with(self):
         est = CoefficientEstimate(1.0, 0.1, "mc", samples=10)
@@ -520,6 +531,10 @@ SQUARE_WELLS = {lam: square_well(sigma=1.0, lam=lam, epsilon=1.0, beta=1.0,
 
 class TestLatticeClassSum:
     """Class sums over lattice cells against the per-graph polytope sums."""
+
+    def test_torus_pins_one_vertex(self):
+        with pytest.raises(ValueError, match="the torus pins one vertex"):
+            lattice_class_sum(phi_t_batch, hard_rods(), 3, 10.0, (0.0, 0.5))
 
     @pytest.mark.parametrize("cls", ["connected", "biconnected", "kernel"])
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
