@@ -65,8 +65,6 @@ def zeta(p: Potential, v_size: int, L: float) -> float:
     require_exact_1d(p, L)
     if v_size < 1:
         raise ValueError("polymer size must be >= 1")
-    if v_size == 1:
-        return 1.0
     if v_size > 5:
         raise EnumerationTooLarge("polymer activities", v_size, 5,
                                   2 ** (v_size * (v_size - 1) // 2))
@@ -290,8 +288,9 @@ def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
     lattice cells of the torus (N <= EXACT_ORACLE_MAX_N) and raises when
     the integral is not positive although the cores fit; the MC route
     averages e^{-beta H} over uniform configurations
-    (``torus_boltzmann_mc``, N <= MC_ORACLE_MAX_N) and raises when no
-    sample has nonzero weight.  A larger N raises ``EnumerationTooLarge``.
+    (``torus_boltzmann_mc``, N <= MC_ORACLE_MAX_N), draws nothing at
+    N = 1, which has no pair, and raises when no sample has nonzero weight.
+    A larger N raises ``EnumerationTooLarge``.
     """
     require_exact_1d(p)
     method = oracle_method(p, N, method)
@@ -312,6 +311,9 @@ def direct_logZ_oracle(p: Potential, N: int, L: float, method: str = "auto",
                              f"particles at L = {L} is {total!r}, not "
                              "positive, although their hard cores fit")
         return CoefficientEstimate(ideal + math.log(total), 0.0, "exact1d")
+    if N == 1:
+        # one particle has no pair: Z = L, with nothing to draw
+        return CoefficientEstimate(ideal, 0.0, "mc")
     mean, stderr = torus_boltzmann_mc(p, L, (), N, n_samples,
                                       stream(seed, "direct_logZ", N))
     if not mean:

@@ -26,8 +26,7 @@ from .potentials import Potential
 from .graphs import enumerate_graphs  # noqa: F401
 from .weights import graph_weight_exact_1d, graph_weight_mc  # noqa: F401
 from .weights import (CoefficientEstimate, biconnected_sum_batch,
-                      class_integral, kernel_sum_batch, phi_t_batch,
-                      resolve_method)
+                      class_integral, kernel_sum_batch, phi_t_batch)
 
 
 def _scaled(est: CoefficientEstimate, factor: float) -> CoefficientEstimate:
@@ -38,11 +37,10 @@ def _scaled(est: CoefficientEstimate, factor: float) -> CoefficientEstimate:
 def mayer_b_n(p: Potential, n: int, method: str = "auto",
               n_samples: int = 100_000, seed: int = 0) -> CoefficientEstimate:
     """b_n = (1/n!) sum over connected graphs on n labeled vertices of the
-    rooted weight.  b_1 = 1 for any potential."""
+    rooted weight.  b_1 = 1 for any potential: its one vertex is pinned,
+    so nothing is integrated or drawn."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n == 1:
-        return CoefficientEstimate(1.0, 0.0, resolve_method(p, method))
     est = class_integral(phi_t_batch, p, n, method, n_samples, seed, ("b_n", n))
     return _scaled(est, 1.0 / math.factorial(n))
 

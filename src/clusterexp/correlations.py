@@ -39,9 +39,9 @@ from .potentials import Kind, Potential
 # --trace 1 runs fail at install without them.
 from .graphs import enumerate_bicolored  # noqa: F401
 from .weights import graph_weight_exact_1d, graph_weight_mc  # noqa: F401
-from .weights import (CoefficientEstimate, _subset_phis, biconnected_sum_batch,
-                      class_integral, phi_t_batch, resolve_method, stream,
-                      torus_boltzmann_mc)
+from .weights import (CoefficientEstimate, _as_positions, _subset_phis,
+                      biconnected_sum_batch, class_integral, phi_t_batch,
+                      resolve_method, stream, torus_boltzmann_mc)
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,6 @@ class CorrelationSeries:
     def __post_init__(self):
         if len(self.values) != len(self.std_errors):
             raise ValueError("values and std_errors must align")
-
-
-def _as_positions(positions, d: int):
-    """(n, d) coordinates; bare scalars are placed along the first axis."""
-    pts = np.asarray(positions, dtype=float)
-    if pts.ndim == 1:
-        out = np.zeros((len(pts), d))
-        out[:, 0] = pts
-        return out
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != d:
-        raise ValueError(f"positions must be (n, {d})")
-    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +172,16 @@ def h_n_density(p: Potential, n: int, positions, K: int, method: str = "auto",
                    method, n_samples, seed)
 
 
-def _pair_positions(p: Potential, r: float):
-    """Two points at separation r, along the first axis."""
-    if p.dimension == 1:
-        return (0.0, r)
-    return np.array([[0.0] * p.dimension, [r] + [0.0] * (p.dimension - 1)])
-
-
 def c2_density(p: Potential, r: float, K: int, method: str = "auto",
                n_samples: int = 100_000, seed: int = 0) -> CorrelationSeries:
     """Direct correlation function series: 2-connected graphs on 2 whites
     pinned at separation r."""
-    return _series(p, 2, _pair_positions(p, r), K, biconnected_sum_batch, "c",
+    return _series(p, 2, (0.0, r), K, biconnected_sum_batch, "c",
                    "rho", method, n_samples, seed)
 
 
 def h2_density_at(p: Potential, r: float, K: int, **kw) -> CorrelationSeries:
-    return h_n_density(p, 2, _pair_positions(p, r), K, **kw)
+    return h_n_density(p, 2, (0.0, r), K, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +329,7 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
     "auto" is exact for hard rods, via the arc decomposition of the
     excluded-volume indicator, and Monte Carlo otherwise: for each N the
     numerator and then the denominator from ``torus_boltzmann_mc``, on one
-    stream per N.
+    stream per N >= 1; N = 0 draws nothing and needs no seed.
     """
     if p.dimension != 1:
         raise ValueError("oracle is one-dimensional")
@@ -378,8 +358,9 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
     num, num_var = 0.0, 0.0
     den, den_var = 0.0, 0.0
     for N in range(N_max + 1):
-        # each N draws from its own stream, apart from the other N
-        rng = stream(seed, "gc_oracle", n, N)
+        # each N >= 1 draws from its own stream, apart from the other N;
+        # N = 0 draws nothing
+        rng = stream(seed, "gc_oracle", n, N) if N else None
         mean_num, err_num = torus_boltzmann_mc(p, L, xs, N, n_samples, rng)
         mean_den, err_den = torus_boltzmann_mc(p, L, (), N, n_samples, rng)
         coef_num = z ** (n + N) * L ** N / math.factorial(N)
@@ -391,4 +372,6 @@ def gc_correlation_oracle(p: Potential, n: int, positions, z: float, L: float,
     value = num / den
     stderr = abs(value) * math.hypot(math.sqrt(num_var) / max(num, 1e-300),
                                      math.sqrt(den_var) / den)
+    if not N_max:
+        return CoefficientEstimate(value, stderr, "mc")
     return CoefficientEstimate(value, stderr, "mc", n_samples, seed)

@@ -23,8 +23,8 @@ pointwise values, so g at a hard-core diameter is the contact value.
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,19 +215,27 @@ STALL_WINDOW = 50
 STALL_RATIO = 0.9
 
 
-# The convolver of the last grid and dimension, and the Anderson ring
-# buffers of the last grid size.  Solves on one grid reuse them instead of
-# allocating about 0.5 MB afresh, which the C allocator can hand back to
-# the system after each solve and fault in again at the next.  Solves in
-# concurrent threads would share them, so the solves of one process must
-# run one at a time.
-_convolver = functools.lru_cache(maxsize=1)(_Convolver)
+# Each thread keeps the workspace of its last grid and dimension: the
+# convolver and the two Anderson ring buffers.  Solves on one grid reuse it
+# instead of allocating about 0.5 MB afresh, which the C allocator can hand
+# back to the system after each solve and fault in again at the next; a
+# solve in another thread has its own, as the convolver and the buffers
+# hold the state of a solve in progress.
+_local = threading.local()
 
 
-@functools.lru_cache(maxsize=1)
-def _anderson_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two (ANDERSON_DEPTH, n) ring buffers of ``solve_py``."""
-    return np.empty((ANDERSON_DEPTH, n)), np.empty((ANDERSON_DEPTH, n))
+def _workspace(grid: RadialGrid, d: int):
+    """This thread's convolver of (grid, d) and the two
+    (ANDERSON_DEPTH, n) ring buffers of ``solve_py``."""
+    if getattr(_local, "key", None) != (grid, d):
+        # the last workspace goes before the next is allocated, so that a
+        # thread never holds two
+        _local.key = _local.workspace = None
+        n = grid.n_points
+        _local.workspace = (_Convolver(grid, d), np.empty((ANDERSON_DEPTH, n)),
+                            np.empty((ANDERSON_DEPTH, n)))
+        _local.key = (grid, d)
+    return _local.workspace
 
 
 def check_solve_inputs(rho: float, alpha: float, tol: float,
@@ -293,11 +301,10 @@ def solve_py(p: Potential, rho: float, grid: RadialGrid | None = None,
         raise ValueError("grid must extend to at least 10 sigma")
     boltz = _boltzmann_weights(p, grid)
     f = boltz - 1.0
-    conv = _convolver(grid, d)
+    conv, d_res, d_step = _workspace(grid, d)
 
     n = grid.n_points
     t = np.zeros(n)
-    d_res, d_step = _anderson_buffers(n)
     gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
     stored = 0
     last = None
@@ -379,7 +386,7 @@ def oz_selfconsistency(p: Potential, sol: RadialFunctions) -> float:
     boltz = _boltzmann_weights(p, sol.grid)
     c = (boltz - 1.0) * sol.y
     h = boltz * sol.y - 1.0
-    conv = _convolver(sol.grid, p.dimension)
+    conv = _workspace(sol.grid, p.dimension)[0]
     return float(np.max(np.abs(h - c - sol.rho * conv.convolve(c, h))))
 
 

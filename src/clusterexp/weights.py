@@ -25,7 +25,8 @@ the subset recursions keep the dtype of f, so ``count_graphs`` runs them
 in Python integers.
 
 ``class_integral`` is the estimator of every coefficient, correlation
-order and canonical class sum: it picks the path and the domain, gives 0
+order and canonical class sum: it reads the pinned positions, scores a
+configuration with no free vertex, picks the path and the domain, gives 0
 for f = 0, and draws Monte Carlo configurations from ``stream``, one spawn
 key per estimate.  The finite-volume oracles share its "auto" rule
 (``resolve_method``, told whether their exact path covers the input), the
@@ -601,12 +602,12 @@ def torus_boltzmann_mc(p: Potential, L: float, fixed, N: int,
                        rng: np.random.Generator) -> tuple[float, float]:
     """Mean and standard error of e^{-beta H} over configurations of the 1D
     points ``fixed`` and N points drawn uniformly on the length-L torus,
-    with minimum-image distances.  With N = 0 nothing is drawn and the
-    value is exact."""
+    with minimum-image distances.  With N = 0 nothing is drawn, ``rng`` is
+    not touched (it may be None) and the value is exact."""
     rows = n_samples if N else 1
-    x = np.concatenate([np.broadcast_to(np.asarray(fixed, dtype=float),
-                                        (rows, len(fixed))),
-                        rng.uniform(0.0, L, size=(rows, N))], axis=1)
+    x = np.broadcast_to(np.asarray(fixed, dtype=float), (rows, len(fixed)))
+    if N:
+        x = np.concatenate([x, rng.uniform(0.0, L, size=(rows, N))], axis=1)
     boltz = np.ones(rows)
     for i, j in itertools.combinations(range(x.shape[1]), 2):
         dx = np.abs(x[:, i] - x[:, j]) % L
@@ -631,6 +632,19 @@ def graph_weight_mc(g: Graph, p: Potential, n_samples: int,
 # Internally a batch of subset values is a (2^n, B) array: row S holds the
 # value on vertex subset S (bit v set when vertex v is in S) for every
 # configuration of the batch.
+
+def _as_positions(positions, d: int):
+    """(n, d) coordinates; bare scalars are placed along the first axis."""
+    pts = np.asarray(positions, dtype=float)
+    if pts.ndim == 1:
+        out = np.zeros((len(pts), d))
+        out[:, 0] = pts
+        return out
+    pts = np.atleast_2d(pts)
+    if pts.shape[1] != d:
+        raise ValueError(f"positions must be (n, {d})")
+    return pts
+
 
 def pair_f_matrix(p: Potential, points) -> np.ndarray:
     """Matrix of f(|x_i - x_j|) for a configuration (n, d) or (n,) array."""
@@ -884,8 +898,8 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
                  root_positions=None) -> tuple[float, float]:
     """Mean and standard error of a Mayer-sampling estimate of the integral
     of score(f) over the positions of the free vertices.  Vertices 0..n-1
-    are pinned at the rows of ``root_positions``, an (n, d) array (by
-    default vertex 0 at the origin), and vertices n..m-1 are free;
+    are pinned at ``root_positions`` (``_as_positions``; by default vertex
+    0 at the origin), and vertices n..m-1, at least one, are free;
     ``score`` maps pair matrices (B, m, m) to class sums (B,).
 
     The pinned vertices act as one root.  Each configuration grows along a
@@ -903,8 +917,7 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
     Draws ``n_samples`` configurations in blocks of ``MC_BLOCK``, which
     fix the random stream and the blocks of the running mean and variance,
     and scores them in batches of whole blocks (``_batch_rows``, sized by
-    ``BATCH_ENTRIES``), so the batch size changes no value; with no free
-    vertex the score is exact.
+    ``BATCH_ENTRIES``), so the batch size changes no value.
 
     For a piecewise-constant f (hard cores, square wells) the f and pdf of
     a pair are fixed by its radial bin, so a weight depends only on the
@@ -923,13 +936,11 @@ def class_sum_mc(score, p: Potential, m: int, n_samples: int,
         raise EnumerationTooLarge("class sums", m, MAX_EXHAUSTIVE_N,
                                   2 ** (m * (m - 1) // 2))
     roots = np.zeros((1, d)) if root_positions is None else \
-        np.asarray(root_positions, dtype=float).reshape(-1, d)
+        _as_positions(root_positions, d)
     n_roots = len(roots)
     k = m - n_roots
-    if k < 0 or n_samples < 1:
-        raise ValueError("need m >= the pinned vertices and n_samples >= 1")
-    if k == 0:
-        return float(score(pair_f_matrix(p, roots)[None])[0]), 0.0
+    if k < 1 or n_samples < 1:
+        raise ValueError("need m > the pinned vertices and n_samples >= 1")
     proposal = RadialProposal(p)
     i, j = np.triu_indices(m, 1)
     if p.piecewise_constant_f:
@@ -1030,19 +1041,28 @@ def class_integral(score, p: Potential, m: int, method: str, n_samples: int,
                    seed: int, key: tuple, root_positions=None,
                    L: float | None = None) -> CoefficientEstimate:
     """Integral of the class sum ``score`` on m vertices over the free
-    ones, vertices 0..n-1 pinned at the rows of ``root_positions`` (n, d)
-    (by default vertex 0 at the origin): ``lattice_class_sum`` or
+    ones, vertices 0..n-1 pinned at ``root_positions`` (``_as_positions``;
+    by default vertex 0 at the origin): ``lattice_class_sum`` or
     ``class_sum_mc`` on ``stream(seed, *key)``, as ``resolve_method``
     picks.  A class sum vanishes unless each free vertex is joined to a
     pinned one by f bonds, so for f = 0 it is +0.0, with nothing drawn,
     once a vertex is free.  On the torus of side ``L``, vertex 0 pinned and
     normalized by L^(d(m-1)), it is the free-space integral over that when
     (m - 1) * range, the most the vertices span, is below L/2; otherwise
-    the exact path sums the torus cells, and Monte Carlo raises."""
+    the exact path sums the torus cells, and Monte Carlo raises.  With no
+    free vertex it is the class sum at the pins: no stream, so no seed."""
     method = resolve_method(p, method)
     roots = np.zeros((1, p.dimension)) if root_positions is None else \
-        np.asarray(root_positions, dtype=float).reshape(-1, p.dimension)
-    if p.kind is Kind.ZERO and m > len(roots):
+        _as_positions(root_positions, p.dimension)
+    if m < len(roots):
+        raise ValueError(f"need m >= the {len(roots)} pinned vertices, "
+                         f"got m = {m}")
+    if m == len(roots):
+        if method == "exact1d":
+            require_exact_1d(p)
+        return CoefficientEstimate(
+            float(score(pair_f_matrix(p, roots)[None])[0]), 0.0, method)
+    if p.kind is Kind.ZERO:
         return CoefficientEstimate(0.0, 0.0, method)
     if L is not None and (m - 1) * p.interaction_range >= L / 2:
         if method == "mc":

@@ -377,6 +377,12 @@ class TestExpansionAgainstOracles:
                                  seed=1)
         assert (est.value.hex(), est.std_error.hex()) == (value, std_error)
 
+    @pytest.mark.parametrize("method", ["exact1d", "mc"])
+    def test_one_particle_is_the_ideal_gas(self, method):
+        est = direct_logZ_oracle(SQUARE_WELL, 1, 10.0, method=method,
+                                 seed=None)
+        assert est == CoefficientEstimate(math.log(10.0), 0.0, method)
+
     def test_direct_oracle_method_names(self):
         est = direct_logZ_oracle(P, 2, 10.0, method="exact1d")
         assert est.method == "exact1d"

@@ -662,6 +662,23 @@ class TestCorrelations:
         assert grid == orders({"r_values": [0.5, 1.0, 1.5]})
 
 
+    @pytest.mark.parametrize("potential,K,orders", [
+        ({"kind": "zero", "dimension": 3}, 1, [[0.0, 0.0], [0.0, 0.0]]),
+        ({"kind": "hard_spheres"}, 0, [[-1.0, 0.0]]),
+    ], ids=["zero-K1", "spheres-K0"])
+    def test_orders_that_draw_nothing_need_no_seed(self, capsys, tmp_path,
+                                                   potential, K, orders):
+        # order 0 has no free vertex and f = 0 vanishes at every order
+        cfg = write_config(tmp_path, "corr.json",
+                           {"potential": potential, "K": K,
+                            "r_values": [0.5, 1.5]})
+        code, out, err = run_cli(capsys, ["correlations", "--config", cfg])
+        assert (code, err) == (EXIT_OK, "")
+        res = json.loads(out)["results"]
+        assert res["orders"] == orders
+        assert res["std_errors"] == [[0.0, 0.0]] * (K + 1)
+
+
 class TestOzpy:
     def test_thermodynamics_json(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "oz.json",

@@ -20,8 +20,8 @@ from clusterexp.correlations import (
 )
 from clusterexp.graphs import GraphClass, enumerate_bicolored
 from clusterexp.potentials import hard_rods, hard_spheres, square_well
-from clusterexp.weights import (biconnected_sum_batch, graph_weight_exact_1d,
-                                phi_t_batch)
+from clusterexp.weights import (CoefficientEstimate, biconnected_sum_batch,
+                                graph_weight_exact_1d, phi_t_batch)
 
 P = hard_rods()
 SQUARE_WELL = square_well(sigma=1.0, lam=1.5, epsilon=1.0, beta=1.0, dimension=1)
@@ -90,6 +90,12 @@ class TestDensitySeries:
             est = gc_correlation_oracle(SQUARE_WELL, n, [0.0, 1.7][:n], 0.0,
                                         10.0, method=method, seed=None)
             assert (est.value, est.std_error) == (want, 0.0)
+
+    def test_no_particles_draw_nothing(self):
+        est = gc_correlation_oracle(SQUARE_WELL, 2, [0.0, 1.7], 0.1, 10.0,
+                                    N_max=0, method="mc", seed=None)
+        assert est == CoefficientEstimate(
+            0.1 ** 2 * float(SQUARE_WELL.boltzmann(1.7)), 0.0, "mc")
 
     @pytest.mark.parametrize("method", ["exact", "quadrature"])
     def test_unknown_method_rejected(self, method):
@@ -437,5 +443,6 @@ class TestMonteCarloSeries:
         c2_density(hard_spheres(), 1.2, 2, method="mc", seed=3)
         h = states[articulation_free_pair_batch]
         c = states[biconnected_sum_batch]
-        assert len(set(h)) == len(set(c)) == 3
+        # orders 1 and 2 draw; order 0, with no free vertex, does not
+        assert len(set(h)) == len(set(c)) == 2
         assert not set(h) & set(c)

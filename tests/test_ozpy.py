@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,8 @@ from clusterexp.ozpy import (
     NonConvergence,
     RadialGrid,
     _Convolver,
-    _anderson_buffers,
-    _convolver,
     _fast_length,
+    _workspace,
     b2_effective,
     closure_remainder,
     oz_selfconsistency,
@@ -178,22 +179,44 @@ class TestNumpyTransforms:
 
 class TestSolver:
     def test_solves_share_buffers_not_results(self):
-        # the last grid's convolver and ring buffers serve the next solve,
-        # which leaves the last solve's profiles as they were
+        # the thread's last workspace serves its next solve on the grid,
+        # which leaves the last solve's profiles as they were; another
+        # thread gets its own
         grid = RadialGrid()
         first = solve_py(hard_rods(), 0.5)
         kept = {name: getattr(first, name).copy()
                 for name in ("h", "c", "t", "g", "y")}
-        assert _convolver(grid, 1) is _convolver(grid, 1)
-        n = grid.n_points
-        assert _anderson_buffers(n) is _anderson_buffers(n)
+        mine = _workspace(grid, 1)
+        assert all(a is b for a, b in zip(mine, _workspace(grid, 1)))
+        with ThreadPoolExecutor(1) as pool:
+            theirs = pool.submit(_workspace, grid, 1).result()
+        assert not any(a is b for a, b in zip(mine, theirs))
         again = solve_py(hard_rods(), 0.3)
         for name, values in kept.items():
             assert np.array_equal(getattr(first, name), values)
         assert again.residual_history == \
             solve_py(hard_rods(), 0.3).residual_history
-        assert _convolver.cache_info().maxsize == 1
-        assert _anderson_buffers.cache_info().maxsize == 1
+        assert all(a is b for a, b in zip(mine, _workspace(grid, 1)))
+
+    @pytest.mark.parametrize("jobs", [
+        ((hard_rods(), 0.3), (hard_rods(), 0.5)),
+        ((hard_rods(), 0.3), (hard_spheres(), 0.3)),
+    ], ids=["1d+1d", "1d+3d"])
+    def test_concurrent_solves_match_sequential(self, jobs):
+        alone = [solve_py(p, rho) for p, rho in jobs]
+        for _ in range(3):
+            start = threading.Barrier(len(jobs))
+
+            def solve(job):
+                start.wait()
+                return solve_py(*job)
+
+            with ThreadPoolExecutor(len(jobs)) as pool:
+                together = list(pool.map(solve, jobs))
+            for a, b in zip(alone, together):
+                assert b.iterations == a.iterations
+                assert b.residual_history == a.residual_history
+                assert np.array_equal(b.g, a.g)
 
     def test_zero_potential_identity(self):
         sol = solve_py(zero_potential(dimension=3), 0.5)

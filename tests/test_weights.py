@@ -10,7 +10,7 @@ import pytest
 
 from clusterexp import weights
 from clusterexp.coefficients import a_kernel, irreducible_beta_n, mayer_b_n
-from clusterexp.correlations import u_n_activity
+from clusterexp.correlations import h_n_density, u_n_activity
 from clusterexp.graphs import (EnumerationTooLarge, Graph, GraphClass,
                                enumerate_graphs, prufer_trees)
 from clusterexp.potentials import (hard_rods, hard_spheres, lennard_jones,
@@ -808,8 +808,8 @@ class TestEstimatorPolicy:
         values += u_n_activity(p, 2, [0.0, 0.5], 3, method, 1_000, 1).values[1:]
         # +0.0, though a_kernel negates the class integral
         assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
-        # only order 0 of the series, with no free vertex, is evaluated
-        assert sizes == [2]
+        # order 0 of the series, with no free vertex, reaches no integrator
+        assert sizes == []
 
     def test_only_weights_stream_makes_generators(self):
         makers = set()
@@ -856,6 +856,62 @@ class TestEstimatorPolicy:
         assert weights.torus_boltzmann_mc(p, 10.0, (0.0, 8.7), 0, 100, rng) \
             == (float(p.boltzmann(1.3)), 0.0)
         assert rng.bit_generator.state == state
+        # nor is a stream needed
+        assert weights.torus_boltzmann_mc(p, 10.0, (0.0, 8.7), 0, 100, None) \
+            == (float(p.boltzmann(1.3)), 0.0)
+
+    def test_flat_pinned_positions_lie_along_the_first_axis(self):
+        p = hard_spheres()
+        flat = class_integral(biconnected_sum_batch, p, 3, "mc", 1_000, 1,
+                              ("c", 2, 1), root_positions=[0.0, 1.5])
+        full = class_integral(biconnected_sum_batch, p, 3, "mc", 1_000, 1,
+                              ("c", 2, 1),
+                              root_positions=[[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
+        assert (flat.value.hex(), flat.std_error.hex()) == \
+            (full.value.hex(), full.std_error.hex())
+        assert flat == full
+
+    @pytest.mark.parametrize("method", ["auto", "mc"])
+    def test_no_free_vertex_scores_the_pins_and_draws_nothing(
+            self, monkeypatch, method):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated with no free vertex")
+
+        for name in ("stream", "class_sum_mc", "lattice_class_sum"):
+            monkeypatch.setattr(weights, name, refuse)
+        p = hard_spheres()
+        for r, want in [(0.5, -1.0), (1.5, 0.0)]:
+            est = class_integral(biconnected_sum_batch, p, 2, method, 1_000,
+                                 None, ("c", 2, 0), root_positions=[0.0, r])
+            assert est == CoefficientEstimate(want, 0.0, "mc")
+        assert mayer_b_n(p, 1, method, 1_000, None) == \
+            CoefficientEstimate(1.0, 0.0, "mc")
+
+    def test_class_sum_mc_needs_a_free_vertex(self):
+        for m, roots in [(1, None), (2, [[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])]:
+            with pytest.raises(ValueError, match="m > the pinned vertices"):
+                weights.class_sum_mc(biconnected_sum_batch, hard_spheres(), m,
+                                     100, np.random.default_rng(1),
+                                     root_positions=roots)
+
+    @pytest.mark.parametrize("p", [zero_potential(dimension=3), hard_spheres()],
+                             ids=["zero", "spheres"])
+    def test_fewer_vertices_than_pins_raise(self, p):
+        # a guard: f = 0 gives no 0.0 here
+        with pytest.raises(ValueError, match="pinned vertices"):
+            class_integral(phi_t_batch, p, 1, "mc", 100, 1, ("u", 2, 0),
+                           root_positions=[[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
+
+    def test_exact_path_refuses_uncovered_pins_alone(self):
+        # a guard: order 0 has no free vertex
+        with pytest.raises(ValueError, match="one-dimensional"):
+            h_n_density(hard_spheres(), 2, [0.0, 1.5], 0, method="exact1d")
+
+    def test_exact_b_1_needs_one_dimension(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            mayer_b_n(hard_spheres(), 1, "exact1d")
+        assert mayer_b_n(hard_rods(), 1, "exact1d") == \
+            CoefficientEstimate(1.0, 0.0, "exact1d")
 
     def test_stream_refuses_a_missing_seed(self):
         # numpy would fill a None seed from OS entropy
